@@ -14,12 +14,11 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .arith import primes_in_range, primes_upto
-from .dirichlet import f_r_local
+from .arith import prime_array, primes_in_range
+from .dirichlet import LocalPolynomial, f_r_local
 from .errors import DomainError, NumericalError, ResourceError
 
 # A float table of this many entries is the largest scan we attempt.
@@ -102,7 +101,8 @@ class ExtremalSample:
         }
 
 
-def _a_local_float(p: int, k: int, r: int) -> float:
+def _a_local_float(p, k: int, r: int):
+    """A_r(p^k) in float64; p may be an int or an array of primes."""
     t = 1.0 - 1.0 / p
     acc = 0.0
     power = 1.0
@@ -112,28 +112,44 @@ def _a_local_float(p: int, k: int, r: int) -> float:
     return acc
 
 
+def _local_float(kind: str, p, k: int, param: int):
+    if kind == "A":
+        return _a_local_float(p, k, param)
+    return float(math.comb(k + param - 1, param - 1))
+
+
 def _value_table(kind: str, param: int, x_max: int) -> np.ndarray:
     """vals[n] = f(n) in float64 for n <= x_max, multiplicatively sieved.
 
-    One pass per prime power: entries divisible by p^k pick up the ratio
-    local(p, k) / local(p, k-1), which leaves exactly local(p, v_p(n))
-    multiplied in for every n.
+    Each prime p <= sqrt(x_max) takes one pass per prime power: entries
+    divisible by p^k pick up the ratio local(p, k) / local(p, k-1), which
+    leaves exactly local(p, v_p(n)) multiplied in for every n.  A larger
+    prime divides n <= x_max at most once and is then n's largest prime
+    factor, so those primes go in last, bucketed by the cofactor
+    m = n / p: one scatter per m instead of one strided pass per prime.
+    Every entry still takes its factors in ascending prime order, so the
+    table is bit-identical to a pass per prime.
     """
     vals = np.ones(x_max + 1)
     vals[0] = 0.0
-    for p in primes_upto(x_max):
+    primes = prime_array(x_max)
+    split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
+    for p in primes[:split].tolist():
         pk = p
         k = 1
         prev = 1.0
         while pk <= x_max:
-            if kind == "A":
-                loc = _a_local_float(p, k, param)
-            else:
-                loc = float(math.comb(k + param - 1, param - 1))
+            loc = _local_float(kind, p, k, param)
             vals[pk::pk] *= loc / prev
             prev = loc
             pk *= p
             k += 1
+    big = primes[split:]
+    if big.size:
+        loc = np.broadcast_to(_local_float(kind, big, 1, param), big.shape)
+        for m in range(1, x_max // int(big[0]) + 1):
+            count = int(np.searchsorted(big, x_max // m, side="right"))
+            vals[m * big[:count]] *= loc[:count]
     return vals
 
 
@@ -286,13 +302,16 @@ def euler_leading_coefficient(
 ) -> tuple[float, float]:
     """Leading coefficient of the A_r main-term polynomial:
 
-        (1/r!) prod_p (1 + sum_{k=1}^{r} f_r(p^k) / p^k),
+        (1/r!) prod_p (1 + D(1/p)),   D(u) = sum_{k=1}^{r} f_r(p^k) u^k,
 
-    truncated at prime_limit, each local factor evaluated exactly before
-    conversion.  The returned tail bound uses that every f_r(p^k) has zero
-    constant term as a polynomial in 1/p, so |f_r(p^k)| <= M/p with M the
-    largest coefficient-magnitude sum, making each omitted factor
-    1 + O(1/p^2).
+    truncated at prime_limit.  The f_r(p^k) are integer polynomials in
+    u = 1/p, so D is one integer polynomial; it is evaluated by Horner's
+    rule at every prime at once and the product is taken as
+    exp(fsum(log1p(D))).  The returned bound is the truncation tail plus
+    the float rounding of that evaluation.  The tail uses that every
+    f_r(p^k) has zero constant term as a polynomial in 1/p, so
+    |f_r(p^k)| <= M/p with M the largest coefficient-magnitude sum,
+    making each omitted factor 1 + O(1/p^2).
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
@@ -302,17 +321,43 @@ def euler_leading_coefficient(
         raise DomainError(f"tail_terms must be >= 1, got {tail_terms}")
     polys = [f_r_local(r, k) for k in range(1, r + 1)]
     coeff_mass = max(sum(abs(c) for c in poly.coefficients) for poly in polys)
+    fold = LocalPolynomial(())
+    for k, poly in enumerate(polys, start=1):
+        fold = fold + poly * LocalPolynomial((0,) * k + (1,))
+    coeffs = fold.coefficients
 
-    product = 1.0
-    for p in primes_upto(prime_limit):
-        u = Fraction(1, p)
-        factor = Fraction(1)
-        pk = p
-        for poly in polys:
-            factor += poly.evaluate(u) / pk
-            pk *= p
-        product *= float(factor)
-    value = product / math.factorial(r)
+    u = 1.0 / prime_array(prime_limit)
+    d = np.zeros_like(u)
+    d_abs = np.zeros_like(u)
+    for c in reversed(coeffs):
+        d = d * u + float(c)
+        d_abs = d_abs * u + float(abs(c))
+
+    # Rounding, to first order in eps = 2^-53.  Rounding 1/p, the
+    # coefficients and each Horner step gives |D_hat - D| <= err =
+    # gamma(3n + 1) sum |c_j| u^j for n = deg D (Higham, Horner's rule),
+    # which moves log(1 + D) by at most err / (1 + D_hat - err).  log1p
+    # and exp are taken as good to one ulp (2 eps), fsum is correctly
+    # rounded (eps) and the division by r! costs 2 eps, so the computed
+    # log is off by at most E and the value by a factor within exp(+-E).
+    eps = 2.0**-53
+    n = len(coeffs) - 1
+    err = (3 * n + 1) * eps / (1 - (3 * n + 1) * eps) * d_abs
+    floor = 1.0 + d - err
+    if not np.all(floor > 0):
+        raise NumericalError(
+            f"rounding swamps the local factor at r={r}; D has degree {n}"
+        )
+    logs = np.log1p(d)
+    log_sum = math.fsum(logs.tolist())
+    value = math.exp(log_sum) / math.factorial(r)
+    log_err = (
+        math.fsum((err / floor).tolist())
+        + 2 * eps * math.fsum(np.abs(logs).tolist())
+        + eps * abs(log_sum)
+        + 4 * eps
+    )
+    rounding = abs(value) * math.expm1(2 * log_err)
 
     # |sum_k f_r(p^k)/p^k| <= M/(p(p-1)) <= 2M/p^2, and |log(1+d)| <= 2|d|
     # for |d| <= 1/2, so the omitted log mass is below 4M sum_{m>P} 1/m^2.
@@ -320,7 +365,7 @@ def euler_leading_coefficient(
     explicit = math.fsum(1.0 / m**2 for m in range(lo + 1, lo + tail_terms + 1))
     log_tail = 4.0 * coeff_mass * (explicit + 1.0 / (lo + tail_terms))
     tail_bound = abs(value) * math.expm1(log_tail)
-    return value, tail_bound
+    return value, tail_bound + rounding
 
 
 def residual_exponent_estimate(report: SummatoryReport) -> float:

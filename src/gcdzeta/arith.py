@@ -137,6 +137,7 @@ def _trial_primes_upto(limit: int) -> list[int]:
     limit = min(limit, _TRIAL_LIMIT_MAX)
     if limit > _trial_limit:
         new_limit = min(max(limit, 2 * _trial_limit, 1000), _TRIAL_LIMIT_MAX)
+        # Python ints, not int64: n % p must stay exact for any size of n
         _trial_primes = primes_upto(new_limit)
         _trial_limit = new_limit
     return _trial_primes
@@ -193,18 +194,24 @@ def divisors(n: int | FactoredInteger) -> list[int]:
     return sorted(divs)
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n via a plain Eratosthenes sieve."""
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n as an ascending int64 array (Eratosthenes)."""
     if n > SIEVE_LIMIT:
         raise ResourceError(f"sieve limit {n} exceeds guard {SIEVE_LIMIT}")
     if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
+        return np.empty(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    sieve[4::2] = False
+    for p in range(3, math.isqrt(n) + 1, 2):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * ((n - p * p) // p + 1)
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: 2 * p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n as Python ints (exact under big-int arithmetic)."""
+    return prime_array(n).tolist()
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -213,7 +220,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         raise DomainError(f"lower bound must be >= 1, got {lo}")
     if lo > hi:
         raise DomainError(f"empty range: lo={lo} > hi={hi}")
-    return [p for p in primes_upto(hi) if p > lo]
+    ps = prime_array(hi)
+    return ps[np.searchsorted(ps, lo, side="right") :].tolist()
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_igusa(args) -> int:
-    s = tuple(float(part) for part in args.s.split(","))
+    try:
+        s = tuple(float(part) for part in args.s.split(","))
+    except ValueError:
+        print(
+            f"usage error: --s expects comma-separated numbers, got {args.s!r}",
+            file=sys.stderr,
+        )
+        return 2
     query = igusa.IgusaQuery(args.n, s, method=args.method, tolerance=args.tolerance)
     record = igusa.evaluate(query, truncation=args.trunc)
     _emit(args, json.dumps(record, sort_keys=True))

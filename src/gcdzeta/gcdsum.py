@@ -23,6 +23,8 @@ from .multfun import binom_multiset, eval_int, phi, tau
 TUPLE_GUARD = 10**8
 # The naive tuple loop is only an oracle for the aggregated brute force.
 NAIVE_GUARD = 10**7
+# menon_sum runs one gcd per k in [1, n]; refuse beyond this many.
+MENON_TERM_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,11 @@ def menon_sum(n: int, a: int) -> int:
         raise DomainError(f"n must be >= 1, got {n}")
     if math.gcd(abs(a), n) != 1:
         raise DomainError(f"a = {a} is not a unit mod {n}")
+    if n > MENON_TERM_GUARD:
+        raise ResourceError(
+            f"menon_sum needs {n} loop iterations, above the guard of "
+            f"{MENON_TERM_GUARD:.0e}"
+        )
     total = 0
     for k in range(1, n + 1):
         if math.gcd(k, n) == 1:

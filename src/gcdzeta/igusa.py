@@ -55,6 +55,8 @@ class HurwitzParams:
     def __post_init__(self):
         if not self.s > 1:
             raise DomainError(f"s must be > 1, got {self.s}")
+        if not math.isfinite(self.s):
+            raise DomainError(f"s must be finite, got {self.s}")
         if not 0 < self.a <= 1:
             raise DomainError(f"a must lie in (0, 1], got {self.a}")
         if not self.tolerance > 0:
@@ -77,6 +79,9 @@ class IgusaQuery:
             raise DomainError("at least one exponent is required")
         if any(not v > 1 for v in self.s):
             raise DomainError(f"every exponent must be > 1, got {self.s}")
+        for j, v in enumerate(self.s, start=1):
+            if not math.isfinite(v):
+                raise DomainError(f"exponent s_{j} = {v} is not finite")
         if self.method not in ("hurwitz", "direct"):
             raise DomainError(f"unknown method {self.method!r}")
         if not self.tolerance > 0:

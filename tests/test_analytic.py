@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gcdzeta import analytic
 from gcdzeta.analytic import (
     ExtremalSample,
     SummatoryReport,
@@ -15,6 +17,7 @@ from gcdzeta.analytic import (
     summatory_scan,
 )
 from gcdzeta.arith import build_spf_sieve
+from gcdzeta.dirichlet import f_r_local
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.gcdsum import a_eval
 
@@ -134,6 +137,69 @@ class TestEulerLeadingCoefficient:
     def test_prime_limit_guard(self):
         with pytest.raises(DomainError):
             euler_leading_coefficient(1, 50)
+
+    def test_rounding_guard(self):
+        # at r = 30 the factor at p = 2 is 16 / 2^30, below D's rounding
+        with pytest.raises(NumericalError, match="rounding swamps"):
+            euler_leading_coefficient(30, 1000)
+
+
+def per_prime_value_table(kind, param, x_max, primes):
+    """The value table as one strided pass per prime power, every prime."""
+    vals = np.ones(x_max + 1)
+    vals[0] = 0.0
+    for p in primes:
+        pk = p
+        k = 1
+        prev = 1.0
+        while pk <= x_max:
+            if kind == "A":
+                loc = analytic._a_local_float(p, k, param)
+            else:
+                loc = float(math.comb(k + param - 1, param - 1))
+            vals[pk::pk] *= loc / prev
+            prev = loc
+            pk *= p
+            k += 1
+    return vals
+
+
+def exact_euler_product(r, primes):
+    """(1/r!) prod_{p <= P} (1 + sum_k f_r(p^k) / p^k), rounded once."""
+    polys = [f_r_local(r, k) for k in range(1, r + 1)]
+    num, den = 1, 1
+    for p in primes:
+        u = Fraction(1, p)
+        factor = Fraction(1)
+        pk = p
+        for poly in polys:
+            factor += poly.evaluate(u) / pk
+            pk *= p
+        num *= factor.numerator
+        den *= factor.denominator
+    return num / (den * math.factorial(r))
+
+
+class TestFastPathsAgainstReferences:
+    # 317 is prime: at 317^2 it is the largest prime on the small side of
+    # sqrt(x), and at 317^2 - 1 the smallest on the large side
+    @pytest.mark.parametrize("x_max", [10**5, 317**2, 317**2 - 1])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("tau", 2), ("tau", 3),
+         ("tau", 4)],
+    )
+    def test_value_table_bit_identical(self, kind, param, x_max, primes_between):
+        got = analytic._value_table(kind, param, x_max)
+        want = per_prime_value_table(kind, param, x_max, primes_between(0, x_max))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_euler_product_against_exact_oracle(self, r, primes_between):
+        value, bound = euler_leading_coefficient(r, 10**4)
+        exact = exact_euler_product(r, primes_between(0, 10**4))
+        assert abs(value - exact) <= bound
+        assert abs(value - exact) <= 1e-12 * exact
 
 
 class TestFitMainTerm:

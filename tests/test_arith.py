@@ -1,17 +1,20 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdzeta.arith import (
+    SIEVE_LIMIT,
     FactoredInteger,
     build_spf_sieve,
     divisors,
     factorize,
     gcd,
     is_prime,
+    prime_array,
     primes_in_range,
     primes_upto,
 )
@@ -218,6 +221,23 @@ class TestPrimesInRange:
 
     def test_primes_upto_matches_independent_count(self):
         assert len(primes_upto(10**4)) == eratosthenes_count(10**4) == 1229
+
+
+class TestPrimeArray:
+    # 317 is prime: n = 317^2 puts a square of a prime at the sieve's end
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 317**2, 10**5])
+    def test_matches_bytearray_sieve(self, n, primes_between):
+        got = prime_array(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == primes_between(0, n)
+
+    def test_primes_upto_gives_python_ints(self):
+        # factorize's trial division needs big-int %, not int64 %
+        assert all(type(p) is int for p in primes_upto(1000))
+
+    def test_guard(self):
+        with pytest.raises(ResourceError):
+            prime_array(SIEVE_LIMIT + 1)
 
 
 class TestDivisors:

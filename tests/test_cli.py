@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,27 @@ class TestExitCodes:
             "--trunc", "1000",
         )
         assert result.returncode == 4
+
+    def test_unparsable_exponent_is_usage_error(self):
+        result = run_cli("igusa", "--n", "6", "--s", "2,abc")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.strip().splitlines() == [
+            "usage error: --s expects comma-separated numbers, got '2,abc'"
+        ]
+
+    def test_infinite_exponent_is_domain_error(self):
+        result = run_cli("igusa", "--n", "6", "--s", "inf")
+        assert result.returncode == 3
+        assert "exponent s_1 = inf is not finite" in result.stderr
+
+    def test_eval_menon_beyond_guard_stops_at_once(self):
+        start = time.perf_counter()
+        result = run_cli("eval", "menon", "--n", "1000000007", "--a", "2")
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 4
+        assert "resource guard" in result.stderr
+        assert elapsed < 1.0
 
 
 class TestVerify:

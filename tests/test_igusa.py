@@ -61,6 +61,8 @@ class TestHurwitzZeta:
             HurwitzParams(2.0, 0.5, tolerance=-1.0)
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 0.5, bernoulli_terms=50)
+        with pytest.raises(DomainError, match="finite"):
+            hurwitz_zeta(math.inf, 0.5)
 
     def test_unreachable_tolerance(self):
         with pytest.raises(NumericalError):
@@ -137,6 +139,8 @@ class TestIgusaHurwitz:
             igusa_hurwitz(0, (2.0,))
         with pytest.raises(DomainError):
             igusa_hurwitz(2, ())
+        with pytest.raises(DomainError, match="s_2 = inf"):
+            igusa_hurwitz(2, (2.0, math.inf))
 
 
 class TestQueryRecord:
