@@ -8,15 +8,13 @@ multivariable zeta function of a cyclic group.  Every identity is backed
 by an independent brute-force oracle in the test suite.
 """
 
-from .arith import FactoredInteger, SpfTable, build_spf_sieve, factorize, gcd
+from .arith import FactoredInteger, factorize, gcd
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_eval, a_recursion, b_closed, menon_sum
 from .multfun import MultiplicativeFunction, standard
 
 __all__ = [
     "FactoredInteger",
-    "SpfTable",
-    "build_spf_sieve",
     "factorize",
     "gcd",
     "DomainError",

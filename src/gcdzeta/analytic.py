@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,8 @@ import numpy as np
 from .arith import prime_array, primes_in_range
 from .dirichlet import LocalPolynomial, f_r_local
 from .errors import DomainError, NumericalError, ResourceError
+from .gcdsum import a_local_sum
+from .multfun import tau_k
 
 # A float table of this many entries is the largest scan we attempt.
 SCAN_LIMIT = 10**8
@@ -48,7 +49,6 @@ class SummatoryReport:
     fitted_poly: list[float] = field(default_factory=list)
     fitted_leading_free: float = math.nan
     residuals: list[tuple[int, float]] = field(default_factory=list)
-    elapsed: float = 0.0
 
     def main_term(self, x: float) -> float:
         if not self.fitted_poly:
@@ -60,8 +60,6 @@ class SummatoryReport:
         return x * acc
 
     def to_dict(self) -> dict:
-        # elapsed is deliberately not serialized: identical configurations
-        # must produce byte-identical exports, and wall time never does
         return {
             "kind": self.kind,
             "r_or_k": self.r_or_k,
@@ -101,26 +99,18 @@ class ExtremalSample:
         }
 
 
-def _a_local_float(p, k: int, r: int):
-    """A_r(p^k) in float64; p may be an int or an array of primes."""
-    t = 1.0 - 1.0 / p
-    acc = 0.0
-    power = 1.0
-    for j in range(r + 1):
-        acc += math.comb(k + j - 1, j) * power
-        power *= t
-    return acc
-
-
-def _local_float(kind: str, p, k: int, param: int):
+def _scan_local(kind: str, order: int):
+    """(p, k) -> f(p^k) in float64 for A_order or tau_order."""
     if kind == "A":
-        return _a_local_float(p, k, param)
-    return float(math.comb(k + param - 1, param - 1))
+        return lambda p, k: a_local_sum(1.0 - 1.0 / p, k, order)
+    tau = tau_k(order)
+    return lambda p, k: float(tau.local(p, k))
 
 
-def _value_table(kind: str, param: int, x_max: int) -> np.ndarray:
+def _value_table(local, x_max: int) -> np.ndarray:
     """vals[n] = f(n) in float64 for n <= x_max, multiplicatively sieved.
 
+    local(p, k) is f(p^k); p may be an int or an int64 array of primes.
     Each prime p <= sqrt(x_max) takes one pass per prime power: entries
     divisible by p^k pick up the ratio local(p, k) / local(p, k-1), which
     leaves exactly local(p, v_p(n)) multiplied in for every n.  A larger
@@ -139,14 +129,14 @@ def _value_table(kind: str, param: int, x_max: int) -> np.ndarray:
         k = 1
         prev = 1.0
         while pk <= x_max:
-            loc = _local_float(kind, p, k, param)
+            loc = local(p, k)
             vals[pk::pk] *= loc / prev
             prev = loc
             pk *= p
             k += 1
     big = primes[split:]
     if big.size:
-        loc = np.broadcast_to(_local_float(kind, big, 1, param), big.shape)
+        loc = np.broadcast_to(local(big, 1), big.shape)
         for m in range(1, x_max // int(big[0]) + 1):
             count = int(np.searchsorted(big, x_max // m, side="right"))
             vals[m * big[:count]] *= loc[:count]
@@ -168,7 +158,6 @@ def summatory_scan(
     r_or_k: int,
     x_max: int,
     checkpoint_count: int = 40,
-    prime_limit: int | None = None,
 ) -> SummatoryReport:
     """Scan partial sums of A_r (kind="A") or tau_k (kind="tau") to x_max.
 
@@ -185,9 +174,8 @@ def summatory_scan(
         raise DomainError(f"x_max must be >= 10, got {x_max}")
     if x_max > SCAN_LIMIT:
         raise ResourceError(f"scan to {x_max} exceeds guard {SCAN_LIMIT}")
-    t0 = time.perf_counter()
 
-    vals = _value_table(kind, r_or_k, x_max)
+    vals = _value_table(_scan_local(kind, r_or_k), x_max)
     cps = _geometric_checkpoints(x_max, checkpoint_count)
     checkpoints: list[tuple[int, float]] = []
     block_sums: list[float] = []
@@ -199,7 +187,7 @@ def summatory_scan(
 
     if kind == "A":
         degree = r_or_k
-        limit = prime_limit if prime_limit is not None else max(100, min(x_max, 10**6))
+        limit = max(100, min(x_max, 10**6))
         euler_leading, euler_tail = euler_leading_coefficient(r_or_k, limit)
         fixed = euler_leading
     else:
@@ -226,7 +214,6 @@ def summatory_scan(
         report.residuals = [
             (x, s - report.main_term(x)) for x, s in checkpoints
         ]
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -297,14 +284,12 @@ def fit_main_term(
     return [float(c) for c in out]
 
 
-def euler_leading_coefficient(
-    r: int, prime_limit: int, tail_terms: int = 1000
-) -> tuple[float, float]:
+def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
     """Leading coefficient of the A_r main-term polynomial:
 
         (1/r!) prod_p (1 + D(1/p)),   D(u) = sum_{k=1}^{r} f_r(p^k) u^k,
 
-    truncated at prime_limit.  The f_r(p^k) are integer polynomials in
+    over the primes up to limit.  The f_r(p^k) are integer polynomials in
     u = 1/p, so D is one integer polynomial; it is evaluated by Horner's
     rule at every prime at once and the product is taken as
     exp(fsum(log1p(D))).  The returned bound is the truncation tail plus
@@ -315,10 +300,8 @@ def euler_leading_coefficient(
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    if prime_limit < 100:
-        raise DomainError(f"prime_limit must be >= 100, got {prime_limit}")
-    if tail_terms < 1:
-        raise DomainError(f"tail_terms must be >= 1, got {tail_terms}")
+    if limit < 100:
+        raise DomainError(f"prime limit must be >= 100, got {limit}")
     polys = [f_r_local(r, k) for k in range(1, r + 1)]
     coeff_mass = max(sum(abs(c) for c in poly.coefficients) for poly in polys)
     fold = LocalPolynomial(())
@@ -326,7 +309,7 @@ def euler_leading_coefficient(
         fold = fold + poly * LocalPolynomial((0,) * k + (1,))
     coeffs = fold.coefficients
 
-    u = 1.0 / prime_array(prime_limit)
+    u = 1.0 / prime_array(limit)
     d = np.zeros_like(u)
     d_abs = np.zeros_like(u)
     for c in reversed(coeffs):
@@ -361,10 +344,17 @@ def euler_leading_coefficient(
 
     # |sum_k f_r(p^k)/p^k| <= M/(p(p-1)) <= 2M/p^2, and |log(1+d)| <= 2|d|
     # for |d| <= 1/2, so the omitted log mass is below 4M sum_{m>P} 1/m^2.
-    lo = prime_limit
-    explicit = math.fsum(1.0 / m**2 for m in range(lo + 1, lo + tail_terms + 1))
-    log_tail = 4.0 * coeff_mass * (explicit + 1.0 / (lo + tail_terms))
-    tail_bound = abs(value) * math.expm1(log_tail)
+    # The sum runs explicitly to hi and is bounded by 1/hi beyond it.
+    hi = limit + 1000
+    explicit = math.fsum(1.0 / m**2 for m in range(limit + 1, hi + 1))
+    log_tail = 4.0 * coeff_mass * (explicit + 1.0 / hi)
+    try:
+        tail_bound = abs(value) * math.expm1(log_tail)
+    except OverflowError:
+        raise NumericalError(
+            f"Euler tail bound overflows float64 at r={r} "
+            f"(log of the tail factor is {log_tail:.3g})"
+        ) from None
     return value, tail_bound + rounding
 
 
@@ -421,7 +411,8 @@ def extremal_statistic(r: int, x: int) -> ExtremalSample:
     """Evaluate log A_r at the product of all primes in (x/log x, x].
 
     That modulus is squarefree, so each prime contributes the local value
-    sum_{j=0}^{r} (1 - 1/p)^j = p (1 - (1 - 1/p)^(r+1)); sums of logs
+    A_r(p) = sum_{j=0}^{r} (1 - 1/p)^j, summed term by term because the
+    closed form p (1 - (1 - 1/p)^(r+1)) cancels badly; sums of logs
     replace the (astronomically large) modulus itself.  The statistic
     log A_r(n) log log n / log n approaches log(r+1) along this family,
     from above.  Each local value is below r+1, so with
@@ -437,9 +428,8 @@ def extremal_statistic(r: int, x: int) -> ExtremalSample:
     lo = int(x / math.log(x))
     ps = primes_in_range(lo, x)
     log_n = math.fsum(math.log(p) for p in ps)
-    log_a = math.fsum(
-        math.log(p * (1.0 - (1.0 - 1.0 / p) ** (r + 1))) for p in ps
-    )
+    local = a_local_sum(1.0 - 1.0 / np.array(ps, dtype=np.float64), 1, r)
+    log_a = math.fsum(np.log(local).tolist())
     statistic = log_a * math.log(log_n) / log_n
     return ExtremalSample(
         x=x,

@@ -1,7 +1,6 @@
-"""Exact integer arithmetic: gcd, factorization, prime sieves.
+"""Exact integer arithmetic: gcd, factorization, the prime sieve.
 
-Everything here is pure and deterministic.  The smallest-prime-factor table
-is immutable after construction and safe to share across threads.
+Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Largest number of SPF entries we are willing to allocate (uint32, ~8 GiB).
-SPF_ENTRY_LIMIT = 2**31
-# Simple sieves (primes_in_range and friends) refuse beyond this bound.
+# The prime sieve (and so primes_upto and primes_in_range) refuses beyond
+# this bound.
 SIEVE_LIMIT = 10**8
 
 # Strong-pseudoprime witnesses making Miller-Rabin deterministic below
@@ -223,60 +221,3 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     ps = prime_array(hi)
     return ps[np.searchsorted(ps, lo, side="right") :].tolist()
 
-
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2 <= i <= limit.
-
-    spf[i] is the smallest prime dividing i, so spf[p] == p exactly for
-    primes, and repeated division by spf recovers the factorization of any
-    i <= limit in O(log i).
-    """
-
-    limit: int
-    spf: np.ndarray
-
-    def smallest_factor(self, i: int) -> int:
-        if not 2 <= i <= self.limit:
-            raise DomainError(f"index {i} outside [2, {self.limit}]")
-        return int(self.spf[i])
-
-    def is_prime(self, i: int) -> bool:
-        return i >= 2 and int(self.spf[i]) == i
-
-    def factorize(self, i: int) -> FactoredInteger:
-        if not 1 <= i <= self.limit:
-            raise DomainError(f"index {i} outside [1, {self.limit}]")
-        value = i
-        factors = []
-        while i > 1:
-            p = int(self.spf[i])
-            k = 0
-            while i % p == 0:
-                i //= p
-                k += 1
-            factors.append((p, k))
-        return FactoredInteger(value, tuple(factors))
-
-    def primes(self) -> list[int]:
-        idx = np.arange(2, self.limit + 1, dtype=np.int64)
-        return idx[self.spf[2:] == idx].tolist()
-
-
-def build_spf_sieve(limit: int) -> SpfTable:
-    """Build the smallest-prime-factor table for [2, limit]."""
-    if limit < 2:
-        raise DomainError(f"SPF sieve needs limit >= 2, got {limit}")
-    if limit + 1 > SPF_ENTRY_LIMIT:
-        raise ResourceError(
-            f"SPF sieve of {limit + 1} entries exceeds guard {SPF_ENTRY_LIMIT}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            window = spf[p * p :: p]
-            window[window == 0] = p
-    untouched = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[untouched] = untouched
-    spf.setflags(write=False)
-    return SpfTable(limit, spf)

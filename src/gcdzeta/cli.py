@@ -58,10 +58,7 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
 def _cmd_eval(args) -> int:
     target = args.target
     if target == "A":
-        result = gcdsum.GcdSumValue(
-            args.n, args.r, gcdsum.a_eval(args.n, args.r), "local_formula"
-        )
-        text = _fmt_fraction(result.value)
+        text = _fmt_fraction(gcdsum.a_eval(args.n, args.r))
         return _finish_value(
             args, {"target": "A", "n": args.n, "r": args.r, "value": text}, text
         )

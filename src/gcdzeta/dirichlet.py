@@ -212,35 +212,6 @@ def inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:
     )
 
 
-@dataclass(frozen=True)
-class DirichletPair:
-    """Two multiplicative functions with a declared relation.
-
-    relation "inverse" is checked at construction: (f * g)(p^k) must
-    vanish for 1 <= k <= verification_depth at a few small primes (it is
-    automatically 1 at k = 0).
-    """
-
-    f: MultiplicativeFunction
-    g: MultiplicativeFunction
-    relation: str
-    verification_depth: int = 6
-
-    def __post_init__(self):
-        if self.relation not in ("convolution", "inverse"):
-            raise DomainError(f"unknown relation {self.relation!r}")
-        if self.verification_depth < 1:
-            raise DomainError("verification_depth must be >= 1")
-        if self.relation == "inverse":
-            for p in (2, 3, 5):
-                for k in range(1, self.verification_depth + 1):
-                    if local_convolve(self.f, self.g, p, k) != 0:
-                        raise DomainError(
-                            f"{self.f.name} and {self.g.name} are not "
-                            f"inverse: nonzero at p={p}, k={k}"
-                        )
-
-
 @dataclass
 class FrStructureReport:
     """Structural audit of f_r(p^k) for k up to k_max.

@@ -10,49 +10,21 @@ gcd(k_1 ... k_r - 1, n); it collapses to phi(n)^r tau(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .arith import FactoredInteger, divisors, factorize
 from .errors import DomainError, ResourceError
 from .multfun import binom_multiset, eval_int, phi, tau
 
-# Refuse brute-force enumerations beyond this many tuples.
-TUPLE_GUARD = 10**8
-# The naive tuple loop is only an oracle for the aggregated brute force.
-NAIVE_GUARD = 10**7
-# menon_sum runs one gcd per k in [1, n]; refuse beyond this many.
-MENON_TERM_GUARD = 10**7
+# Refuse any brute-force loop predicted to run more steps than this.
+LOOP_GUARD = 10**7
 
 
-@dataclass(frozen=True)
-class GcdSumValue:
-    """One evaluation of A_r(n), tagged with the algorithm that produced it."""
-
-    n: int
-    r: int
-    value: Fraction
-    method: str
-
-    def __post_init__(self):
-        if self.method not in ("bruteforce", "local_formula", "recursion"):
-            raise DomainError(f"unknown method {self.method!r}")
-        unnormalized = self.value * self.n**self.r
-        if unnormalized.denominator != 1 or unnormalized < 0:
-            raise DomainError("n^r * value must be a nonnegative integer")
-        if not 1 <= self.value <= self.n:
-            raise DomainError("value must lie in [1, n]")
-
-
-def _check_tuple_guard(base: int, r: int, what: str):
-    if r < 1 or base < 2:
-        return
-    # log prefilter keeps base**r from being evaluated at absurd sizes
-    if r * math.log10(base) > 9 or base**r > TUPLE_GUARD:
+def _check_loop_guard(steps: int, what: str) -> None:
+    if steps > LOOP_GUARD:
         raise ResourceError(
-            f"{what} needs {base}^{r} tuples, above the guard of {TUPLE_GUARD:.0e}"
+            f"{what} needs {steps} loop steps, above the guard of {LOOP_GUARD:.0e}"
         )
 
 
@@ -61,8 +33,9 @@ def a_bruteforce(n: int, r: int) -> Fraction:
 
     Rather than walking all n^r tuples, accumulate the distribution of
     k_1 ... k_r mod n by r-fold convolution of the uniform factor
-    distribution under multiplication mod n (O(r n^2) work).  The guard
-    still speaks in tuple counts, since that is the quantity being summed.
+    distribution under multiplication mod n: n inner steps for the first
+    factor and at most n^2 for each later one, which is what the guard
+    counts.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -70,7 +43,7 @@ def a_bruteforce(n: int, r: int) -> Fraction:
         raise DomainError(f"r must be >= 0, got {r}")
     if r == 0:
         return Fraction(1)
-    _check_tuple_guard(n, r, "a_bruteforce")
+    _check_loop_guard(n + (r - 1) * n * n, "a_bruteforce")
     dist = [0] * n
     dist[1 % n] = 1
     for _ in range(r):
@@ -86,35 +59,30 @@ def a_bruteforce(n: int, r: int) -> Fraction:
     return Fraction(total, n**r)
 
 
-def a_bruteforce_naive(n: int, r: int) -> Fraction:
-    """A_r(n) by literally enumerating every tuple.  Cross-check only."""
-    if n < 1 or r < 0:
-        raise DomainError(f"invalid arguments n={n}, r={r}")
-    if r > 0 and n**r > NAIVE_GUARD:
-        raise ResourceError(f"naive loop refuses {n}^{r} tuples")
-    total = sum(
-        math.gcd(math.prod(t), n) for t in product(range(1, n + 1), repeat=r)
-    )
-    return Fraction(total, n**r)
+def a_local_sum(t, k: int, r: int):
+    """The local sum sum_{j=0}^{r} C(k+j-1, j) t^j, which is A_r(p^k) at
+    t = 1 - 1/p.
 
-
-@lru_cache(maxsize=None)
-def a_local(p: int, k: int, r: int) -> Fraction:
-    """A_r at the prime power p^k:
-
-        sum_{j=0}^{r} C(k+j-1, j) (1 - 1/p)^j
+    t may be a Fraction (exact value), a float or a float array (float64
+    values); every carrier runs the same operations in the same order.
     """
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    t = Fraction(p - 1, p)
-    acc = Fraction(0)
-    power = Fraction(1)
+    acc = 0
+    power = 1
     for j in range(r + 1):
         acc += binom_multiset(k, j) * power
         power *= t
     return acc
+
+
+@lru_cache(maxsize=None)
+def a_local(p: int, k: int, r: int) -> Fraction:
+    """A_r at the prime power p^k, exactly."""
+    if k < 1:
+        raise DomainError(f"exponent must be >= 1, got {k}")
+    if r < 0:
+        raise DomainError(f"r must be >= 0, got {r}")
+    # Fraction() keeps the carrier type at r = 0, where the sum is the int 1
+    return Fraction(a_local_sum(Fraction(p - 1, p), k, r))
 
 
 def a_eval(n: int | FactoredInteger, r: int) -> Fraction:
@@ -157,14 +125,18 @@ def b_bruteforce(n: int, r: int) -> int:
 
     Aggregates over residues of unit products, mirroring a_bruteforce:
     convolve the unit distribution r times under multiplication mod n,
-    then weight residue c by gcd(c - 1, n), with gcd(0, n) = n.
+    then weight residue c by gcd(c - 1, n), with gcd(0, n) = n.  The guard
+    counts the n steps that find the units, then phi(n) + (r - 1) phi(n)^2
+    convolution steps, as for a_bruteforce.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
+    _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    _check_tuple_guard(len(units), r, "b_bruteforce")
+    count = len(units)
+    _check_loop_guard(count + (r - 1) * count * count, "b_bruteforce")
     dist = [0] * n
     dist[1 % n] = 1
     for _ in range(r):
@@ -179,20 +151,6 @@ def b_bruteforce(n: int, r: int) -> int:
         if cnt:
             shifted = (c - 1) % n
             total += cnt * (math.gcd(shifted, n) if shifted else n)
-    return total
-
-
-def b_bruteforce_naive(n: int, r: int) -> int:
-    """B_r(n) by enumerating unit tuples.  Cross-check only."""
-    if n < 1 or r < 1:
-        raise DomainError(f"invalid arguments n={n}, r={r}")
-    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    if len(units) ** r > NAIVE_GUARD:
-        raise ResourceError(f"naive loop refuses {len(units)}^{r} tuples")
-    total = 0
-    for t in product(units, repeat=r):
-        m = (math.prod(t) - 1) % n
-        total += math.gcd(m, n) if m else n
     return total
 
 
@@ -216,11 +174,7 @@ def menon_sum(n: int, a: int) -> int:
         raise DomainError(f"n must be >= 1, got {n}")
     if math.gcd(abs(a), n) != 1:
         raise DomainError(f"a = {a} is not a unit mod {n}")
-    if n > MENON_TERM_GUARD:
-        raise ResourceError(
-            f"menon_sum needs {n} loop iterations, above the guard of "
-            f"{MENON_TERM_GUARD:.0e}"
-        )
+    _check_loop_guard(n, "menon_sum")
     total = 0
     for k in range(1, n + 1):
         if math.gcd(k, n) == 1:
@@ -228,21 +182,3 @@ def menon_sum(n: int, a: int) -> int:
             total += math.gcd(m, n) if m else n
     return total
 
-
-def coprime_progression_count(n: int, d: int, x: int) -> int:
-    """Count k in [1, n] with k = x (mod d) and gcd(k, n) = 1.
-
-    For d | n and gcd(x, d) = 1 this equals phi(n)/phi(d); the count here
-    is taken by brute enumeration so it can certify that quotient.
-    """
-    if n < 1 or d < 1:
-        raise DomainError(f"n and d must be >= 1, got n={n}, d={d}")
-    if n % d != 0:
-        raise DomainError(f"d = {d} does not divide n = {n}")
-    if not 1 <= x <= d:
-        raise DomainError(f"residue x = {x} outside [1, {d}]")
-    if math.gcd(x, d) != 1:
-        raise DomainError(f"x = {x} is not coprime to d = {d}")
-    return sum(
-        1 for k in range(1, n + 1) if k % d == x % d and math.gcd(k, n) == 1
-    )

@@ -41,26 +41,8 @@ _BERNOULLI = (
     Fraction(-3617, 510),
     Fraction(43867, 798),
 )
-_MAX_BERNOULLI_TERMS = len(_BERNOULLI) - 1  # one extra term bounds the error
-
-
-@dataclass(frozen=True)
-class HurwitzParams:
-    """Arguments for one Hurwitz zeta evaluation: zeta(s, a), s > 1 real."""
-
-    s: float
-    a: float
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not self.s > 1:
-            raise DomainError(f"s must be > 1, got {self.s}")
-        if not math.isfinite(self.s):
-            raise DomainError(f"s must be finite, got {self.s}")
-        if not 0 < self.a <= 1:
-            raise DomainError(f"a must lie in (0, 1], got {self.a}")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+# Bernoulli corrections applied; the one after them bounds the error.
+_EM_TERMS = len(_BERNOULLI) - 1
 
 
 @dataclass(frozen=True)
@@ -88,7 +70,7 @@ class IgusaQuery:
             raise DomainError("tolerance must be positive")
 
 
-def _em_tail_terms(s: float, base: float, count: int) -> list[float]:
+def _em_corrections(s: float, base: float, count: int) -> list[float]:
     """Bernoulli correction terms of the Euler-Maclaurin tail at N+a."""
     terms = []
     poch = s
@@ -100,9 +82,7 @@ def _em_tail_terms(s: float, base: float, count: int) -> list[float]:
     return terms
 
 
-def hurwitz_zeta(
-    s: float, a: float, tolerance: float = 1e-12, bernoulli_terms: int = 8
-) -> float:
+def hurwitz_zeta(s: float, a: float, tolerance: float = 1e-12) -> float:
     """zeta(s, a) = sum_{m >= 0} (m + a)^-s for real s > 1, 0 < a <= 1.
 
     Direct summation of the first N terms plus the Euler-Maclaurin tail:
@@ -112,22 +92,25 @@ def hurwitz_zeta(
     N grows until the first omitted Bernoulli term (which bounds the
     remainder for real s) falls below tolerance.
     """
-    HurwitzParams(s, a, tolerance)
-    if not 1 <= bernoulli_terms <= _MAX_BERNOULLI_TERMS:
-        raise DomainError(
-            f"bernoulli_terms must be in [1, {_MAX_BERNOULLI_TERMS}]"
-        )
+    if not s > 1:
+        raise DomainError(f"s must be > 1, got {s}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    if not 0 < a <= 1:
+        raise DomainError(f"a must lie in (0, 1], got {a}")
+    if not tolerance > 0:
+        raise DomainError("tolerance must be positive")
     n_cut = 16
     while True:
         base = n_cut + a
-        terms = _em_tail_terms(s, base, bernoulli_terms + 1)
+        terms = _em_corrections(s, base, _EM_TERMS + 1)
         if abs(terms[-1]) < tolerance:
             break
         n_cut *= 2
         if n_cut > _EM_MAX_N:
             raise NumericalError(
                 f"tolerance {tolerance} unreachable with "
-                f"{bernoulli_terms} Bernoulli terms"
+                f"{_EM_TERMS} Bernoulli terms"
             )
     head = math.fsum((m + a) ** -s for m in range(n_cut))
     tail = base ** (1 - s) / (s - 1) + 0.5 * base**-s

@@ -107,13 +107,14 @@ def tau() -> MultiplicativeFunction:
 def tau_k(m: int) -> MultiplicativeFunction:
     """Piltz divisor function: ordered factorizations into m parts.
 
-    tau_m(p^k) = C(k + m - 1, m - 1), computed directly rather than by
-    repeated convolution so large exponents stay O(1).
+    tau_m(p^k) counts the k-multisets of m symbols, C(k + m - 1, k),
+    computed directly rather than by repeated convolution so large
+    exponents stay O(1).
     """
     if m < 1:
         raise DomainError(f"tau_k order must be >= 1, got {m}")
     return MultiplicativeFunction(
-        f"tau_{m}", lambda p, k: Fraction(binom(k + m - 1, m - 1))
+        f"tau_{m}", lambda p, k: Fraction(binom_multiset(m, k))
     )
 
 
@@ -150,34 +151,12 @@ def psi(m: int) -> MultiplicativeFunction:
     return MultiplicativeFunction(f"psi_{m}", local)
 
 
-def one() -> MultiplicativeFunction:
-    """The constant function 1, the convolution identity's right unit."""
-    return MultiplicativeFunction("one", lambda p, k: Fraction(1))
-
-
-def phi_normalized() -> MultiplicativeFunction:
-    """phi(n)/n, with local value (p - 1)/p at every prime power."""
-    return MultiplicativeFunction(
-        "phi_over_n", lambda p, k: Fraction(p - 1, p)
-    )
-
-
-def pointwise_product(
-    f: MultiplicativeFunction, g: MultiplicativeFunction
-) -> MultiplicativeFunction:
-    """Pointwise product f(n) g(n); multiplicative when both factors are."""
-    return MultiplicativeFunction(
-        f"({f.name}*{g.name})", lambda p, k: f.local(p, k) * g.local(p, k)
-    )
-
-
 def standard(name: str, param: int | None = None) -> MultiplicativeFunction:
     """Look up a standard function by name.
 
     Parameterized families (jordan, tau_k, mu_iter, psi) require param.
     """
-    plain = {"phi": phi, "tau": tau, "mu": mu, "one": one,
-             "phi_over_n": phi_normalized}
+    plain = {"phi": phi, "tau": tau, "mu": mu}
     parameterized = {"jordan": jordan, "tau_k": tau_k, "mu_iter": mu_iter,
                      "psi": psi}
     if name in plain:

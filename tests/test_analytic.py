@@ -16,7 +16,6 @@ from gcdzeta.analytic import (
     residual_exponent_estimate,
     summatory_scan,
 )
-from gcdzeta.arith import build_spf_sieve
 from gcdzeta.dirichlet import f_r_local
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.gcdsum import a_eval
@@ -61,12 +60,10 @@ class TestSummatoryScan:
 
     def test_sieve_matches_exact_partial_sums(self):
         # float scan against the exact rational sum, converted at the end
-        table = build_spf_sieve(10**4)
         for r in (1, 2, 3):
             report = summatory_scan("A", r, 10**4)
             exact = sum(
-                (a_eval(table.factorize(n), r) for n in range(1, 10**4 + 1)),
-                Fraction(0),
+                (a_eval(n, r) for n in range(1, 10**4 + 1)), Fraction(0)
             )
             x, s = report.checkpoints[-1]
             assert x == 10**4
@@ -111,6 +108,13 @@ class TestSummatoryScan:
         assert report.fitted_poly == []
         assert report.residuals == []
 
+    def test_euler_limit_follows_x_max(self):
+        # the product runs over the primes up to x_max, clamped to [100, 1e6]
+        for x_max, limit in ((50, 100), (10**4, 10**4), (10**6 + 10, 10**6)):
+            report = summatory_scan("A", 1, x_max)
+            value, bound = euler_leading_coefficient(1, limit)
+            assert (report.euler_leading, report.euler_tail_bound) == (value, bound)
+
 
 class TestEulerLeadingCoefficient:
     def test_r1_telescopes_to_basel_value(self):
@@ -138,6 +142,13 @@ class TestEulerLeadingCoefficient:
         with pytest.raises(DomainError):
             euler_leading_coefficient(1, 50)
 
+    @pytest.mark.parametrize("r", [17, 18])
+    def test_tail_overflow_is_numerical_error(self, r):
+        # 4 M sum_{m > P} 1/m^2 passes log(float max) once the coefficient
+        # mass M of the f_r polynomials is large enough
+        with pytest.raises(NumericalError, match=f"overflows float64 at r={r}"):
+            euler_leading_coefficient(r, 1000)
+
     def test_rounding_guard(self):
         # at r = 30 the factor at p = 2 is 16 / 2^30, below D's rounding
         with pytest.raises(NumericalError, match="rounding swamps"):
@@ -145,7 +156,8 @@ class TestEulerLeadingCoefficient:
 
 
 def per_prime_value_table(kind, param, x_max, primes):
-    """The value table as one strided pass per prime power, every prime."""
+    """The value table as one strided pass per prime power, every prime,
+    with the local values written out in float64 here."""
     vals = np.ones(x_max + 1)
     vals[0] = 0.0
     for p in primes:
@@ -154,7 +166,12 @@ def per_prime_value_table(kind, param, x_max, primes):
         prev = 1.0
         while pk <= x_max:
             if kind == "A":
-                loc = analytic._a_local_float(p, k, param)
+                t = 1.0 - 1.0 / p
+                loc = 0.0
+                power = 1.0
+                for j in range(param + 1):
+                    loc += math.comb(k + j - 1, j) * power
+                    power *= t
             else:
                 loc = float(math.comb(k + param - 1, param - 1))
             vals[pk::pk] *= loc / prev
@@ -190,7 +207,7 @@ class TestFastPathsAgainstReferences:
          ("tau", 4)],
     )
     def test_value_table_bit_identical(self, kind, param, x_max, primes_between):
-        got = analytic._value_table(kind, param, x_max)
+        got = analytic._value_table(analytic._scan_local(kind, param), x_max)
         want = per_prime_value_table(kind, param, x_max, primes_between(0, x_max))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -328,7 +345,7 @@ class TestExtremalStatistic:
                 sample = extremal_statistic(r, x)
                 assert sample.omega_n_x == len(ps)
                 assert sample.log_n_x == pytest.approx(log_n, rel=1e-12)
-                assert sample.log_a_r == pytest.approx(log_a, rel=1e-12)
+                assert sample.log_a_r == pytest.approx(log_a, rel=1e-14)
                 assert sample.statistic == pytest.approx(
                     log_a * math.log(log_n) / log_n, rel=1e-12
                 )

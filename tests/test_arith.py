@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gcdzeta.arith import (
     SIEVE_LIMIT,
     FactoredInteger,
-    build_spf_sieve,
     divisors,
     factorize,
     gcd,
@@ -32,13 +31,40 @@ def trial_division_is_prime(n: int) -> bool:
 
 
 def eratosthenes_count(limit: int) -> int:
-    """Independent prime counter, no shared code with the SPF sieve."""
+    """Independent prime counter, no shared code with either sieve."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
     return sum(sieve)
+
+
+def spf_sieve(limit: int) -> np.ndarray:
+    """Smallest-prime-factor table: spf[i] is the least prime dividing i,
+    so spf[p] == p exactly at primes (and spf[0] = 0, spf[1] = 1)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            window = spf[p * p :: p]
+            window[window == 0] = p
+    untouched = np.flatnonzero(spf == 0)
+    spf[untouched] = untouched
+    return spf
+
+
+def spf_factorize(spf: np.ndarray, n: int) -> FactoredInteger:
+    """Factor n <= len(spf) - 1 by repeated division by spf."""
+    value = n
+    factors = []
+    while n > 1:
+        p = int(spf[n])
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        factors.append((p, k))
+    return FactoredInteger(value, tuple(factors))
 
 
 class TestGcd:
@@ -140,18 +166,21 @@ class TestFactoredInteger:
 
 
 class TestSpfSieve:
+    """factorize and prime_array against a test-side SPF table."""
+
     def test_small_entries(self):
-        table = build_spf_sieve(10)
-        assert table.smallest_factor(4) == 2
-        assert table.smallest_factor(9) == 3
-        assert table.smallest_factor(7) == 7
+        spf = spf_sieve(10)
+        assert (spf[4], spf[9], spf[7]) == (2, 3, 7)
+        for i in range(2, 11):
+            assert factorize(i).factors[0][0] == spf[i]
 
     def test_spf_91(self):
-        assert build_spf_sieve(100).smallest_factor(91) == 7
+        assert spf_sieve(100)[91] == 7
+        assert factorize(91).factors == ((7, 1), (13, 1))
 
     def test_prime_count_at_1e6(self):
-        table = build_spf_sieve(10**6)
-        fixed_points = [i for i in range(2, 10**6 + 1) if table.spf[i] == i]
+        spf = spf_sieve(10**6)
+        fixed_points = [i for i in range(2, 10**6 + 1) if spf[i] == i]
         assert len(fixed_points) == 78498
         assert eratosthenes_count(10**6) == 78498
         # the fixed points are exactly the primes of an independent sieve
@@ -161,10 +190,10 @@ class TestSpfSieve:
             if sieve[p]:
                 sieve[p * p :: p] = b"\x00" * ((10**6 - p * p) // p + 1)
         assert fixed_points == [i for i in range(2, 10**6 + 1) if sieve[i]]
+        assert prime_array(10**6).tolist() == fixed_points
 
     def test_agrees_with_trial_division_to_1e6(self):
-        table = build_spf_sieve(10**6)
-        spf = table.spf
+        spf = spf_sieve(10**6)
         for n in range(2, 10**6 + 1):
             m = n
             rebuilt = 1
@@ -180,22 +209,17 @@ class TestSpfSieve:
             assert rebuilt == n
         # direct comparison against trial division on a denser sample
         for n in range(2, 20001):
-            assert table.factorize(n) == factorize(n)
+            assert spf_factorize(spf, n) == factorize(n)
         for n in range(10**6 - 2000, 10**6 + 1):
-            assert table.factorize(n) == factorize(n)
+            assert spf_factorize(spf, n) == factorize(n)
 
     def test_invariants_spf_divides_and_bounded(self):
-        table = build_spf_sieve(5000)
+        spf = spf_sieve(5000)
         for i in range(2, 5001):
-            p = table.smallest_factor(i)
+            p = int(spf[i])
             assert i % p == 0
             assert p * p <= i or p == i
-
-    def test_guards(self):
-        with pytest.raises(DomainError):
-            build_spf_sieve(1)
-        with pytest.raises(ResourceError):
-            build_spf_sieve(2**31 + 1)
+            assert factorize(i).factors[0][0] == p
 
 
 class TestPrimesInRange:
@@ -203,7 +227,7 @@ class TestPrimesInRange:
         assert primes_in_range(10, 20) == [11, 13, 17, 19]
         assert primes_in_range(1, 10) == [2, 3, 5, 7]
 
-    def test_interval_count_for_extremal_modulus(self):
+    def test_interval_count_for_extremal_modulus(self, primes_between):
         # pi(1e5) = 9592 and pi(8685) = 1081, both pinned against the
         # independent Eratosthenes counter below
         lo = int(10**5 / math.log(10**5))
@@ -212,8 +236,7 @@ class TestPrimesInRange:
         assert len(ps) == 9592 - 1081 == 8511
         assert eratosthenes_count(10**5) == 9592
         assert eratosthenes_count(8685) == 1081
-        table = build_spf_sieve(10**5)
-        assert ps == [p for p in table.primes() if p > lo]
+        assert ps == primes_between(lo, 10**5)
 
     def test_error_on_reversed_bounds(self):
         with pytest.raises(DomainError):

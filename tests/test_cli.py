@@ -74,6 +74,13 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "domain error" in result.stderr
 
+    def test_eval_a_domain_errors_are_three(self):
+        for n, r in (("0", "1"), ("12", "-1")):
+            result = run_cli("eval", "A", "--n", n, "--r", r)
+            assert result.returncode == 3
+            assert result.stderr.startswith("domain error: ")
+            assert "Traceback" not in result.stderr
+
     def test_resource_guard_is_four(self):
         result = run_cli("scan", "A", "--r", "1", "--xmax", "1000000000")
         assert result.returncode == 4
@@ -96,6 +103,15 @@ class TestExitCodes:
         result = run_cli("igusa", "--n", "6", "--s", "inf")
         assert result.returncode == 3
         assert "exponent s_1 = inf is not finite" in result.stderr
+
+    def test_euler_tail_overflow_is_numerical_error(self):
+        result = run_cli("scan", "A", "--r", "18", "--xmax", "1000")
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error: ")
+        assert "r=18" in lines[0]
 
     def test_eval_menon_beyond_guard_stops_at_once(self):
         start = time.perf_counter()

@@ -5,7 +5,6 @@ import pytest
 
 from gcdzeta.arith import factorize
 from gcdzeta.dirichlet import (
-    DirichletPair,
     LocalPolynomial,
     convolve,
     convolve_eval,
@@ -19,15 +18,26 @@ from gcdzeta.dirichlet import (
 )
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval, a_local
-from gcdzeta.multfun import (
-    MultiplicativeFunction,
-    mu,
-    one,
-    phi_normalized,
-    pointwise_product,
-    tau,
-    tau_k,
-)
+from gcdzeta.multfun import MultiplicativeFunction, mu, tau, tau_k
+
+
+def one() -> MultiplicativeFunction:
+    """The constant function 1, the convolution identity's right unit."""
+    return MultiplicativeFunction("one", lambda p, k: Fraction(1))
+
+
+def phi_normalized() -> MultiplicativeFunction:
+    """phi(n)/n, with local value (p - 1)/p at every prime power."""
+    return MultiplicativeFunction("phi_over_n", lambda p, k: Fraction(p - 1, p))
+
+
+def pointwise_product(
+    f: MultiplicativeFunction, g: MultiplicativeFunction
+) -> MultiplicativeFunction:
+    """Pointwise product f(n) g(n); multiplicative when both factors are."""
+    return MultiplicativeFunction(
+        f"({f.name}*{g.name})", lambda p, k: f.local(p, k) * g.local(p, k)
+    )
 
 
 class TestLocalPolynomial:
@@ -184,24 +194,6 @@ class TestInverse:
         g = inverse(f)
         for n in (2, 12, 100, 243):
             assert convolve_eval(f, g, n) == (1 if n == 1 else 0)
-
-
-class TestDirichletPair:
-    def test_accepts_true_inverse(self):
-        f = f_r(2)
-        pair = DirichletPair(f, inverse(f), "inverse", verification_depth=8)
-        assert pair.relation == "inverse"
-
-    def test_rejects_non_inverse(self):
-        with pytest.raises(DomainError):
-            DirichletPair(tau(), mu(), "inverse")
-
-    def test_rejects_unknown_relation(self):
-        with pytest.raises(DomainError):
-            DirichletPair(tau(), mu(), "quotient")
-
-    def test_convolution_relation_is_unchecked(self):
-        DirichletPair(tau(), mu(), "convolution")
 
 
 class TestPowerSumCancellation:

@@ -1,25 +1,68 @@
 import math
+import time
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdzeta.arith import factorize
+from gcdzeta.arith import factorize, prime_array
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
-    GcdSumValue,
+    LOOP_GUARD,
     a_bruteforce,
-    a_bruteforce_naive,
     a_eval,
     a_local,
+    a_local_sum,
     a_recursion,
     b_bruteforce,
-    b_bruteforce_naive,
     b_closed,
-    coprime_progression_count,
     menon_sum,
 )
+
+# The naive tuple loops are oracles for the aggregated brute force only.
+NAIVE_GUARD = 10**7
+
+
+def a_bruteforce_naive(n: int, r: int) -> Fraction:
+    """A_r(n) by literally enumerating every tuple."""
+    assert n**r <= NAIVE_GUARD
+    total = sum(
+        math.gcd(math.prod(t), n) for t in product(range(1, n + 1), repeat=r)
+    )
+    return Fraction(total, n**r)
+
+
+def b_bruteforce_naive(n: int, r: int) -> int:
+    """B_r(n) by enumerating unit tuples."""
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    assert len(units) ** r <= NAIVE_GUARD
+    total = 0
+    for t in product(units, repeat=r):
+        m = (math.prod(t) - 1) % n
+        total += math.gcd(m, n) if m else n
+    return total
+
+
+def coprime_progression_count(n: int, d: int, x: int) -> int:
+    """Count k in [1, n] with k = x (mod d) and gcd(k, n) = 1.
+
+    For d | n and gcd(x, d) = 1 this equals phi(n)/phi(d); the count here
+    is taken by brute enumeration so it can certify that quotient.
+    """
+    if n < 1 or d < 1:
+        raise DomainError(f"n and d must be >= 1, got n={n}, d={d}")
+    if n % d != 0:
+        raise DomainError(f"d = {d} does not divide n = {n}")
+    if not 1 <= x <= d:
+        raise DomainError(f"residue x = {x} outside [1, {d}]")
+    if math.gcd(x, d) != 1:
+        raise DomainError(f"x = {x} is not coprime to d = {d}")
+    return sum(
+        1 for k in range(1, n + 1) if k % d == x % d and math.gcd(k, n) == 1
+    )
 
 
 def totient_sieve(limit: int) -> list[int]:
@@ -56,9 +99,23 @@ class TestABruteforce:
                 assert a_bruteforce(n, r) == a_bruteforce_naive(n, r)
 
     def test_tuple_guard(self):
+        # the guard counts inner loop steps, n + (r - 1) n^2, not n^r tuples
+        assert 3000 + 2 * 3000**2 > LOOP_GUARD
         with pytest.raises(ResourceError) as err:
-            a_bruteforce(1000, 3)
-        assert "1000^3" in str(err.value)
+            a_bruteforce(3000, 3)
+        assert "18003000 loop steps" in str(err.value)
+
+    def test_guard_admits_work_below_the_limit(self):
+        # 500 + 2 * 500^2 = 500500 steps, though 500^3 tuples exceed 1e8
+        assert a_bruteforce(500, 3) == a_eval(500, 3)
+
+    def test_guard_refuses_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError):
+            a_bruteforce(10**9, 2)
+        with pytest.raises(ResourceError):
+            b_bruteforce(10**9 + 7, 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -78,6 +135,28 @@ class TestALocal:
         for p in (2, 3, 5, 7):
             for k in range(1, 6):
                 assert a_local(p, k, 1) == 1 + k * Fraction(p - 1, p)
+
+    def test_float_sum_bit_identical_to_float64_loop(self):
+        # the scan feeds a_local_sum floats at small primes and one array
+        # at the large ones; both must give the float64 loop's exact bits
+        ps = prime_array(10**6)
+        t = 1.0 - 1.0 / ps
+        for r in range(1, 6):
+            for k in range(1, 25):
+                want = np.zeros_like(t)
+                power = np.ones_like(t)
+                for j in range(r + 1):
+                    want += float(math.comb(k + j - 1, j)) * power
+                    power *= t
+                got = a_local_sum(t, k, r)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                for i in range(0, ps.size, 997):
+                    p = int(ps[i])
+                    scalar = a_local_sum(1.0 - 1.0 / p, k, r)
+                    assert type(scalar) is float and scalar == want[i]
+                    assert float(a_local(p, k, r)) == pytest.approx(
+                        scalar, rel=1e-15
+                    )
 
 
 class TestAEval:
@@ -163,6 +242,10 @@ class TestB:
             for r in (1, 2, 3):
                 assert b_bruteforce(n, r) == b_closed(n, r)
 
+    def test_guard_counts_unit_steps(self):
+        # 600 + 2 * 600^2 steps, though 600^3 unit tuples exceed 1e8
+        assert b_bruteforce(601, 3) == b_closed(601, 3)
+
     def test_r_zero_rejected(self):
         with pytest.raises(DomainError):
             b_bruteforce(4, 0)
@@ -216,26 +299,9 @@ class TestCoprimeProgressionCount:
             coprime_progression_count(12, 4, 5)  # x outside [1, d]
 
 
-class TestGcdSumValue:
-    def test_valid(self):
-        v = GcdSumValue(2, 2, Fraction(7, 4), "bruteforce")
-        assert v.value * 4 == 7
-
-    def test_rejects_bad_method(self):
-        with pytest.raises(DomainError):
-            GcdSumValue(2, 2, Fraction(7, 4), "guess")
-
-    def test_rejects_out_of_range_value(self):
-        with pytest.raises(DomainError):
-            GcdSumValue(2, 1, Fraction(5, 2), "recursion")
-
-    def test_rejects_non_integral_unnormalized_sum(self):
-        with pytest.raises(DomainError):
-            GcdSumValue(2, 1, Fraction(4, 3), "recursion")
-
-
-@given(st.integers(1, 40), st.integers(0, 3))
+@given(st.integers(1, 10**6), st.integers(0, 6))
 def test_bounds_hold_everywhere(n, r):
+    # n^r A_r(n) counts gcd mass over n^r tuples, each gcd in [1, n]
     v = a_eval(n, r)
     assert 1 <= v <= n
     unnormalized = v * n**r

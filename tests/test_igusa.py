@@ -6,7 +6,6 @@ import pytest
 
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.igusa import (
-    HurwitzParams,
     IgusaQuery,
     evaluate,
     hurwitz_zeta,
@@ -58,9 +57,7 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 1.5)
         with pytest.raises(DomainError):
-            HurwitzParams(2.0, 0.5, tolerance=-1.0)
-        with pytest.raises(DomainError):
-            hurwitz_zeta(2.0, 0.5, bernoulli_terms=50)
+            hurwitz_zeta(2.0, 0.5, tolerance=-1.0)
         with pytest.raises(DomainError, match="finite"):
             hurwitz_zeta(math.inf, 0.5)
 
