@@ -15,10 +15,21 @@ from .errors import DomainError, ResourceError
 # The prime sieve (and so primes_upto and primes_in_range) refuses beyond
 # this bound.
 SIEVE_LIMIT = 10**8
+# Refuse any loop predicted to run more steps than this.
+LOOP_GUARD = 10**7
 
 # Strong-pseudoprime witnesses making Miller-Rabin deterministic below
 # 3.317e24; callers stay far under that (see factorize).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _check_loop_guard(steps: int, what: str) -> None:
+    if steps > LOOP_GUARD:
+        # a count past Python's int-to-str limit could not be printed
+        count = steps if steps < 10**100 else f"about 1e{math.log10(steps):.0f}"
+        raise ResourceError(
+            f"{what} needs {count} loop steps, above the guard of {LOOP_GUARD:.0e}"
+        )
 
 
 def gcd(a: int, b: int) -> int:
@@ -145,9 +156,11 @@ def factorize(n: int) -> FactoredInteger:
     """Canonical prime factorization of n >= 1.
 
     Trial division by sieved primes up to 10**6, then Brent's rho with a
-    deterministic primality test for any remaining cofactor.  Not meant for
-    cryptographic-size inputs, but it will not silently fail on them either:
-    rho keeps splitting until every factor passes the primality test.
+    deterministic primality test for any remaining cofactor.  Rho finds a
+    prime factor q in about sqrt(q) <= m^(1/4) steps of a composite
+    cofactor m, so a cofactor with m^(1/4) above the loop guard is refused
+    before rho starts; below it, rho keeps splitting until every factor
+    passes the primality test.
     """
     if not isinstance(n, int):
         raise DomainError(f"factorize expects an integer, got {type(n).__name__}")
@@ -171,6 +184,9 @@ def factorize(n: int) -> FactoredInteger:
         if not exhausted or m <= trial[-1] ** 2 or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
+            _check_loop_guard(
+                math.isqrt(math.isqrt(m)), f"rho on a {m.bit_length()}-bit cofactor"
+            )
             stack = [m]
             while stack:
                 c = stack.pop()

@@ -55,8 +55,26 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
 # ---------------------------------------------------------------- eval
 
 
+def _check_digits(n: int, r: int) -> None:
+    """Refuse an exact A_r(n) or B_r(n) too long to print.
+
+    Both are at most n^(r+1) (A_r(n) over a denominator dividing n^r), so
+    (r+1) log10 n + 1 digits bound either; Python refuses to convert ints
+    longer than sys.get_int_max_str_digits() (0 means no limit).
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = (r + 1) * math.log10(n) + 1 if n > 1 else 1
+    if limit and digits > limit:
+        raise ResourceError(
+            f"the result may have {digits:.0f} digits, "
+            f"above the int-to-str limit of {limit}"
+        )
+
+
 def _cmd_eval(args) -> int:
     target = args.target
+    if target in ("A", "B"):
+        _check_digits(args.n, args.r)
     if target == "A":
         text = _fmt_fraction(gcdsum.a_eval(args.n, args.r))
         return _finish_value(
@@ -284,8 +302,10 @@ def _cmd_igusa(args) -> int:
             file=sys.stderr,
         )
         return 2
-    query = igusa.IgusaQuery(args.n, s, method=args.method, tolerance=args.tolerance)
-    record = igusa.evaluate(query, truncation=args.trunc)
+    record = igusa.evaluate(
+        args.n, s, method=args.method, tolerance=args.tolerance,
+        truncation=args.trunc,
+    )
     _emit(args, json.dumps(record, sort_keys=True))
     return 0
 
@@ -353,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_igusa.add_argument("--n", type=int, required=True)
     p_igusa.add_argument("--s", required=True, help="comma-separated exponents")
     p_igusa.add_argument(
-        "--method", choices=("hurwitz", "direct"), default="hurwitz"
+        "--method", choices=("euler", "direct"), default="euler"
     )
     p_igusa.add_argument("--trunc", type=int, default=None)
     p_igusa.add_argument("--tolerance", type=float, default=1e-9)

@@ -13,19 +13,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import FactoredInteger, divisors, factorize
-from .errors import DomainError, ResourceError
+# LOOP_GUARD is re-exported: the brute-force loops here are what it guards
+from .arith import (  # noqa: F401
+    LOOP_GUARD,
+    FactoredInteger,
+    _check_loop_guard,
+    divisors,
+    factorize,
+)
+from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau
-
-# Refuse any brute-force loop predicted to run more steps than this.
-LOOP_GUARD = 10**7
-
-
-def _check_loop_guard(steps: int, what: str) -> None:
-    if steps > LOOP_GUARD:
-        raise ResourceError(
-            f"{what} needs {steps} loop steps, above the guard of {LOOP_GUARD:.0e}"
-        )
 
 
 def a_bruteforce(n: int, r: int) -> Fraction:

@@ -7,27 +7,28 @@ gcd(m_1...m_r, n), so the object is
     Z(s_1, ..., s_r; n) = sum over all m_j >= 1 of
                           gcd(m_1...m_r, n) / (m_1^s_1 ... m_r^s_r).
 
-Two evaluators are provided: a truncated direct sum with a rigorous tail
-bound, and an exact finite reduction to Hurwitz zeta values (the weight
-has period n in each variable, leaving n terms per variable).  They share
-nothing beyond gcd, so they can cross-validate each other.
+The weight is multiplicative in n, so Z is prod_j zeta(s_j) times one
+finite local sum per prime power p^e || n; igusa_euler evaluates that
+product with an error bound it computes.  igusa_direct, a truncated
+direct sum with a rigorous tail bound, shares only the zeta(s_j) values
+with it, so the two cross-validate each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .arith import FactoredInteger, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError, ResourceError
 
 # Direct summation refuses beyond this many terms.
 DIRECT_TERM_GUARD = 10**8
-# The Hurwitz reduction enumerates n^r tuples; refuse beyond this.
-HURWITZ_TERM_GUARD = 10**7
 # Euler-Maclaurin cutoff growth stops here.
 _EM_MAX_N = 10**7
+# Unit roundoff of float64.
+_EPS = 2.0**-53
 
 # Bernoulli numbers B_2, B_4, ..., B_18; index i holds B_{2(i+1)}.
 _BERNOULLI = (
@@ -45,29 +46,19 @@ _BERNOULLI = (
 _EM_TERMS = len(_BERNOULLI) - 1
 
 
-@dataclass(frozen=True)
-class IgusaQuery:
-    """One evaluation request: modulus n, real exponents s_j > 1."""
-
-    n: int
-    s: tuple[float, ...]
-    method: str = "hurwitz"
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if len(self.s) < 1:
-            raise DomainError("at least one exponent is required")
-        if any(not v > 1 for v in self.s):
-            raise DomainError(f"every exponent must be > 1, got {self.s}")
-        for j, v in enumerate(self.s, start=1):
-            if not math.isfinite(v):
-                raise DomainError(f"exponent s_{j} = {v} is not finite")
-        if self.method not in ("hurwitz", "direct"):
-            raise DomainError(f"unknown method {self.method!r}")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+def _checked_exponents(n: int, s) -> tuple[float, ...]:
+    """Check n >= 1 and real exponents s_j > 1; return s as floats."""
+    s = tuple(float(v) for v in s)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if len(s) < 1:
+        raise DomainError("at least one exponent is required")
+    if any(not v > 1 for v in s):
+        raise DomainError(f"every exponent must be > 1, got {s}")
+    for j, v in enumerate(s, start=1):
+        if not math.isfinite(v):
+            raise DomainError(f"exponent s_{j} = {v} is not finite")
+    return s
 
 
 def _em_corrections(s: float, base: float, count: int) -> list[float]:
@@ -133,8 +124,7 @@ def igusa_direct(
     S_j being the truncated one-variable sums.  Cost is truncation^r, so
     r is capped at 3.
     """
-    s = tuple(float(v) for v in s)
-    query = IgusaQuery(n, s, method="direct")
+    s = _checked_exponents(n, s)
     r = len(s)
     if r > 3:
         raise ResourceError(f"direct summation is limited to r <= 3, got r={r}")
@@ -144,17 +134,16 @@ def igusa_direct(
         raise ResourceError(
             f"{truncation}^{r} terms exceed the guard of {DIRECT_TERM_GUARD:.0e}"
         )
-    nn = query.n
     weights = [
         [float(m) ** -sj for m in range(1, truncation + 1)] for sj in s
     ]
     if r == 1:
         value = math.fsum(
-            math.gcd(m, nn) * weights[0][m - 1] for m in range(1, truncation + 1)
+            math.gcd(m, n) * weights[0][m - 1] for m in range(1, truncation + 1)
         )
     else:
         # gcd depends only on the product's residue mod n
-        gcd_of_residue = [math.gcd(c, nn) if c else nn for c in range(nn)]
+        gcd_of_residue = [math.gcd(c, n) if c else n for c in range(n)]
         chunks = []
         wl = weights[-1]
         for head in product(range(1, truncation + 1), repeat=r - 1):
@@ -162,11 +151,11 @@ def igusa_direct(
             res = 1
             for j, m in enumerate(head):
                 w *= weights[j][m - 1]
-                res = res * m % nn
+                res = res * m % n
             chunks.append(
                 w
                 * math.fsum(
-                    gcd_of_residue[res * m % nn] * wl[m - 1]
+                    gcd_of_residue[res * m % n] * wl[m - 1]
                     for m in range(1, truncation + 1)
                 )
             )
@@ -176,75 +165,133 @@ def igusa_direct(
     for j, sj in enumerate(s):
         full *= _zeta(sj)
         trunc *= math.fsum(weights[j])
-    tail_bound = nn * (full - trunc)
+    tail_bound = n * (full - trunc)
     return value, max(tail_bound, 0.0)
 
 
-def igusa_hurwitz(
-    n: int,
+def _local_terms(fi: FactoredInteger, r: int) -> int:
+    """Terms of the local sums of igusa_euler: (e + 1)^r per p^e || n."""
+    return sum((e + 1) ** r for _, e in fi.factors)
+
+
+def _exp_error(x: float) -> float:
+    """Relative error of exp at an exponent x formed by a few roundings.
+
+    x carries at most 6 eps of relative rounding (three roundings of its
+    differences and products, and log p within 3 eps), which moves exp(x)
+    by 6 eps |x|; exp itself adds one ulp, 2 eps.  Beyond |x| = 746 the
+    value is below 2^-1076 and falls under the absolute underflow
+    allowance instead.
+    """
+    return (6 * min(abs(x), 746.0) + 2) * _EPS
+
+
+def igusa_euler(
+    n: int | FactoredInteger,
     s: tuple[float, ...] | list[float],
     tolerance: float = 1e-9,
-) -> float:
-    """Exact finite reduction to Hurwitz zeta values:
+) -> tuple[float, float]:
+    """Z = prod_j zeta(s_j) prod_{p^e || n} L_p, with one finite local sum
 
-        Z = n^-(s_1+...+s_r) sum over k_j in [1, n]^r of
-            gcd(k_1...k_r, n) zeta(s_1, k_1/n) ... zeta(s_r, k_r/n).
+        L_p = sum over a in [0, e]^r of p^(min(a_1+...+a_r, e) - a.s)
+              prod_{a_j < e} (1 - p^-s_j).
 
-    The weight gcd(., n) has period n in each variable, so n terms per
-    variable capture the whole series; only the zeta factors carry any
-    truncation error, and each is evaluated well below the share of the
-    requested tolerance it could contribute.
+    gcd(m_1...m_r, n) is multiplicative in n.  The m_j with p^a || m_j
+    carry the share p^(-a s_j) (1 - p^-s_j) of zeta(s_j), and every
+    a_j >= e gives the same gcd, so those collapse into a_j = e.
+
+    Returns the value and a computed bound on its error: the zeta
+    truncation tolerances relative to zeta(s_j), plus the float rounding
+    counted from the operations.  Every local term is positive, so each
+    rounding error is relative.  The sums run over sum_p (e + 1)^r terms,
+    which the loop guard counts; a bound above tolerance is a
+    NumericalError.
     """
-    s = tuple(float(v) for v in s)
-    query = IgusaQuery(n, s, tolerance=tolerance)
+    s = _checked_exponents(n.value if isinstance(n, FactoredInteger) else n, s)
+    if not tolerance > 0:
+        raise DomainError("tolerance must be positive")
+    fi = n if isinstance(n, FactoredInteger) else factorize(n)
     r = len(s)
-    nn = query.n
-    if nn**r > HURWITZ_TERM_GUARD:
-        raise ResourceError(
-            f"{nn}^{r} terms exceed the guard of {HURWITZ_TERM_GUARD:.0e}"
+    _check_loop_guard(_local_terms(fi, r), "igusa_euler")
+
+    zetas = [hurwitz_zeta(sj, 1.0, _EPS) for sj in s]
+    # hurwitz_zeta is taken as good to its tolerance plus 8 eps of
+    # rounding (positive pow terms, one ulp each, summed by fsum)
+    rel = math.fsum(_EPS / z + 8 * _EPS for z in zetas)
+    locals_ = []
+    for p, e in fi.factors:
+        log_p = math.log(p)
+        # A term is g[sum a] prod_j v_j[a_j] with g[k] = p^(min(k, e) - k)
+        # and v_j[a] = p^(a (1 - s_j)) (1 - p^-s_j)^[a < e], every factor
+        # at most 1.  Each table's largest exponent bounds the error of
+        # all its entries.  -expm1(-y) = 1 - p^-s_j is good to 8 eps,
+        # since the exponent's 6 eps |y| shrinks by
+        # y e^-y / (1 - e^-y) <= 1; its product with the power adds one.
+        g = [math.exp((e - k) * log_p) if k > e else 1.0
+             for k in range(r * e + 1)]
+        entry_err = _exp_error((1 - r) * e * log_p)
+        tables = []
+        for sj in s:
+            slope = (1 - sj) * log_p
+            one_minus_q = -math.expm1(-sj * log_p)
+            tables.append([math.exp(a * slope) * one_minus_q for a in range(e)]
+                          + [math.exp(e * slope)])
+            entry_err += _exp_error(e * slope) + 9 * _EPS
+        # both products walk [0, e]^r in the same order
+        local = math.fsum(
+            g[sum(a)] * math.prod(vs)
+            for a, vs in zip(product(range(e + 1), repeat=r), product(*tables))
         )
-    # crude per-factor magnitude bound: n^-s zeta(s, k/n) <= 1 + zeta(s)
-    factor_cap = max(1.0 + _zeta(sj) for sj in s)
-    factor_tol = tolerance / (nn**r * nn * r * factor_cap ** max(r - 1, 0))
-    factor_tol = min(factor_tol, 1e-12)
-
-    factors = {}
-    for j, sj in enumerate(s):
-        scale = float(nn) ** -sj
-        for k in range(1, nn + 1):
-            factors[(j, k)] = scale * hurwitz_zeta(sj, k / nn, factor_tol)
-    terms = []
-    for ks in product(range(1, nn + 1), repeat=r):
-        g = 1
-        for k in ks:
-            g = g * k % nn
-        weight = math.gcd(g, nn) if g else nn
-        term = float(weight)
-        for j, k in enumerate(ks):
-            term *= factors[(j, k)]
-        terms.append(term)
-    return math.fsum(terms)
+        # r products per term and the correctly rounded fsum; entries
+        # that underflow lose at most 2^-1074 each, and the r products
+        # as much again, since no later factor exceeds 1
+        underflow = (e + 1) ** r * (2 * r + 1) * 2.0**-1074 / local
+        rel += entry_err + (r + 1) * _EPS + underflow
+        locals_.append(local)
+    value = math.prod(zetas) * math.prod(locals_)
+    rel += (r + len(locals_)) * _EPS
+    bound = value * rel / (1 - rel)
+    if bound > tolerance:
+        raise NumericalError(
+            f"the computed error bound {bound:.3g} exceeds the tolerance "
+            f"{tolerance:.3g}"
+        )
+    return value, bound
 
 
-def evaluate(query: IgusaQuery, truncation: int | None = None) -> dict:
-    """Run a query with its chosen method; returns a plain record."""
-    if query.method == "direct":
+# perfbench/tracer.py wraps this function under the name igusa_hurwitz;
+# both names bind the same object, so calls through either are traced.
+igusa_hurwitz = igusa_euler
+
+
+def evaluate(
+    n: int,
+    s: tuple[float, ...] | list[float],
+    method: str = "euler",
+    tolerance: float = 1e-9,
+    truncation: int | None = None,
+) -> dict:
+    """Evaluate Z(s; n) with the chosen method; returns a plain record."""
+    if method not in ("euler", "direct"):
+        raise DomainError(f"unknown method {method!r}")
+    s = _checked_exponents(n, s)
+    if method == "direct":
         if truncation is not None:
             trunc = truncation
-        elif len(query.s) == 1:
-            trunc = max(query.n, 10**4)
+        elif len(s) == 1:
+            trunc = max(n, 10**4)
         else:
-            trunc = max(query.n, 300)
-        value, tail = igusa_direct(query.n, query.s, trunc)
-        terms = trunc ** len(query.s)
+            trunc = max(n, 300)
+        value, tail = igusa_direct(n, s, trunc)
+        terms = trunc ** len(s)
     else:
-        value = igusa_hurwitz(query.n, query.s, query.tolerance)
-        tail = query.tolerance
-        terms = query.n ** len(query.s)
+        fi = factorize(n)
+        value, tail = igusa_euler(fi, s, tolerance)
+        terms = _local_terms(fi, len(s))
     return {
-        "n": query.n,
-        "s": list(query.s),
-        "method": query.method,
+        "n": n,
+        "s": list(s),
+        "method": method,
         "value": value,
         "tail_bound": tail,
         "terms_evaluated": terms,

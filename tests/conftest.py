@@ -1,7 +1,10 @@
 import math
+from itertools import product
 
 import hypothesis
 import pytest
+
+from gcdzeta.igusa import hurwitz_zeta
 
 hypothesis.settings.register_profile(
     "gcdzeta", deadline=None, max_examples=100
@@ -22,3 +25,47 @@ def primes_between():
         return [p for p in range(lo + 1, hi + 1) if sieve[p]]
 
     return primes
+
+
+def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:
+    """Exact finite reduction to Hurwitz zeta values:
+
+        Z = n^-(s_1+...+s_r) sum over k_j in [1, n]^r of
+            gcd(k_1...k_r, n) zeta(s_1, k_1/n) ... zeta(s_r, k_r/n).
+
+    The weight gcd(., n) has period n in each variable, so n terms per
+    variable capture the whole series; only the zeta factors carry any
+    truncation error, and each is evaluated well below the share of the
+    requested tolerance it could contribute.  It enumerates n^r tuples and
+    shares only hurwitz_zeta with igusa_euler, which it checks.
+    """
+    s = tuple(float(v) for v in s)
+    r = len(s)
+    nn = n
+    # crude per-factor magnitude bound: n^-s zeta(s, k/n) <= 1 + zeta(s)
+    factor_cap = max(1.0 + hurwitz_zeta(sj, 1.0) for sj in s)
+    factor_tol = tolerance / (nn**r * nn * r * factor_cap ** max(r - 1, 0))
+    factor_tol = min(factor_tol, 1e-12)
+
+    factors = {}
+    for j, sj in enumerate(s):
+        scale = float(nn) ** -sj
+        for k in range(1, nn + 1):
+            factors[(j, k)] = scale * hurwitz_zeta(sj, k / nn, factor_tol)
+    terms = []
+    for ks in product(range(1, nn + 1), repeat=r):
+        g = 1
+        for k in ks:
+            g = g * k % nn
+        weight = math.gcd(g, nn) if g else nn
+        term = float(weight)
+        for j, k in enumerate(ks):
+            term *= factors[(j, k)]
+        terms.append(term)
+    return math.fsum(terms)
+
+
+@pytest.fixture(scope="session")
+def hurwitz_reduction():
+    """The n^r Hurwitz-zeta reduction of Z(s; n), a reference for igusa."""
+    return _hurwitz_reduction

@@ -236,21 +236,23 @@ def test_criterion_9c_extremal_statistic_ceiling(primes_between):
     assert ok
 
 
-def test_criterion_10_igusa_cross_check():
+def test_criterion_10_igusa_cross_check(hurwitz_reduction):
+    # three ways: the Euler product in n against the truncated direct sum
+    # (within its tail bound) and the n^r Hurwitz-zeta reduction
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 3, 4, 6):
         for s1 in (2.0, 2.5, 3.0):
-            direct, tail = igusa.igusa_direct(n, (s1,), 10**4)
-            hur = igusa.igusa_hurwitz(n, (s1,))
-            if abs(hur - direct) > tail + 1e-8:
-                ok = False
-            for s2 in (2.0, 2.5, 3.0):
-                direct, tail = igusa.igusa_direct(n, (s1, s2), 300)
-                hur = igusa.igusa_hurwitz(n, (s1, s2))
-                if abs(hur - direct) > tail + 1e-8:
+            for s, trunc in [((s1,), 10**4)] + [
+                ((s1, s2), 300) for s2 in (2.0, 2.5, 3.0)
+            ]:
+                direct, tail = igusa.igusa_direct(n, s, trunc)
+                euler, _ = igusa.igusa_euler(n, s)
+                if abs(euler - direct) > tail + 1e-8:
                     ok = False
-    pinned = abs(igusa.igusa_hurwitz(2, (2.0,)) - 5 * math.pi**2 / 24) < 1e-9
+                if abs(euler - hurwitz_reduction(n, s)) > 1e-12 * euler:
+                    ok = False
+    pinned = abs(igusa.igusa_euler(2, (2.0,))[0] - 5 * math.pi**2 / 24) < 1e-9
     ok = ok and pinned
     report(10, "cyclic-group zeta cross-check", ok,
            f"{time.perf_counter() - t0:.1f}s")
@@ -274,7 +276,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             "--csv", str(csv_path), "--json", str(json_path),
         )
         exact = run("eval", "A", "--n", "5040", "--r", "4")
-        ig = run("igusa", "--n", "4", "--s", "2,2.5", "--method", "hurwitz")
+        ig = run("igusa", "--n", "4", "--s", "2,2.5", "--method", "euler")
         outputs.append((scan.stdout, exact.stdout, ig.stdout))
         artifacts.append((csv_path.read_bytes(), json_path.read_bytes()))
     ok = outputs[0] == outputs[1] and artifacts[0] == artifacts[1]

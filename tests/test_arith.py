@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,16 @@ class TestFactorize:
         p, q = 1000003, 1000033
         fi = factorize(p * p * q)
         assert fi.factors == ((p, 2), (q, 1))
+
+    def test_rho_guard_refuses_a_40_digit_semiprime_at_once(self):
+        # m^(1/4) = 6.3e9 predicted rho steps, far above LOOP_GUARD
+        p = next(n for n in range(4 * 10**19, 5 * 10**19) if is_prime(n))
+        q = next(n for n in range(p + 2, 5 * 10**19) if is_prime(n))
+        assert len(str(p * q)) == 40
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="6324555320 loop steps"):
+            factorize(p * q)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestIsPrime:

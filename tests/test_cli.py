@@ -104,6 +104,27 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "exponent s_1 = inf is not finite" in result.stderr
 
+    def test_igusa_unmet_tolerance_is_numerical_error(self):
+        result = run_cli("igusa", "--n", "2", "--s", "2", "--tolerance", "1e-20")
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("numerical error: the computed error bound")
+        assert run_cli("igusa", "--n", "2", "--s", "2",
+                       "--method", "hurwitz").returncode == 2
+
+    def test_eval_beyond_the_digit_limit_is_refused(self):
+        for target in ("A", "B"):
+            result = run_cli("eval", target, "--n", "12", "--r", "8000")
+            assert result.returncode == 4, target
+            assert "Traceback" not in result.stderr
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("resource guard: ")
+            assert "int-to-str limit" in lines[0]
+            result = run_cli("eval", target, "--n", "12", "--r", "3000")
+            assert result.returncode == 0, target
+            assert result.stdout.strip()
+
     def test_euler_tail_overflow_is_numerical_error(self):
         result = run_cli("scan", "A", "--r", "18", "--xmax", "1000")
         assert result.returncode == 3
@@ -120,6 +141,16 @@ class TestExitCodes:
         assert result.returncode == 4
         assert "resource guard" in result.stderr
         assert elapsed < 1.0
+
+
+class TestIgusa:
+    def test_default_record_is_the_euler_product(self):
+        result = run_cli("igusa", "--n", "200", "--s", "2,2,2,2")
+        assert result.returncode == 0
+        record = json.loads(result.stdout)
+        assert record["method"] == "euler"
+        assert record["terms_evaluated"] == 337
+        assert 0 < record["tail_bound"] <= 1e-9
 
 
 class TestVerify:

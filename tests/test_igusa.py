@@ -1,15 +1,18 @@
 import math
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.igusa import (
-    IgusaQuery,
     evaluate,
     hurwitz_zeta,
     igusa_direct,
+    igusa_euler,
     igusa_hurwitz,
 )
 
@@ -22,6 +25,53 @@ def brute_hurwitz(s: float, a: float, terms: int = 10**7) -> tuple[float, float]
     lo = (terms + a) ** (1 - s) / (s - 1)
     hi = (terms - 1 + a) ** (1 - s) / (s - 1)
     return head + lo, hi - lo
+
+
+def trial_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for p^e || n by trial division, independent of gcdzeta."""
+    factors, p = [], 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    return factors
+
+
+def euler_in_n_reference(n: int, s) -> mpmath.mpf:
+    """Z(s; n) at 40 digits: prod_j zeta(s_j) prod_{p^e || n} L_p, with
+
+        L_p = sum over a in [0, e]^r of p^min(sum a, e)
+              prod_j p^(-a_j s_j) (1 - p^(-s_j))^[a_j < e].
+    """
+    with mpmath.workdps(40):
+        value = mpmath.mpf(1)
+        for sj in s:
+            value *= mpmath.zeta(mpmath.mpf(sj))
+        for p, e in trial_factors(n):
+            p = mpmath.mpf(p)
+            local = mpmath.mpf(0)
+            for a in product(range(e + 1), repeat=len(s)):
+                term = p ** min(sum(a), e)
+                for aj, sj in zip(a, s):
+                    term *= p ** (-aj * mpmath.mpf(sj))
+                    if aj < e:
+                        term *= 1 - p ** -mpmath.mpf(sj)
+                local += term
+            value *= local
+        return value
+
+
+@st.composite
+def igusa_cases(draw):
+    """n <= 60, r <= 3 with n^r <= 1e4, and exponents in [1.5, 4]."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, min(60, math.floor(10 ** (4 / r) + 1e-9))))
+    s = tuple(draw(st.floats(1.5, 4.0)) for _ in range(r))
+    return n, s
 
 
 class TestHurwitzZeta:
@@ -76,14 +126,14 @@ class TestIgusaDirect:
         value, tail = igusa_direct(2, (2.0,), 10**4)
         assert abs(value - 5 * math.pi**2 / 24) <= tail
 
-    def test_r2_agrees_with_hurwitz(self):
+    def test_r2_agrees_with_hurwitz(self, hurwitz_reduction):
         value, tail = igusa_direct(2, (2.0, 2.0), 300)
-        reference = igusa_hurwitz(2, (2.0, 2.0))
+        reference = hurwitz_reduction(2, (2.0, 2.0))
         assert abs(value - reference) <= tail + 1e-8
 
     def test_truncated_sum_underestimates(self):
         value, _ = igusa_direct(3, (2.0,), 1000)
-        reference = igusa_hurwitz(3, (2.0,))
+        reference, _ = igusa_euler(3, (2.0,))
         assert value < reference
 
     def test_guards(self):
@@ -98,62 +148,96 @@ class TestIgusaDirect:
 
 
 class TestIgusaHurwitz:
+    """igusa_euler, which the module also binds as igusa_hurwitz."""
+
+    def test_kept_name_binds_the_euler_product(self):
+        assert igusa_hurwitz is igusa_euler
+
     def test_two_term_closed_form(self):
-        # 2^-2 [ gcd(1,2) zeta(2, 1/2) + gcd(2,2) zeta(2, 1) ] = 5 pi^2 / 24
-        value = igusa_hurwitz(2, (2.0,))
+        # zeta(2) [(1 - 2^-2) + 2^(1-2)] = 5 pi^2 / 24
+        value, bound = igusa_euler(2, (2.0,))
         assert value == pytest.approx(5 * math.pi**2 / 24, abs=1e-9)
+        assert abs(value - 5 * mpmath.pi**2 / 24) <= bound
 
     def test_n1_single_term(self):
-        assert igusa_hurwitz(1, (3.0,)) == pytest.approx(
-            1.2020569031595942, abs=1e-9
-        )
+        value, _ = igusa_euler(1, (3.0,))
+        assert value == pytest.approx(1.2020569031595942, abs=1e-9)
 
     def test_r2_cross_method(self):
         direct, tail = igusa_direct(4, (2.0, 2.0), 300)
-        hur = igusa_hurwitz(4, (2.0, 2.0))
-        assert abs(hur - direct) <= tail + 1e-8
+        euler, _ = igusa_euler(4, (2.0, 2.0))
+        assert abs(euler - direct) <= tail + 1e-8
 
     def test_envelope(self):
         # prod zeta(s_j) <= Z <= n prod zeta(s_j), since 1 <= gcd <= n
         for n in (1, 2, 3, 4, 6):
             for s in ((2.0,), (2.5,), (2.0, 3.0)):
-                z = igusa_hurwitz(n, s)
+                z, _ = igusa_euler(n, s)
                 plain = math.prod(hurwitz_zeta(sj, 1.0) for sj in s)
                 assert plain - 1e-9 <= z <= n * plain + 1e-9
 
     def test_symmetry_in_exponents(self):
         for n in (2, 3, 6):
-            a = igusa_hurwitz(n, (2.0, 3.0))
-            b = igusa_hurwitz(n, (3.0, 2.0))
+            a, _ = igusa_euler(n, (2.0, 3.0))
+            b, _ = igusa_euler(n, (3.0, 2.0))
             assert a == pytest.approx(b, rel=1e-10)
 
+    @given(igusa_cases())
+    def test_three_way_agreement(self, hurwitz_reduction, case):
+        n, s = case
+        value, bound = igusa_euler(n, s)
+        assert 0 < bound <= 1e-9
+        assert value == pytest.approx(hurwitz_reduction(n, s), rel=1e-12)
+        trunc = {1: max(n, 2000), 2: max(n, 300), 3: max(n, 30)}[len(s)]
+        direct, tail = igusa_direct(n, s, trunc)
+        slack = 1e-12 * value
+        assert -slack <= value - direct <= tail + slack
+        assert abs(value - euler_in_n_reference(n, s)) <= bound
+
+    def test_unmet_tolerance_is_numerical_error(self):
+        _, bound = igusa_euler(2, (2.0,))
+        with pytest.raises(NumericalError, match="exceeds the tolerance"):
+            igusa_euler(2, (2.0,), tolerance=bound / 2)
+
     def test_guards(self):
-        with pytest.raises(ResourceError):
-            igusa_hurwitz(200, (2.0, 2.0, 2.0, 2.0))
+        # 200 = 2^3 5^2: 4^4 + 3^4 = 337 local terms, though 200^4 > 1e7
+        value, bound = igusa_euler(200, (2.0, 2.0, 2.0, 2.0))
+        assert abs(value - euler_in_n_reference(200, (2.0,) * 4)) <= bound
+        # every n with n^r <= 1e7 passes: sum (e + 1)^r <= tau(n)^r <= n^r
+        for n, r in ((10**7, 1), (3162, 2), (215, 3), (56, 4), (25, 5),
+                     (14, 6), (10, 7), (2, 16)):
+            assert n**r <= 10**7
+            value, bound = igusa_euler(n, (2.0,) * r)
+            assert 0 < bound <= 1e-9
+        with pytest.raises(ResourceError, match="844596301 loop steps"):
+            igusa_euler(2**60, (2.0,) * 5)  # 61^5 local terms
         with pytest.raises(DomainError):
-            igusa_hurwitz(2, (0.5,))
+            igusa_euler(2, (0.5,))
         with pytest.raises(DomainError):
-            igusa_hurwitz(0, (2.0,))
+            igusa_euler(0, (2.0,))
         with pytest.raises(DomainError):
-            igusa_hurwitz(2, ())
+            igusa_euler(2, ())
         with pytest.raises(DomainError, match="s_2 = inf"):
-            igusa_hurwitz(2, (2.0, math.inf))
+            igusa_euler(2, (2.0, math.inf))
 
 
 class TestQueryRecord:
-    def test_evaluate_hurwitz_record(self):
-        record = evaluate(IgusaQuery(2, (2.0,)))
-        assert record["method"] == "hurwitz"
+    def test_evaluate_euler_record(self):
+        record = evaluate(2, (2.0,))
+        assert record["method"] == "euler"
         assert record["terms_evaluated"] == 2
         assert record["value"] == pytest.approx(5 * math.pi**2 / 24, abs=1e-9)
+        assert record["tail_bound"] == igusa_euler(2, (2.0,))[1]
+        assert evaluate(200, (2.0,) * 4)["terms_evaluated"] == 337
 
     def test_evaluate_direct_record(self):
-        record = evaluate(IgusaQuery(2, (2.0,), method="direct"), truncation=5000)
+        record = evaluate(2, (2.0,), method="direct", truncation=5000)
         assert record["terms_evaluated"] == 5000
         assert record["tail_bound"] > 0
 
     def test_query_validation(self):
+        for method in ("magic", "hurwitz"):
+            with pytest.raises(DomainError, match="unknown method"):
+                evaluate(2, (2.0,), method=method)
         with pytest.raises(DomainError):
-            IgusaQuery(2, (2.0,), method="magic")
-        with pytest.raises(DomainError):
-            IgusaQuery(2, (2.0,), tolerance=0.0)
+            evaluate(2, (2.0,), tolerance=0.0)
