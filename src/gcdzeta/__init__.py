@@ -11,7 +11,7 @@ by an independent brute-force oracle in the test suite.
 from .arith import FactoredInteger, factorize, gcd
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_eval, a_recursion, b_closed, menon_sum
-from .multfun import MultiplicativeFunction, standard
+from .multfun import MultiplicativeFunction
 
 __all__ = [
     "FactoredInteger",
@@ -25,7 +25,6 @@ __all__ = [
     "b_closed",
     "menon_sum",
     "MultiplicativeFunction",
-    "standard",
 ]
 
 __version__ = "0.1.0"

@@ -59,21 +59,6 @@ class SummatoryReport:
             acc = acc * t + c
         return x * acc
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r_or_k": self.r_or_k,
-            "x_max": self.x_max,
-            "degree": self.degree,
-            "fixed_leading": self.fixed_leading,
-            "euler_leading": self.euler_leading,
-            "euler_tail_bound": self.euler_tail_bound,
-            "fitted_poly": list(self.fitted_poly),
-            "fitted_leading_free": self.fitted_leading_free,
-            "checkpoints": [[int(x), s] for x, s in self.checkpoints],
-            "residuals": [[int(x), r] for x, r in self.residuals],
-        }
-
 
 @dataclass(frozen=True)
 class ExtremalSample:
@@ -88,15 +73,6 @@ class ExtremalSample:
     omega_n_x: int
     log_a_r: float
     statistic: float
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "log_n_x": self.log_n_x,
-            "omega_n_x": self.omega_n_x,
-            "log_a_r": self.log_a_r,
-            "statistic": self.statistic,
-        }
 
 
 def _scan_local(kind: str, order: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -30,7 +31,7 @@ def _fmt_fraction(v: Fraction) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -43,7 +44,7 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
         _emit(args, json.dumps(payload, sort_keys=True))
     else:
         _emit(args, text_value)
-    if getattr(args, "expect", None) is not None and args.expect != text_value:
+    if args.expect is not None and args.expect != text_value:
         print(
             f"verification failure: computed {text_value}, expected {args.expect}",
             file=sys.stderr,
@@ -105,6 +106,13 @@ def _cmd_eval(args) -> int:
             print("usage error: eval fr requires --k or --kmax", file=sys.stderr)
             return 2
         if args.kmax is not None:
+            if args.format is not None or args.expect is not None:
+                print(
+                    "usage error: eval fr --kmax prints a table and takes "
+                    "neither --format nor --expect",
+                    file=sys.stderr,
+                )
+                return 2
             rows = []
             for k in range(1, args.kmax + 1):
                 poly = dirichlet.f_r_local(args.r, k)
@@ -170,9 +178,9 @@ def _verify_threeway(args) -> tuple[int, int, str]:
 def _verify_fr_vanishing(args) -> tuple[int, int, str]:
     checked = 0
     for r in range(1, args.rmax + 1):
-        report = dirichlet.verify_fr_structure(r, args.kmax)
-        if not report.passed:
-            return checked, r, "; ".join(report.failures)
+        failures = dirichlet.verify_fr_structure(r, args.kmax)
+        if failures:
+            return checked, r, "; ".join(failures)
         checked += args.kmax
     return checked, 0, ""
 
@@ -253,7 +261,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     if args.target == "extremal":
         sample = analytic.extremal_statistic(args.r, args.x)
-        payload = sample.to_dict()
+        payload = dataclasses.asdict(sample)
         payload["reference"] = math.log(args.r + 1)
         text = json.dumps(payload, sort_keys=True)
         if args.json:
@@ -270,7 +278,7 @@ def _cmd_scan(args) -> int:
         analytic.write_checkpoint_csv(args.csv, report)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True)
+            json.dump(dataclasses.asdict(report), fh, sort_keys=True)
             fh.write("\n")
     lines = [
         f"{kind}_{order} scan to {report.x_max}: "
@@ -327,21 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
         p = ev.add_parser(name)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--r", type=int, required=True)
-        _common_output(p)
+        _value_output(p)
     p = ev.add_parser("menon")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    _common_output(p)
+    _value_output(p)
     p = ev.add_parser("tau")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _common_output(p)
+    _value_output(p)
     p = ev.add_parser("fr")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--csv", help="write the coefficient table as CSV")
-    _common_output(p)
+    _value_output(p)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
@@ -383,8 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", help="write the result to this file")
+
+
+def _value_output(p: argparse.ArgumentParser) -> None:
+    """Output options of the eval targets, which print one value."""
+    p.add_argument("--format", choices=("text", "json"))
+    _common_output(p)
     p.add_argument("--expect", help="exit 1 unless the text result matches")
 
 

@@ -1,5 +1,4 @@
-"""Dirichlet convolution on multiplicative functions, and the correction
-factor linking A_r to the (r+1)-fold divisor function.
+"""The correction factor linking A_r to the (r+1)-fold divisor function.
 
 A_r factors as tau_{r+1} * f_r under Dirichlet convolution.  The local
 values f_r(p^k) are polynomials in u = 1/p with integer coefficients; they
@@ -11,14 +10,12 @@ polynomials are kept with integer coefficients rather than floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import FactoredInteger, factorize
 from .errors import DomainError
-from .gcdsum import a_local
-from .multfun import MultiplicativeFunction, binom
+from .multfun import binom
 
 
 @dataclass(frozen=True)
@@ -126,122 +123,22 @@ def f_r_local(r: int, k: int) -> LocalPolynomial:
     return total
 
 
-def f_r(r: int) -> MultiplicativeFunction:
-    """The correction factor with A_r = tau_{r+1} * f_r, as a function."""
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-
-    def local(p: int, k: int) -> Fraction:
-        return f_r_local(r, k).evaluate(Fraction(1, p))
-
-    return MultiplicativeFunction(f"f_{r}", local)
-
-
-def fr_as_convolution(r: int, p: int, k: int) -> Fraction:
-    """f_r(p^k) recomputed as the convolution (A_r * mu^(r+1))(p^k)."""
-    if r < 1 or k < 1:
-        raise DomainError(f"r and k must be >= 1, got r={r}, k={k}")
-    acc = Fraction(0)
-    for l in range(k + 1):
-        mu_val = (-1 if l % 2 else 1) * binom(r + 1, l)
-        if mu_val == 0:
-            continue
-        a_val = a_local(p, k - l, r) if k - l > 0 else Fraction(1)
-        acc += mu_val * a_val
-    return acc
-
-
-def local_convolve(
-    f: MultiplicativeFunction, g: MultiplicativeFunction, p: int, k: int
-) -> Fraction:
-    """(f * g)(p^k) = sum_{l=0}^{k} f(p^l) g(p^(k-l)), with f(1) = g(1) = 1."""
-    acc = Fraction(0)
-    for l in range(k + 1):
-        fv = f.local(p, l) if l > 0 else Fraction(1)
-        gv = g.local(p, k - l) if k - l > 0 else Fraction(1)
-        acc += fv * gv
-    return acc
-
-
-def convolve(
-    f: MultiplicativeFunction, g: MultiplicativeFunction
-) -> MultiplicativeFunction:
-    """Dirichlet convolution as a new multiplicative function."""
-    return MultiplicativeFunction(
-        f"({f.name}*conv*{g.name})", lambda p, k: local_convolve(f, g, p, k)
-    )
-
-
-def convolve_eval(
-    f: MultiplicativeFunction,
-    g: MultiplicativeFunction,
-    n: int | FactoredInteger,
-) -> Fraction:
-    """(f * g)(n), evaluated locally per prime power and multiplied out.
-
-    Never enumerates divisors of composite n, so the cost is the sum of
-    the exponents in the factorization.
-    """
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    out = Fraction(1)
-    for p, k in fi.factors:
-        out *= local_convolve(f, g, p, k)
-    return out
-
-
-def inverse_local(f: MultiplicativeFunction, p: int, k: int) -> Fraction:
-    """Local value of the Dirichlet inverse g of f (needs f(1) = 1):
-
-        g(1) = 1,   g(p^k) = - sum_{j=1}^{k} f(p^j) g(p^(k-j)).
-    """
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    values = [Fraction(1)]
-    for m in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc += f.local(p, j) * values[m - j]
-        values.append(-acc)
-    return values[k]
-
-
-def inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:
-    """The Dirichlet inverse of f as a multiplicative function."""
-    return MultiplicativeFunction(
-        f"inv({f.name})", lambda p, k: inverse_local(f, p, k)
-    )
-
-
-@dataclass
-class FrStructureReport:
-    """Structural audit of f_r(p^k) for k up to k_max.
+def verify_fr_structure(r: int, k_max: int) -> list[str]:
+    """Audit the vanishing and cancellation structure of f_r up to k_max.
 
     Checks, per k: identically zero once k >= r+1, zero constant term for
-    k <= r, and degree at most r.  rows holds every coefficient table
-    entry as (k, i, c_i); failures names each violated (r, k).
+    k <= r, and degree at most r.  Returns one message per violated
+    (r, k); the empty list means the audit passed.
     """
-
-    r: int
-    k_max: int
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-    rows: list[tuple[int, int, int]] = field(default_factory=list)
-
-
-def verify_fr_structure(r: int, k_max: int) -> FrStructureReport:
-    """Audit the vanishing and cancellation structure of f_r up to k_max."""
     if r < 1 or k_max < 1:
         raise DomainError(f"r and k_max must be >= 1, got r={r}, k_max={k_max}")
-    report = FrStructureReport(r=r, k_max=k_max, passed=True)
+    failures = []
     for k in range(1, k_max + 1):
         poly = f_r_local(r, k)
-        for i, c in enumerate(poly.coefficients):
-            report.rows.append((k, i, c))
         if k >= r + 1 and not poly.is_zero:
-            report.failures.append(f"(r={r}, k={k}): expected zero polynomial")
+            failures.append(f"(r={r}, k={k}): expected zero polynomial")
         if k <= r and poly.constant_term != 0:
-            report.failures.append(f"(r={r}, k={k}): constant coefficient nonzero")
+            failures.append(f"(r={r}, k={k}): constant coefficient nonzero")
         if poly.degree > r:
-            report.failures.append(f"(r={r}, k={k}): degree {poly.degree} > {r}")
-    report.passed = not report.failures
-    return report
+            failures.append(f"(r={r}, k={k}): degree {poly.degree} > {r}")
+    return failures

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .arith import FactoredInteger, _check_loop_guard, factorize
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError
 
-# Direct summation refuses beyond this many terms.
-DIRECT_TERM_GUARD = 10**8
 # Euler-Maclaurin cutoff growth stops here.
 _EM_MAX_N = 10**7
 # Unit roundoff of float64.
@@ -68,7 +67,9 @@ def _em_corrections(s: float, base: float, count: int) -> list[float]:
     for i in range(1, count + 1):
         # poch = s (s+1) ... (s + 2i - 2)
         b = float(_BERNOULLI[i - 1]) / math.factorial(2 * i)
-        terms.append(b * poch * base ** (-s - 2 * i + 1))
+        power = base ** (-s - 2 * i + 1)
+        # for huge s poch overflows where power underflows; the term is 0
+        terms.append(b * poch * power if power else 0.0)
         poch *= (s + 2 * i - 1) * (s + 2 * i)
     return terms
 
@@ -121,45 +122,42 @@ def igusa_direct(
 
         0 <= Z - Z_truncated <= n (prod_j zeta(s_j) - prod_j S_j),
 
-    S_j being the truncated one-variable sums.  Cost is truncation^r, so
-    r is capped at 3.
+    S_j being the truncated one-variable sums.  The gcd depends only on
+    the residue of m_1...m_{r-1} mod n, so the inner sum over m_r is taken
+    once per residue that occurs.  With T = truncation the loop guard
+    counts n + T (r + min(n, T^(r-1))) + (r - 1) T^(r-1) steps.
     """
     s = _checked_exponents(n, s)
     r = len(s)
-    if r > 3:
-        raise ResourceError(f"direct summation is limited to r <= 3, got r={r}")
     if truncation < n:
         raise DomainError(f"truncation {truncation} must be >= n = {n}")
-    if truncation**r > DIRECT_TERM_GUARD:
-        raise ResourceError(
-            f"{truncation}^{r} terms exceed the guard of {DIRECT_TERM_GUARD:.0e}"
-        )
+    heads = truncation ** (r - 1)
+    _check_loop_guard(
+        n + truncation * (r + min(n, heads)) + (r - 1) * heads, "igusa_direct"
+    )
     weights = [
         [float(m) ** -sj for m in range(1, truncation + 1)] for sj in s
     ]
-    if r == 1:
-        value = math.fsum(
-            math.gcd(m, n) * weights[0][m - 1] for m in range(1, truncation + 1)
+    gcd_of_residue = [math.gcd(c, n) if c else n for c in range(n)]
+    wl = weights[-1]
+
+    @lru_cache(maxsize=None)
+    def inner(res: int) -> float:
+        return math.fsum(
+            gcd_of_residue[res * m % n] * wl[m - 1]
+            for m in range(1, truncation + 1)
         )
-    else:
-        # gcd depends only on the product's residue mod n
-        gcd_of_residue = [math.gcd(c, n) if c else n for c in range(n)]
-        chunks = []
-        wl = weights[-1]
+
+    def chunks():
         for head in product(range(1, truncation + 1), repeat=r - 1):
             w = 1.0
             res = 1
             for j, m in enumerate(head):
                 w *= weights[j][m - 1]
                 res = res * m % n
-            chunks.append(
-                w
-                * math.fsum(
-                    gcd_of_residue[res * m % n] * wl[m - 1]
-                    for m in range(1, truncation + 1)
-                )
-            )
-        value = math.fsum(chunks)
+            yield w * inner(res)
+
+    value = math.fsum(chunks())
     full = 1.0
     trunc = 1.0
     for j, sj in enumerate(s):

@@ -3,7 +3,7 @@
 A multiplicative function is pinned down by its values at prime powers:
 f(1) = 1 and f(n) is the product of f(p^k) over the factorization of n.
 Local evaluators return exact rationals even when the values are integers,
-so the convolution algebra downstream can stay in one carrier type.
+so products and convolutions of them stay in one carrier type.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ def eval_int(f: MultiplicativeFunction, n: int | FactoredInteger) -> int:
     return v.numerator
 
 
-def omega(n: int | FactoredInteger) -> int:
-    """Number of distinct prime factors.  Additive, so it lives outside
-    the multiplicative framework."""
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    return len(fi.factors)
-
-
 def phi() -> MultiplicativeFunction:
     """Euler's totient: phi(p^k) = p^k - p^(k-1)."""
     return MultiplicativeFunction(
@@ -150,21 +143,3 @@ def psi(m: int) -> MultiplicativeFunction:
 
     return MultiplicativeFunction(f"psi_{m}", local)
 
-
-def standard(name: str, param: int | None = None) -> MultiplicativeFunction:
-    """Look up a standard function by name.
-
-    Parameterized families (jordan, tau_k, mu_iter, psi) require param.
-    """
-    plain = {"phi": phi, "tau": tau, "mu": mu}
-    parameterized = {"jordan": jordan, "tau_k": tau_k, "mu_iter": mu_iter,
-                     "psi": psi}
-    if name in plain:
-        if param is not None:
-            raise DomainError(f"{name} takes no parameter")
-        return plain[name]()
-    if name in parameterized:
-        if param is None:
-            raise DomainError(f"{name} requires a parameter")
-        return parameterized[name](param)
-    raise DomainError(f"unknown multiplicative function {name!r}")

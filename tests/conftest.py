@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import hypothesis
 import pytest
 
 from gcdzeta.igusa import hurwitz_zeta
+from gcdzeta.multfun import MultiplicativeFunction
 
 hypothesis.settings.register_profile(
     "gcdzeta", deadline=None, max_examples=100
@@ -25,6 +27,29 @@ def primes_between():
         return [p for p in range(lo + 1, hi + 1) if sieve[p]]
 
     return primes
+
+
+@pytest.fixture(scope="session")
+def convolve():
+    """Dirichlet convolution f * g of multiplicative functions.
+
+    The product is multiplicative, so it is built prime power by prime
+    power: (f * g)(p^k) = sum_{l=0}^{k} f(p^l) g(p^(k-l)), with
+    f(1) = g(1) = 1.
+    """
+
+    def conv(f: MultiplicativeFunction, g: MultiplicativeFunction):
+        def local(p: int, k: int) -> Fraction:
+            acc = Fraction(0)
+            for l in range(k + 1):
+                fv = f.local(p, l) if l > 0 else Fraction(1)
+                gv = g.local(p, k - l) if k - l > 0 else Fraction(1)
+                acc += fv * gv
+            return acc
+
+        return MultiplicativeFunction(f"({f.name}*conv*{g.name})", local)
+
+    return conv
 
 
 def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:

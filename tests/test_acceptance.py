@@ -76,7 +76,7 @@ def test_criterion_2_menon_identities():
     assert ok
 
 
-def test_criterion_3_correction_factor_structure():
+def test_criterion_3_correction_factor_structure(convolve):
     t0 = time.perf_counter()
     ok = True
     for r in range(1, 7):
@@ -87,10 +87,13 @@ def test_criterion_3_correction_factor_structure():
             if dirichlet.f_r_local(r, k).constant_term != 0:
                 ok = False
     for r in (1, 2, 3):
-        fr = dirichlet.f_r(r)
-        taur = multfun.tau_k(r + 1)
+        fr = multfun.MultiplicativeFunction(
+            f"f_{r}",
+            lambda p, k, r=r: dirichlet.f_r_local(r, k).evaluate(Fraction(1, p)),
+        )
+        a_r = convolve(multfun.tau_k(r + 1), fr)
         for n in range(1, 5001):
-            if dirichlet.convolve_eval(taur, fr, n) != gcdsum.a_eval(n, r):
+            if a_r(n) != gcdsum.a_eval(n, r):
                 ok = False
     report(3, "correction-factor structure and factorization", ok,
            f"{time.perf_counter() - t0:.1f}s")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -356,7 +357,7 @@ class TestExtremalStatistic:
 
     def test_to_dict_roundtrip(self):
         sample = extremal_statistic(2, 500)
-        d = sample.to_dict()
+        d = dataclasses.asdict(sample)
         assert d["x"] == 500
         assert d["statistic"] == sample.statistic
         assert isinstance(sample, ExtremalSample)

@@ -85,11 +85,31 @@ class TestExitCodes:
         result = run_cli("scan", "A", "--r", "1", "--xmax", "1000000000")
         assert result.returncode == 4
         assert "resource guard" in result.stderr
+        # 2 + 5000 (3 + 2) + 2 * 5000^2 predicted steps
         result = run_cli(
             "igusa", "--n", "2", "--s", "2,2,2", "--method", "direct",
-            "--trunc", "1000",
+            "--trunc", "5000",
         )
         assert result.returncode == 4
+        assert "igusa_direct needs 50025002 loop steps" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("igusa", "--n", "2", "--s", "2", "--expect", "42"),
+        ("igusa", "--n", "2", "--s", "2", "--format", "text"),
+        ("verify", "menon", "--nmax", "5", "--expect", "nope"),
+        ("verify", "menon", "--nmax", "5", "--format", "json"),
+        ("scan", "A", "--r", "1", "--xmax", "100", "--expect", "nope"),
+        ("scan", "tau", "--k", "2", "--xmax", "100", "--format", "json"),
+        ("scan", "extremal", "--r", "1", "--x", "200", "--expect", "nope"),
+        ("scan", "extremal", "--r", "1", "--x", "200", "--format", "text"),
+        ("eval", "fr", "--r", "2", "--kmax", "3", "--expect", "nope"),
+        ("eval", "fr", "--r", "2", "--kmax", "3", "--format", "json"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_flag_the_command_ignores_is_usage_error(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not result.stdout
 
     def test_unparsable_exponent_is_usage_error(self):
         result = run_cli("igusa", "--n", "6", "--s", "2,abc")
@@ -144,6 +164,13 @@ class TestExitCodes:
 
 
 class TestIgusa:
+    def test_huge_exponent_gives_one(self):
+        for method in ("euler", "direct"):
+            result = run_cli("igusa", "--n", "6", "--s", "1e300",
+                             "--method", method)
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout)["value"] == 1.0
+
     def test_default_record_is_the_euler_product(self):
         result = run_cli("igusa", "--n", "200", "--s", "2,2,2,2")
         assert result.returncode == 0

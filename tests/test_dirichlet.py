@@ -3,22 +3,29 @@ from fractions import Fraction
 
 import pytest
 
+from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
-from gcdzeta.dirichlet import (
-    LocalPolynomial,
-    convolve,
-    convolve_eval,
-    f_r,
-    f_r_local,
-    fr_as_convolution,
-    inverse,
-    inverse_local,
-    local_convolve,
-    verify_fr_structure,
-)
+from gcdzeta.dirichlet import LocalPolynomial, f_r_local, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval, a_local
-from gcdzeta.multfun import MultiplicativeFunction, mu, tau, tau_k
+from gcdzeta.multfun import MultiplicativeFunction, binom, mu, mu_iter, tau, tau_k
+
+
+def f_r(r: int) -> MultiplicativeFunction:
+    """The correction factor with A_r = tau_{r+1} * f_r, as a function."""
+    return MultiplicativeFunction(
+        f"f_{r}", lambda p, k: f_r_local(r, k).evaluate(Fraction(1, p))
+    )
+
+
+def fr_as_convolution(r: int, p: int, k: int) -> Fraction:
+    """f_r(p^k) recomputed as the convolution (A_r * mu^(r+1))(p^k)."""
+    acc = Fraction(0)
+    for l in range(k + 1):
+        mu_val = (-1 if l % 2 else 1) * binom(r + 1, l)
+        a_val = a_local(p, k - l, r) if k - l > 0 else Fraction(1)
+        acc += mu_val * a_val
+    return acc
 
 
 def one() -> MultiplicativeFunction:
@@ -108,56 +115,77 @@ class TestFrAsConvolution:
         assert fr_as_convolution(2, 3, 1) == Fraction(-8, 9)
         assert fr_as_convolution(2, 5, 3) == 0
 
-    def test_matches_symbolic_polynomial(self):
+    def test_matches_symbolic_polynomial(self, convolve):
         for r in range(1, 6):
+            a_r = MultiplicativeFunction(f"A_{r}", lambda p, k: a_local(p, k, r))
+            a_r_mu = convolve(a_r, mu_iter(r + 1))
             for k in range(1, r + 4):
                 poly = f_r_local(r, k)
                 for p in (2, 3, 5, 7):
-                    assert poly.evaluate(Fraction(1, p)) == fr_as_convolution(
-                        r, p, k
-                    )
+                    value = poly.evaluate(Fraction(1, p))
+                    assert value == fr_as_convolution(r, p, k)
+                    assert value == a_r_mu.local(p, k)
 
 
 class TestVerifyFrStructure:
     def test_r1_all_pass(self):
-        report = verify_fr_structure(1, 6)
-        assert report.passed and not report.failures
-        # rows for k >= 2 are absent because those polynomials are zero
-        assert all(k == 1 for k, _, _ in report.rows)
+        assert verify_fr_structure(1, 6) == []
+        # f_1(p^k) is the zero polynomial for every k >= 2
+        assert all(f_r_local(1, k).is_zero for k in range(2, 7))
 
     def test_r4_kmax10_passes(self):
-        assert verify_fr_structure(4, 10).passed
+        assert verify_fr_structure(4, 10) == []
 
     def test_r2_constant_terms_zero(self):
-        report = verify_fr_structure(2, 2)
-        assert report.passed
-        assert all(c == 0 for k, i, c in report.rows if i == 0)
+        assert verify_fr_structure(2, 2) == []
+        assert all(f_r_local(2, k).constant_term == 0 for k in (1, 2))
+
+    def test_names_every_violation(self, monkeypatch):
+        # a nonzero constant everywhere breaks both the vanishing and
+        # the cancellation statements; a degree-3 term breaks the bound
+        monkeypatch.setattr(
+            dirichlet, "f_r_local", lambda r, k: LocalPolynomial((1, 0, 0, 1))
+        )
+        assert verify_fr_structure(2, 3) == [
+            "(r=2, k=1): constant coefficient nonzero",
+            "(r=2, k=1): degree 3 > 2",
+            "(r=2, k=2): constant coefficient nonzero",
+            "(r=2, k=2): degree 3 > 2",
+            "(r=2, k=3): expected zero polynomial",
+            "(r=2, k=3): degree 3 > 2",
+        ]
+
+    def test_arguments_validated(self):
+        with pytest.raises(DomainError):
+            verify_fr_structure(0, 3)
+        with pytest.raises(DomainError):
+            verify_fr_structure(2, 0)
 
 
 class TestConvolution:
-    def test_phibar_conv_one_is_a1(self):
-        assert convolve_eval(phi_normalized(), one(), 4) == 2
+    def test_phibar_conv_one_is_a1(self, convolve):
+        phibar_one = convolve(phi_normalized(), one())
+        assert phibar_one(4) == 2
         for n in range(1, 200):
-            assert convolve_eval(phi_normalized(), one(), n) == a_eval(n, 1)
+            assert phibar_one(n) == a_eval(n, 1)
 
-    def test_mu_conv_tau_is_one(self):
+    def test_mu_conv_tau_is_one(self, convolve):
         for n in (1, 12, 360, 1024, 9699690):
-            assert convolve_eval(mu(), tau(), factorize(n)) == 1
+            assert convolve(mu(), tau())(factorize(n)) == 1
 
-    def test_tau2_conv_f1_at_primes(self):
+    def test_tau2_conv_f1_at_primes(self, convolve):
         f1 = f_r(1)
         for p in (2, 3, 5, 101):
-            assert local_convolve(tau_k(2), f1, p, 1) == 2 - Fraction(1, p)
+            assert convolve(tau_k(2), f1).local(p, 1) == 2 - Fraction(1, p)
 
-    def test_factorization_identity(self):
+    def test_factorization_identity(self, convolve):
         for r in (1, 2, 3):
-            fr = f_r(r)
-            taur = tau_k(r + 1)
+            a_r = convolve(tau_k(r + 1), f_r(r))
             for n in range(1, 501):
                 fi = factorize(n)
-                assert convolve_eval(taur, fr, fi) == a_eval(fi, r)
+                assert a_r(fi) == a_eval(fi, r)
 
-    def test_chained_convolution_builds_a_r(self):
+    def test_chained_convolution_builds_a_r(self, convolve):
         # r applications of h -> (phibar * h) conv one, starting from one
         phibar = phi_normalized()
         for r in (1, 2, 3):
@@ -167,33 +195,6 @@ class TestConvolution:
             for n in range(1, 2001):
                 fi = factorize(n)
                 assert h(fi) == a_eval(fi, r)
-
-
-class TestInverse:
-    def test_inverse_of_one_is_mu(self):
-        g = inverse(one())
-        for p in (2, 5):
-            assert g.local(p, 1) == -1
-            assert g.local(p, 2) == 0
-            assert g.local(p, 3) == 0
-
-    def test_inverse_local_of_f1(self):
-        assert inverse_local(f_r(1), 2, 1) == Fraction(1, 2)
-
-    def test_fr_inverse_identity(self):
-        for r in range(1, 5):
-            fr = f_r(r)
-            gr = inverse(fr)
-            for p in (2, 3, 5):
-                assert local_convolve(fr, gr, p, 0) == 1
-                for k in range(1, 11):
-                    assert local_convolve(fr, gr, p, k) == 0
-
-    def test_convolving_with_inverse_recovers_identity_function(self):
-        f = tau()
-        g = inverse(f)
-        for n in (2, 12, 100, 243):
-            assert convolve_eval(f, g, n) == (1 if n == 1 else 0)
 
 
 class TestPowerSumCancellation:

@@ -111,6 +111,12 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError, match="finite"):
             hurwitz_zeta(math.inf, 0.5)
 
+    def test_huge_exponent_is_one(self):
+        # the Pochhammer product overflows where the power underflows
+        for s in (1.3e18, 1e19, 1e300):
+            assert hurwitz_zeta(s, 1.0) == 1.0
+            assert hurwitz_zeta(s, 1.0, 2.0**-53) == 1.0
+
     def test_unreachable_tolerance(self):
         with pytest.raises(NumericalError):
             hurwitz_zeta(1.0000001, 1e-300 + 1e-12, tolerance=1e-300)
@@ -137,12 +143,19 @@ class TestIgusaDirect:
         assert value < reference
 
     def test_guards(self):
-        with pytest.raises(ResourceError):
-            igusa_direct(2, (2.0, 2.0, 2.0, 2.0), 10)
+        # r = 4 runs: 2 + 20 (4 + 2) + 3 * 20^3 = 24122 predicted steps
+        value, tail = igusa_direct(2, (3.0,) * 4, 20)
+        euler, _ = igusa_euler(2, (3.0,) * 4)
+        assert 0 < tail < 0.05
+        assert -1e-12 * euler <= euler - value <= tail + 1e-12 * euler
         with pytest.raises(DomainError):
             igusa_direct(10, (2.0,), 5)  # truncation below n
-        with pytest.raises(ResourceError):
-            igusa_direct(2, (2.0, 2.0, 2.0), 1000)  # 1e9 terms
+        # 2 + 5000 (3 + 2) + 2 * 5000^2 steps
+        with pytest.raises(ResourceError, match="50025002 loop steps"):
+            igusa_direct(2, (2.0, 2.0, 2.0), 5000)
+        # r = 1: 2 + 6e6 (1 + 1) steps
+        with pytest.raises(ResourceError, match="12000002 loop steps"):
+            igusa_direct(2, (2.0,), 6 * 10**6)
         with pytest.raises(DomainError):
             igusa_direct(2, (1.0,), 100)  # s on the boundary
 

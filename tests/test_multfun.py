@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdzeta import dirichlet, gcdsum
+from gcdzeta import gcdsum
 from gcdzeta.arith import factorize
 from gcdzeta.errors import DomainError
 from gcdzeta.multfun import (
@@ -17,10 +17,8 @@ from gcdzeta.multfun import (
     jordan,
     mu,
     mu_iter,
-    omega,
     phi,
     psi,
-    standard,
     tau,
     tau_k,
 )
@@ -127,11 +125,11 @@ class TestStandardFunctions:
         for k in range(1, 11):
             assert mu_iter(1).local(5, k) == mu().local(5, k)
 
-    def test_mu_iter_matches_repeated_convolution(self):
+    def test_mu_iter_matches_repeated_convolution(self, convolve):
         for j in (2, 3, 4):
             chain = mu()
             for _ in range(j - 1):
-                chain = dirichlet.convolve(chain, mu())
+                chain = convolve(chain, mu())
             f = mu_iter(j)
             for n in range(1, 5001):
                 fi = factorize(n)
@@ -165,27 +163,3 @@ class TestStandardFunctions:
         for f in (phi(), tau(), mu(), jordan(2), tau_k(3), mu_iter(3), psi(1)):
             assert eval_at(f, m * n) == eval_at(f, m) * eval_at(f, n)
 
-
-class TestStandardLookup:
-    def test_dispatch(self):
-        assert standard("phi").local(5, 1) == 4
-        assert standard("jordan", 2).local(3, 1) == 8
-        assert standard("tau_k", 3).local(2, 2) == 6
-        assert standard("mu_iter", 2).local(7, 1) == -2
-
-    def test_unknown_name(self):
-        with pytest.raises(DomainError):
-            standard("liouville")
-
-    def test_parameter_mismatches(self):
-        with pytest.raises(DomainError):
-            standard("phi", 2)
-        with pytest.raises(DomainError):
-            standard("jordan")
-
-
-class TestOmega:
-    def test_counts_distinct_primes(self):
-        assert omega(1) == 0
-        assert omega(12) == 2
-        assert omega(30030) == 6
