@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import prime_array, primes_in_range
-from .dirichlet import LocalPolynomial, f_r_local
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
 from .multfun import tau_k
@@ -263,75 +262,46 @@ def fit_main_term(
 def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
     """Leading coefficient of the A_r main-term polynomial:
 
-        (1/r!) prod_p (1 + D(1/p)),   D(u) = sum_{k=1}^{r} f_r(p^k) u^k,
+        (1/r!) prod_p (1 - 1/p)^r (1 + r/p),
 
-    over the primes up to limit.  The f_r(p^k) are integer polynomials in
-    u = 1/p, so D is one integer polynomial; it is evaluated by Horner's
-    rule at every prime at once and the product is taken as
-    exp(fsum(log1p(D))).  The returned bound is the truncation tail plus
-    the float rounding of that evaluation.  The tail uses that every
-    f_r(p^k) has zero constant term as a polynomial in 1/p, so
-    |f_r(p^k)| <= M/p with M the largest coefficient-magnitude sum,
-    making each omitted factor 1 + O(1/p^2).
+    over the primes up to limit.  That factor is the local factor
+    1 + sum_{k=1}^{r} f_r(p^k) / p^k of sum A_r(n) n^-s / zeta(s)^(r+1)
+    at s = 1, in closed form.  The product is taken as
+    exp(fsum(r log1p(-1/p) + log1p(r/p))) at every prime at once.
+
+    The returned bound is the truncation tail plus the float rounding.
+    The tail is one-sided: with g(u) = r log(1 - u) + log(1 + ru),
+    g(0) = 0 and g'(u) = -r(r+1) u / ((1 - u)(1 + ru)) <= 0, so every
+    omitted log factor lies in [-r(r+1) / (2p(p-1)), 0], and
+    sum_{m>P} 1/(m(m-1)) = 1/P puts the full product in
+    [value exp(-r(r+1) / (2P)), value].
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
     if limit < 100:
         raise DomainError(f"prime limit must be >= 100, got {limit}")
-    polys = [f_r_local(r, k) for k in range(1, r + 1)]
-    coeff_mass = max(sum(abs(c) for c in poly.coefficients) for poly in polys)
-    fold = LocalPolynomial(())
-    for k, poly in enumerate(polys, start=1):
-        fold = fold + poly * LocalPolynomial((0,) * k + (1,))
-    coeffs = fold.coefficients
-
     u = 1.0 / prime_array(limit)
-    d = np.zeros_like(u)
-    d_abs = np.zeros_like(u)
-    for c in reversed(coeffs):
-        d = d * u + float(c)
-        d_abs = d_abs * u + float(abs(c))
-
-    # Rounding, to first order in eps = 2^-53.  Rounding 1/p, the
-    # coefficients and each Horner step gives |D_hat - D| <= err =
-    # gamma(3n + 1) sum |c_j| u^j for n = deg D (Higham, Horner's rule),
-    # which moves log(1 + D) by at most err / (1 + D_hat - err).  log1p
-    # and exp are taken as good to one ulp (2 eps), fsum is correctly
-    # rounded (eps) and the division by r! costs 2 eps, so the computed
-    # log is off by at most E and the value by a factor within exp(+-E).
-    eps = 2.0**-53
-    n = len(coeffs) - 1
-    err = (3 * n + 1) * eps / (1 - (3 * n + 1) * eps) * d_abs
-    floor = 1.0 + d - err
-    if not np.all(floor > 0):
-        raise NumericalError(
-            f"rounding swamps the local factor at r={r}; D has degree {n}"
-        )
-    logs = np.log1p(d)
-    log_sum = math.fsum(logs.tolist())
+    down = np.log1p(-u)
+    up = np.log1p(r * u)
+    log_sum = math.fsum((r * down + up).tolist())
     value = math.exp(log_sum) / math.factorial(r)
+
+    # Rounding, to first order in eps = 2^-53.  Rounding 1/p moves
+    # log1p(-u) by at most eps u / (1 - u) <= 2 eps |down| (p >= 2) and
+    # log1p(ru) by eps up, as does rounding r u; log1p is taken as good to
+    # one ulp (2 eps), and the product r down and the sum cost one eps
+    # each, so every summand is off by at most 6 eps (r |down| + up).
+    # fsum is correctly rounded (eps |log_sum|), exp is good to one ulp
+    # and the division by r! (r! itself rounded) costs 2 eps.
+    eps = 2.0**-53
     log_err = (
-        math.fsum((err / floor).tolist())
-        + 2 * eps * math.fsum(np.abs(logs).tolist())
+        6 * eps * (math.fsum(up.tolist()) - r * math.fsum(down.tolist()))
         + eps * abs(log_sum)
         + 4 * eps
     )
-    rounding = abs(value) * math.expm1(2 * log_err)
-
-    # |sum_k f_r(p^k)/p^k| <= M/(p(p-1)) <= 2M/p^2, and |log(1+d)| <= 2|d|
-    # for |d| <= 1/2, so the omitted log mass is below 4M sum_{m>P} 1/m^2.
-    # The sum runs explicitly to hi and is bounded by 1/hi beyond it.
-    hi = limit + 1000
-    explicit = math.fsum(1.0 / m**2 for m in range(limit + 1, hi + 1))
-    log_tail = 4.0 * coeff_mass * (explicit + 1.0 / hi)
-    try:
-        tail_bound = abs(value) * math.expm1(log_tail)
-    except OverflowError:
-        raise NumericalError(
-            f"Euler tail bound overflows float64 at r={r} "
-            f"(log of the tail factor is {log_tail:.3g})"
-        ) from None
-    return value, tail_bound + rounding
+    rounding = value * math.expm1(2 * log_err)
+    tail = -value * math.expm1(-r * (r + 1) / (2 * limit))
+    return value, tail + rounding
 
 
 def residual_exponent_estimate(report: SummatoryReport) -> float:

@@ -102,8 +102,9 @@ def _cmd_eval(args) -> int:
             str(value),
         )
     if target == "fr":
-        if args.k is None and args.kmax is None:
-            print("usage error: eval fr requires --k or --kmax", file=sys.stderr)
+        if args.kmax is None and args.csv:
+            print("usage error: eval fr --csv writes the --kmax table",
+                  file=sys.stderr)
             return 2
         if args.kmax is not None:
             if args.format is not None or args.expect is not None:
@@ -346,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _value_output(p)
     p = ev.add_parser("fr")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--kmax", type=int)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=int)
+    which.add_argument("--kmax", type=int)
     p.add_argument("--csv", help="write the coefficient table as CSV")
     _value_output(p)
     p_eval.set_defaults(func=_cmd_eval)

@@ -63,16 +63,6 @@ class LocalPolynomial:
     def scaled(self, c: int) -> "LocalPolynomial":
         return LocalPolynomial(tuple(c * x for x in self.coefficients))
 
-    def __mul__(self, other: "LocalPolynomial") -> "LocalPolynomial":
-        if self.is_zero or other.is_zero:
-            return LocalPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return LocalPolynomial(tuple(out))
-
     def __str__(self):
         if self.is_zero:
             return "0"

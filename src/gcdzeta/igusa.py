@@ -202,8 +202,10 @@ def igusa_euler(
     truncation tolerances relative to zeta(s_j), plus the float rounding
     counted from the operations.  Every local term is positive, so each
     rounding error is relative.  The sums run over sum_p (e + 1)^r terms,
-    which the loop guard counts; a bound above tolerance is a
-    NumericalError.
+    which the loop guard counts.  The tolerance is relative: a bound above
+    tolerance * value is a NumericalError.  Z > 1, since the term with
+    every m_j = 1 alone is 1, so this never refuses a bound below
+    tolerance.
     """
     s = _checked_exponents(n.value if isinstance(n, FactoredInteger) else n, s)
     if not tolerance > 0:
@@ -249,10 +251,10 @@ def igusa_euler(
     value = math.prod(zetas) * math.prod(locals_)
     rel += (r + len(locals_)) * _EPS
     bound = value * rel / (1 - rel)
-    if bound > tolerance:
+    if bound > tolerance * value:
         raise NumericalError(
             f"the computed error bound {bound:.3g} exceeds the tolerance "
-            f"{tolerance:.3g}"
+            f"{tolerance:.3g} relative to the value {value:.6g}"
         )
     return value, bound
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,17 +144,42 @@ class TestEulerLeadingCoefficient:
         with pytest.raises(DomainError):
             euler_leading_coefficient(1, 50)
 
-    @pytest.mark.parametrize("r", [17, 18])
-    def test_tail_overflow_is_numerical_error(self, r):
-        # 4 M sum_{m > P} 1/m^2 passes log(float max) once the coefficient
-        # mass M of the f_r polynomials is large enough
-        with pytest.raises(NumericalError, match=f"overflows float64 at r={r}"):
-            euler_leading_coefficient(r, 1000)
+    @pytest.mark.parametrize("limit", [10**3, 10**4])
+    @pytest.mark.parametrize("r", [1, 2, 4, 10, 17, 18, 30])
+    def test_matches_mpmath_product(self, r, limit, primes_between):
+        # the same primes at 40 digits; what the bound holds beyond the
+        # one-sided tail is the rounding term, and it must cover the error
+        value, bound = euler_leading_coefficient(r, limit)
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(1)
+            for p in primes_between(0, limit):
+                u = mpmath.mpf(1) / p
+                ref *= (1 - u) ** r * (1 + r * u)
+            ref = float(ref / mpmath.factorial(r))
+        tail = -value * math.expm1(-r * (r + 1) / (2 * limit))
+        assert math.isfinite(value)
+        assert abs(value - ref) <= bound - tail <= 1e-12 * ref
 
-    def test_rounding_guard(self):
-        # at r = 30 the factor at p = 2 is 16 / 2^30, below D's rounding
-        with pytest.raises(NumericalError, match="rounding swamps"):
-            euler_leading_coefficient(30, 1000)
+    @pytest.mark.parametrize("r", [1, 2, 10, 30])
+    def test_tail_is_one_sided(self, r):
+        # every omitted factor is at most 1, so the product only falls
+        # as the limit grows, and by no more than the tail bound
+        v1, b1 = euler_leading_coefficient(r, 10**3)
+        v2, _ = euler_leading_coefficient(r, 10**6)
+        assert 0 <= v1 - v2 <= b1
+
+    def test_bound_at_one_million(self):
+        value, bound = euler_leading_coefficient(1, 10**6)
+        assert bound <= 1.1e-6 * value
+        assert abs(value - SIX_OVER_PI2) <= bound
+        value, bound = euler_leading_coefficient(2, 10**6)
+        assert bound <= 3.1e-6 * value
+
+    def test_bound_below_value_up_to_r30(self):
+        for r in range(1, 31):
+            value, bound = euler_leading_coefficient(r, 1000)
+            assert math.isfinite(value)
+            assert 0 < bound < value
 
 
 def per_prime_value_table(kind, param, x_max, primes):

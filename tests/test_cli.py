@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -104,6 +105,8 @@ class TestExitCodes:
         ("scan", "extremal", "--r", "1", "--x", "200", "--format", "text"),
         ("eval", "fr", "--r", "2", "--kmax", "3", "--expect", "nope"),
         ("eval", "fr", "--r", "2", "--kmax", "3", "--format", "json"),
+        ("eval", "fr", "--r", "2", "--k", "1", "--csv", "x.csv"),
+        ("eval", "fr", "--r", "2", "--k", "1", "--kmax", "2"),
     ], ids=lambda argv: " ".join(argv))
     def test_flag_the_command_ignores_is_usage_error(self, argv):
         result = run_cli(*argv)
@@ -145,14 +148,23 @@ class TestExitCodes:
             assert result.returncode == 0, target
             assert result.stdout.strip()
 
-    def test_euler_tail_overflow_is_numerical_error(self):
+    def test_large_r_scan_reports_a_usable_tail_bound(self):
+        # checkpoints to 500 span less than two decades, so there is no fit
+        result = run_cli("scan", "A", "--r", "18", "--xmax", "500")
+        assert result.returncode == 0, result.stderr
+        line = result.stdout.splitlines()[1]
+        coefficient, tail = re.fullmatch(
+            r"leading coefficient \(closed form\) = (\S+) \(tail bound (\S+)\)",
+            line,
+        ).groups()
+        assert 0 < float(tail) < float(coefficient)
+        # at 1000 the degree-18 fit is what fails, on its conditioning
         result = run_cli("scan", "A", "--r", "18", "--xmax", "1000")
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("numerical error: ")
-        assert "r=18" in lines[0]
+        assert lines[0].startswith("numerical error: fit is ill-conditioned")
 
     def test_eval_menon_beyond_guard_stops_at_once(self):
         start = time.perf_counter()

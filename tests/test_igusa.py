@@ -208,9 +208,29 @@ class TestIgusaHurwitz:
         assert abs(value - euler_in_n_reference(n, s)) <= bound
 
     def test_unmet_tolerance_is_numerical_error(self):
-        _, bound = igusa_euler(2, (2.0,))
+        value, bound = igusa_euler(2, (2.0,))
         with pytest.raises(NumericalError, match="exceeds the tolerance"):
-            igusa_euler(2, (2.0,), tolerance=bound / 2)
+            igusa_euler(2, (2.0,), tolerance=bound / value / 2)
+
+    def test_tolerance_is_relative(self):
+        # Z ~ 1.05e8 near the pole: the bound is 6.6e-7 absolute, which
+        # an absolute 1e-9 refused, but about 6e-15 relative
+        value, bound = igusa_euler(360, (1.0000001,))
+        assert abs(value - euler_in_n_reference(360, (1.0000001,))) <= bound
+        assert bound > 1e-9
+        # n = 2 with 23 equal exponents 2: the local sum depends only on
+        # how many a_j equal 1, so the reference is a binomial sum
+        r = 23
+        value, bound = igusa_euler(2, (2.0,) * r)
+        with mpmath.workdps(40):
+            local = sum(
+                math.comb(r, j) * 2 ** min(j, 1) * mpmath.mpf(4) ** -j
+                * (1 - mpmath.mpf(1) / 4) ** (r - j)
+                for j in range(r + 1)
+            )
+            ref = mpmath.zeta(2) ** r * local
+        assert bound > 1e-9
+        assert abs(value - ref) <= bound
 
     def test_guards(self):
         # 200 = 2^3 5^2: 4^4 + 3^4 = 337 local terms, though 200^4 > 1e7
