@@ -4,8 +4,11 @@ The partial sums of both A_r and the Piltz divisor function tau_k behave
 like x times a polynomial in log x.  Only the leading coefficient has a
 closed form (an Euler product for A_r, 1/(k-1)! for tau_k); the lower
 coefficients here are fitted, never derived, and the reports keep the two
-provenances separate.  All float accumulation is exactly-rounded block
-summation in a fixed order, so repeated runs are byte-identical.
+provenances separate.  Each block of the value table between checkpoints
+is summed exactly in integer limbs and rounded once (_exact_sum), and the
+checkpoints are math.fsum of the block sums; both sums are correctly
+rounded and independent of summation order, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ from .multfun import tau_k
 
 # A float table of this many entries is the largest scan we attempt.
 SCAN_LIMIT = 10**8
+# _exact_sum splits entries into integer limbs of this many bits and sums
+# each limb in float64 over chunks of this many entries: the chunk sums
+# stay below 2^(36 + 16) = 2^52, inside float64's exact integers.  A scan
+# block spans 56 to 67 bits (53 of mantissa plus the spread of its
+# values for A_r and tau_k with r, k <= 4), so it takes two limbs.
+_LIMB_BITS = 36
+_CHUNK = 2**16
 
 
 @dataclass
@@ -118,6 +128,49 @@ def _value_table(local, x_max: int) -> np.ndarray:
     return vals
 
 
+def _exact_sum(block: np.ndarray) -> float:
+    """The correctly rounded (round-half-even) sum of positive finite
+    float64 entries: math.fsum's value, bit for bit.
+
+    Every entry is a multiple of 2^lo, the ulp of the block minimum, and
+    lies below 2^hi, hi the frexp exponent of the block maximum.  So
+    splitting it from the top into _LIMB_BITS-bit integer limbs by
+    power-of-two scaling, floor and subtraction is exact.  Each limb is
+    summed exactly in float64 one _CHUNK at a time, the limb totals are
+    combined as Python ints, and the result is rounded once by the
+    correctly rounded int-to-float conversion.
+    """
+    if block.size == 0:
+        return 0.0
+    lo_val = float(block.min())
+    hi_val = float(block.max())
+    if not (lo_val > 0 and hi_val < math.inf):
+        raise NumericalError(
+            "exact block sum needs positive finite entries, "
+            f"got a range [{lo_val!r}, {hi_val!r}]"
+        )
+    lo = max(math.frexp(lo_val)[1] - 53, -1074)
+    hi = math.frexp(hi_val)[1]
+    # the limbs above the lowest one, top first
+    shifts = range(lo + _LIMB_BITS * ((hi - lo - 1) // _LIMB_BITS), lo,
+                   -_LIMB_BITS)
+    totals = [0] * (len(shifts) + 1)
+    for start in range(0, block.size, _CHUNK):
+        rest = block[start : start + _CHUNK]
+        for j, shift in enumerate(shifts):
+            limb = np.floor(np.ldexp(rest, -shift))
+            totals[j] += int(limb.sum())
+            rest = rest - np.ldexp(limb, shift)
+        # what is left is below 2^(lo + _LIMB_BITS) and a multiple of 2^lo
+        totals[-1] += int(np.ldexp(rest, -lo).sum())
+    total = 0
+    for t in totals:
+        total = (total << _LIMB_BITS) + t
+    if lo >= 0:
+        return float(total << lo)
+    return total / (1 << -lo)
+
+
 def _geometric_checkpoints(x_max: int, count: int) -> list[int]:
     x_min = max(10, x_max // 1000)
     if x_min >= x_max:
@@ -147,6 +200,10 @@ def summatory_scan(
         raise DomainError(f"function order must be >= 1, got {r_or_k}")
     if x_max < 10:
         raise DomainError(f"x_max must be >= 10, got {x_max}")
+    if checkpoint_count < 1:
+        raise DomainError(
+            f"checkpoint count must be >= 1, got {checkpoint_count}"
+        )
     if x_max > SCAN_LIMIT:
         raise ResourceError(f"scan to {x_max} exceeds guard {SCAN_LIMIT}")
 
@@ -156,7 +213,7 @@ def summatory_scan(
     block_sums: list[float] = []
     prev = 0
     for x in cps:
-        block_sums.append(math.fsum(vals[prev + 1 : x + 1]))
+        block_sums.append(_exact_sum(vals[prev + 1 : x + 1]))
         checkpoints.append((x, math.fsum(block_sums)))
         prev = x
 

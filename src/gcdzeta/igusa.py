@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .arith import FactoredInteger, _check_loop_guard, factorize
+from .arith import LOOP_GUARD, FactoredInteger, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError
 
 # Euler-Maclaurin cutoff growth stops here.
@@ -113,6 +113,18 @@ def _zeta(s: float) -> float:
     return hurwitz_zeta(s, 1.0)
 
 
+def _direct_steps(n: int, r: int, truncation: int) -> int:
+    """Steps of igusa_direct with T = truncation:
+
+        n + T (r + min(n, T^(r-1))) + (r - 1) T^(r-1),
+
+    the gcd table, r weight lists and at most min(n, T^(r-1)) inner sums
+    of T terms, and r - 1 products per head tuple.
+    """
+    heads = truncation ** (r - 1)
+    return n + truncation * (r + min(n, heads)) + (r - 1) * heads
+
+
 def igusa_direct(
     n: int, s: tuple[float, ...] | list[float], truncation: int,
 ) -> tuple[float, float]:
@@ -124,17 +136,13 @@ def igusa_direct(
 
     S_j being the truncated one-variable sums.  The gcd depends only on
     the residue of m_1...m_{r-1} mod n, so the inner sum over m_r is taken
-    once per residue that occurs.  With T = truncation the loop guard
-    counts n + T (r + min(n, T^(r-1))) + (r - 1) T^(r-1) steps.
+    once per residue that occurs.  The loop guard checks _direct_steps.
     """
     s = _checked_exponents(n, s)
     r = len(s)
     if truncation < n:
         raise DomainError(f"truncation {truncation} must be >= n = {n}")
-    heads = truncation ** (r - 1)
-    _check_loop_guard(
-        n + truncation * (r + min(n, heads)) + (r - 1) * heads, "igusa_direct"
-    )
+    _check_loop_guard(_direct_steps(n, r, truncation), "igusa_direct")
     weights = [
         [float(m) ** -sj for m in range(1, truncation + 1)] for sj in s
     ]
@@ -276,14 +284,17 @@ def evaluate(
         raise DomainError(f"unknown method {method!r}")
     s = _checked_exponents(n, s)
     if method == "direct":
+        r = len(s)
         if truncation is not None:
             trunc = truncation
-        elif len(s) == 1:
-            trunc = max(n, 10**4)
         else:
-            trunc = max(n, 300)
+            # the largest T up to the cap whose steps fit the loop guard
+            cap = 10**4 if r == 1 else 300
+            fits = (t for t in range(cap, 0, -1)
+                    if _direct_steps(n, r, t) <= LOOP_GUARD)
+            trunc = max(n, next(fits, 1))
         value, tail = igusa_direct(n, s, trunc)
-        terms = trunc ** len(s)
+        terms = _direct_steps(n, r, trunc)
     else:
         fi = factorize(n)
         value, tail = igusa_euler(fi, s, tolerance)

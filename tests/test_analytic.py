@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcdzeta import analytic
 from gcdzeta.analytic import (
@@ -104,6 +106,9 @@ class TestSummatoryScan:
             summatory_scan("sigma", 1, 100)
         with pytest.raises(ResourceError):
             summatory_scan("A", 1, 10**9)
+        for count in (0, -3):
+            with pytest.raises(DomainError):
+                summatory_scan("A", 2, 1000, checkpoint_count=count)
 
     def test_no_fit_below_two_decades(self):
         report = summatory_scan("tau", 2, 100)
@@ -224,6 +229,89 @@ def exact_euler_product(r, primes):
     return num / (den * math.factorial(r))
 
 
+def fsum_block_sums(vals, cps):
+    """The scan's block loop with math.fsum per block: the block sums and
+    the checkpoints, each the fsum of the block sums so far."""
+    block_sums, checkpoints = [], []
+    prev = 0
+    for x in cps:
+        block_sums.append(math.fsum(vals[prev + 1 : x + 1]))
+        checkpoints.append((x, math.fsum(block_sums)))
+        prev = x
+    return block_sums, checkpoints
+
+
+def float_bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+CHUNK = analytic._CHUNK
+
+
+@st.composite
+def spread_blocks(draw):
+    """Positive finite float64 arrays with exponents from the subnormal
+    range up to 2^1000, at lengths that cross the chunk boundaries."""
+    length = draw(st.sampled_from(
+        [0, 1, 2, 3, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]
+    ))
+    low = draw(st.integers(-1074, 1000))
+    high = draw(st.integers(low, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mantissas = 1.0 + rng.random(length)
+    return np.ldexp(mantissas, rng.integers(low, high + 1, length))
+
+
+class TestExactSum:
+    @given(spread_blocks())
+    def test_equals_fsum_bit_for_bit(self, block):
+        got = analytic._exact_sum(block)
+        assert float_bits([got]) == float_bits([math.fsum(block)])
+
+    @given(
+        st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        st.integers(-1000, 900),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_long_blocks_at_a_tie_round_half_even(self, length, k, seed):
+        # entries in [2^k, 2^(k+1)) fill every limb bit, and one more
+        # entry moves the exact sum onto a midpoint between two floats,
+        # where an inexact limb sum anywhere would flip the rounding
+        rng = np.random.default_rng(seed)
+        block = np.ldexp(1.0 + rng.random(length), k)
+        mantissas = np.ldexp(block, 52 - k).astype(np.int64).tolist()
+        exact = sum(mantissas) * Fraction(2) ** (k - 52)
+        nearest = float(exact)
+        gap = Fraction(nearest) + Fraction(math.ulp(nearest)) / 2 - exact
+        assert Fraction(float(gap)) == gap > 0
+        block = np.append(block, float(gap))
+        got = analytic._exact_sum(block)
+        assert float_bits([got]) == float_bits([math.fsum(block)])
+
+    @given(st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=40))
+    def test_short_lists_equal_fsum(self, values):
+        got = analytic._exact_sum(np.array(values, dtype=np.float64))
+        assert float_bits([got]) == float_bits([math.fsum(values)])
+
+    @pytest.mark.parametrize("values, want", [
+        ([2.0**53 + 2, 1.0], 2.0**53 + 4),
+        ([2.0**53, 1.0], 2.0**53),
+        ([1.0, 2.0**-53], 1.0),
+        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+        ([5e-324, 5e-324], 1e-323),
+    ])
+    def test_ties_round_half_even(self, values, want):
+        got = analytic._exact_sum(np.array(values))
+        assert got == want == math.fsum(values)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_entries(self, bad):
+        block = np.ones(CHUNK + 3)
+        block[CHUNK + 1] = bad
+        with pytest.raises(NumericalError):
+            analytic._exact_sum(block)
+
+
 class TestFastPathsAgainstReferences:
     # 317 is prime: at 317^2 it is the largest prime on the small side of
     # sqrt(x), and at 317^2 - 1 the smallest on the large side
@@ -237,6 +325,29 @@ class TestFastPathsAgainstReferences:
         got = analytic._value_table(analytic._scan_local(kind, param), x_max)
         want = per_prime_value_table(kind, param, x_max, primes_between(0, x_max))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "kind, param, x_max",
+        [("A", r, 10**5) for r in (1, 2, 3, 4)]
+        + [("tau", k, 10**5) for k in (2, 3, 4)]
+        + [("A", 2, 10**6), ("tau", 3, 10**6)],
+    )
+    def test_block_sums_bit_identical(self, kind, param, x_max):
+        vals = analytic._value_table(analytic._scan_local(kind, param), x_max)
+        cps = analytic._geometric_checkpoints(x_max, 40)
+        bounds = list(zip([0] + cps, cps))
+        if x_max == 10**6:
+            # the chunk loop runs more than once on the longest blocks
+            assert max(x - prev for prev, x in bounds) > CHUNK
+        want_blocks, want_checkpoints = fsum_block_sums(vals, cps)
+        got_blocks = [analytic._exact_sum(vals[prev + 1 : x + 1])
+                      for prev, x in bounds]
+        assert float_bits(got_blocks) == float_bits(want_blocks)
+        report = summatory_scan(kind, param, x_max)
+        assert [x for x, _ in report.checkpoints] == cps
+        assert float_bits([s for _, s in report.checkpoints]) == float_bits(
+            [s for _, s in want_checkpoints]
+        )
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_euler_product_against_exact_oracle(self, r, primes_between):

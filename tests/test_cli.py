@@ -82,6 +82,16 @@ class TestExitCodes:
             assert result.stderr.startswith("domain error: ")
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_scan_without_checkpoints_is_domain_error(self, count):
+        result = run_cli(
+            "scan", "A", "--r", "2", "--xmax", "1000", "--checkpoints", count
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("domain error: ")
+        assert result.stderr.count("\n") == 1
+        assert not result.stdout
+
     def test_resource_guard_is_four(self):
         result = run_cli("scan", "A", "--r", "1", "--xmax", "1000000000")
         assert result.returncode == 4
@@ -182,6 +192,18 @@ class TestIgusa:
                              "--method", method)
             assert result.returncode == 0, result.stderr
             assert json.loads(result.stdout)["value"] == 1.0
+
+    def test_default_direct_truncation_fits_the_guard(self):
+        # T = 300 needs 81001802 steps at r = 4; the default takes the
+        # largest T whose count fits the guard, T = 149:
+        # 2 + 149 (4 + 2) + 3 * 149^3 steps
+        direct = run_cli("igusa", "--n", "2", "--s", "2,2,2,2",
+                         "--method", "direct")
+        assert direct.returncode == 0, direct.stderr
+        record = json.loads(direct.stdout)
+        assert record["terms_evaluated"] == 9924743
+        euler = json.loads(run_cli("igusa", "--n", "2", "--s", "2,2,2,2").stdout)
+        assert 0 <= euler["value"] - record["value"] <= record["tail_bound"]
 
     def test_default_record_is_the_euler_product(self):
         result = run_cli("igusa", "--n", "200", "--s", "2,2,2,2")

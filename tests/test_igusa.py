@@ -264,9 +264,13 @@ class TestQueryRecord:
         assert evaluate(200, (2.0,) * 4)["terms_evaluated"] == 337
 
     def test_evaluate_direct_record(self):
+        # the steps the loop guard counts: n + T (r + min(n, T^(r-1)))
+        # + (r - 1) T^(r-1)
         record = evaluate(2, (2.0,), method="direct", truncation=5000)
-        assert record["terms_evaluated"] == 5000
+        assert record["terms_evaluated"] == 10002
         assert record["tail_bound"] > 0
+        record = evaluate(12, (2.5, 2.5), method="direct", truncation=2000)
+        assert record["terms_evaluated"] == 30012
 
     def test_query_validation(self):
         for method in ("magic", "hurwitz"):
