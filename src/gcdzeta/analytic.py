@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import prime_array, primes_in_range
+from .arith import _check_loop_guard, prime_array, primes_in_range
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
 from .multfun import tau_k
@@ -192,7 +192,8 @@ def summatory_scan(
     Checkpoints are geometrically spaced.  When they span at least two
     decades the main term is fitted (leading coefficient pinned to the
     closed form) and residuals are recorded; otherwise the fit fields are
-    left empty and only the sums are reported.
+    left empty and only the sums are reported.  The loop guard counts the
+    count (count + 1) / 2 block sums that the checkpoint fsums add up.
     """
     if kind not in ("A", "tau"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -206,6 +207,9 @@ def summatory_scan(
         )
     if x_max > SCAN_LIMIT:
         raise ResourceError(f"scan to {x_max} exceeds guard {SCAN_LIMIT}")
+    _check_loop_guard(
+        checkpoint_count * (checkpoint_count + 1) // 2, "summatory_scan"
+    )
 
     vals = _value_table(_scan_local(kind, r_or_k), x_max)
     cps = _geometric_checkpoints(x_max, checkpoint_count)

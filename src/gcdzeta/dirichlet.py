@@ -11,7 +11,6 @@ polynomials are kept with integer coefficients rather than floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -45,24 +44,6 @@ class LocalPolynomial:
     def constant_term(self) -> int:
         return self.coefficients[0] if self.coefficients else 0
 
-    def evaluate(self, u: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * u + c
-        return acc
-
-    def __add__(self, other: "LocalPolynomial") -> "LocalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LocalPolynomial(tuple(out))
-
-    def scaled(self, c: int) -> "LocalPolynomial":
-        return LocalPolynomial(tuple(c * x for x in self.coefficients))
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -83,18 +64,15 @@ class LocalPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _one_minus_u_pow(j: int) -> LocalPolynomial:
-    """(1 - u)^j expanded with exact integer coefficients."""
-    return LocalPolynomial(
-        tuple((-1 if i % 2 else 1) * binom(j, i) for i in range(j + 1))
-    )
-
-
-@lru_cache(maxsize=None)
 def f_r_local(r: int, k: int) -> LocalPolynomial:
-    """f_r(p^k) as a polynomial in u = 1/p:
+    """f_r(p^k) as a polynomial in u = 1/p.
 
-        sum_{j=0}^{r} (1-u)^j  sum_{l=0}^{k} (-1)^l C(r+1, l) C(j+k-l-1, j)
+    With x marking the exponent, sum_k A_r(p^k) x^k is
+    1 + x sum_{j=0}^{r} (1-u)^j (1-x)^-(j+1), and tau_{r+1} contributes
+    (1-x)^-(r+1), so f_r(p^k) is the x^k coefficient of
+    (1-x)^(r+1) + x sum_j (1-u)^j (1-x)^(r-j):
+
+        (-1)^k [C(r+1, k) - sum_{j=0}^{r-k+1} C(r-j, k-1) (1-u)^j].
 
     Degree is at most r; the polynomial is identically zero once k > r.
     """
@@ -102,15 +80,13 @@ def f_r_local(r: int, k: int) -> LocalPolynomial:
         raise DomainError(f"r must be >= 1, got {r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    total = LocalPolynomial(())
-    for j in range(r + 1):
-        inner = sum(
-            (-1 if l % 2 else 1) * binom(r + 1, l) * binom(j + k - l - 1, j)
-            for l in range(k + 1)
-        )
-        if inner:
-            total = total + _one_minus_u_pow(j).scaled(inner)
-    return total
+    sign = -1 if k % 2 else 1
+    coeffs = [sign * binom(r + 1, k)] + [0] * r
+    for j in range(r - k + 2):
+        c = sign * binom(r - j, k - 1)
+        for i in range(j + 1):
+            coeffs[i] -= (-1 if i % 2 else 1) * c * binom(j, i)
+    return LocalPolynomial(tuple(coeffs))
 
 
 def verify_fr_structure(r: int, k_max: int) -> list[str]:

@@ -25,34 +25,40 @@ from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau
 
 
-def a_bruteforce(n: int, r: int) -> Fraction:
-    """A_r(n) summed from the definition, exactly.
+def _product_residues(n: int, residues, r: int) -> list[int]:
+    """Counts of the r-tuples drawn from residues by their product mod n.
 
-    Rather than walking all n^r tuples, accumulate the distribution of
-    k_1 ... k_r mod n by r-fold convolution of the uniform factor
-    distribution under multiplication mod n: n inner steps for the first
-    factor and at most n^2 for each later one, which is what the guard
-    counts.
+    An r-fold convolution under multiplication mod n, starting from the
+    empty product 1: len(residues) inner steps for the first factor and
+    at most n len(residues) for each later one.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    if r == 0:
-        return Fraction(1)
-    _check_loop_guard(n + (r - 1) * n * n, "a_bruteforce")
     dist = [0] * n
     dist[1 % n] = 1
     for _ in range(r):
         nxt = [0] * n
         for c, cnt in enumerate(dist):
             if cnt:
-                for k in range(1, n + 1):
+                for k in residues:
                     nxt[c * k % n] += cnt
         dist = nxt
-    total = sum(
-        cnt * (math.gcd(c, n) if c else n) for c, cnt in enumerate(dist) if cnt
-    )
+    return dist
+
+
+def a_bruteforce(n: int, r: int) -> Fraction:
+    """A_r(n) summed from the definition, exactly.
+
+    gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
+    walking all n^r tuples it weights each residue c of the product by
+    gcd(c, n) (gcd(0, n) = n), counted by _product_residues over all
+    residues: n + (r - 1) n^2 steps, which is what the guard counts.
+    """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if r < 0:
+        raise DomainError(f"r must be >= 0, got {r}")
+    _check_loop_guard(n + (r - 1) * n * n, "a_bruteforce")
+    dist = _product_residues(n, range(n), r)
+    total = sum(cnt * math.gcd(c, n) for c, cnt in enumerate(dist))
     return Fraction(total, n**r)
 
 
@@ -120,11 +126,10 @@ def a_recursion(n: int, r: int) -> Fraction:
 def b_bruteforce(n: int, r: int) -> int:
     """B_r(n) summed from the definition.
 
-    Aggregates over residues of unit products, mirroring a_bruteforce:
-    convolve the unit distribution r times under multiplication mod n,
-    then weight residue c by gcd(c - 1, n), with gcd(0, n) = n.  The guard
-    counts the n steps that find the units, then phi(n) + (r - 1) phi(n)^2
-    convolution steps, as for a_bruteforce.
+    As for a_bruteforce: _product_residues counts the products of unit
+    tuples by residue c mod n, and c is weighted by gcd(c - 1, n), which
+    is n at c = 1.  The guard counts the n steps that find the units,
+    then phi(n) + (r - 1) phi(n)^2 convolution steps.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -134,21 +139,8 @@ def b_bruteforce(n: int, r: int) -> int:
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
     count = len(units)
     _check_loop_guard(count + (r - 1) * count * count, "b_bruteforce")
-    dist = [0] * n
-    dist[1 % n] = 1
-    for _ in range(r):
-        nxt = [0] * n
-        for c, cnt in enumerate(dist):
-            if cnt:
-                for k in units:
-                    nxt[c * k % n] += cnt
-        dist = nxt
-    total = 0
-    for c, cnt in enumerate(dist):
-        if cnt:
-            shifted = (c - 1) % n
-            total += cnt * (math.gcd(shifted, n) if shifted else n)
-    return total
+    dist = _product_residues(n, units, r)
+    return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
 
 
 def b_closed(n: int, r: int) -> int:
@@ -165,7 +157,7 @@ def menon_sum(n: int, a: int) -> int:
     """sum of gcd(a k - 1, n) over k in [1, n] with gcd(k, n) = 1.
 
     Requires gcd(a, n) = 1; the sum then equals phi(n) tau(n) regardless
-    of a.  Evaluated by direct summation, with gcd(0, n) = n.
+    of a.  Evaluated by direct summation; math.gcd(0, n) = n.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -175,7 +167,6 @@ def menon_sum(n: int, a: int) -> int:
     total = 0
     for k in range(1, n + 1):
         if math.gcd(k, n) == 1:
-            m = (a * k - 1) % n
-            total += math.gcd(m, n) if m else n
+            total += math.gcd((a * k - 1) % n, n)
     return total
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
-from .arith import LOOP_GUARD, FactoredInteger, _check_loop_guard, factorize
+from .arith import FactoredInteger, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError
 
 # Euler-Maclaurin cutoff growth stops here.
@@ -109,70 +108,75 @@ def hurwitz_zeta(s: float, a: float, tolerance: float = 1e-12) -> float:
     return head + tail + math.fsum(terms[:-1])
 
 
-def _zeta(s: float) -> float:
-    return hurwitz_zeta(s, 1.0)
-
-
 def _direct_steps(n: int, r: int, truncation: int) -> int:
-    """Steps of igusa_direct with T = truncation:
-
-        n + T (r + min(n, T^(r-1))) + (r - 1) T^(r-1),
-
-    the gcd table, r weight lists and at most min(n, T^(r-1)) inner sums
-    of T terms, and r - 1 products per head tuple.
+    """Steps of igusa_direct with T = truncation, n + r T + (r - 1) n^2:
+    r T powers summed into residue classes, then their convolution mod n,
+    n steps for the first variable and at most n^2 for each later one.
     """
-    heads = truncation ** (r - 1)
-    return n + truncation * (r + min(n, heads)) + (r - 1) * heads
+    return n + r * truncation + (r - 1) * n * n
 
 
 def igusa_direct(
     n: int, s: tuple[float, ...] | list[float], truncation: int,
 ) -> tuple[float, float]:
-    """Truncated direct sum over all m_j <= truncation, with a tail bound.
+    """Truncated direct sum over all m_j <= truncation, with a bound.
 
-    The bound uses gcd <= n on every omitted tuple:
+    gcd(m_1...m_r, n) depends only on the product mod n.  So each variable
+    is summed into its class sums W_j[d] = sum of m^-s_j over m <= T with
+    m = d (mod n), the classes are convolved under multiplication mod n,
+    in a fixed order, and residue c is weighted by gcd(c, n).  The loop
+    guard checks _direct_steps.
+
+    The bound is the truncation tail, from gcd <= n on every omitted
+    tuple,
 
         0 <= Z - Z_truncated <= n (prod_j zeta(s_j) - prod_j S_j),
 
-    S_j being the truncated one-variable sums.  The gcd depends only on
-    the residue of m_1...m_{r-1} mod n, so the inner sum over m_r is taken
-    once per residue that occurs.  The loop guard checks _direct_steps.
+    S_j being the truncated one-variable sums, plus the float rounding to
+    first order, counted from the operations.  Every term is positive, so
+    each rounding error is relative.
     """
     s = _checked_exponents(n, s)
     r = len(s)
     if truncation < n:
         raise DomainError(f"truncation {truncation} must be >= n = {n}")
     _check_loop_guard(_direct_steps(n, r, truncation), "igusa_direct")
-    weights = [
-        [float(m) ** -sj for m in range(1, truncation + 1)] for sj in s
-    ]
-    gcd_of_residue = [math.gcd(c, n) if c else n for c in range(n)]
-    wl = weights[-1]
-
-    @lru_cache(maxsize=None)
-    def inner(res: int) -> float:
-        return math.fsum(
-            gcd_of_residue[res * m % n] * wl[m - 1]
-            for m in range(1, truncation + 1)
-        )
-
-    def chunks():
-        for head in product(range(1, truncation + 1), repeat=r - 1):
-            w = 1.0
-            res = 1
-            for j, m in enumerate(head):
-                w *= weights[j][m - 1]
-                res = res * m % n
-            yield w * inner(res)
-
-    value = math.fsum(chunks())
+    gcds = [math.gcd(c, n) for c in range(n)]
+    dist = [0.0] * n
+    dist[1 % n] = 1.0
     full = 1.0
     trunc = 1.0
-    for j, sj in enumerate(s):
-        full *= _zeta(sj)
-        trunc *= math.fsum(weights[j])
-    tail_bound = n * (full - trunc)
-    return value, max(tail_bound, 0.0)
+    for sj in s:
+        classes = [
+            math.fsum(float(m) ** -sj for m in range(d, truncation + 1, n))
+            for d in range(1, n + 1)
+        ]
+        nxt = [0.0] * n
+        for c, x in enumerate(dist):
+            if x:
+                for d, y in enumerate(classes, start=1):
+                    nxt[c * d % n] += x * y
+        dist = nxt
+        full *= hurwitz_zeta(sj, 1.0, _EPS)
+        trunc *= math.fsum(classes)
+    value = math.fsum(g * x for g, x in zip(gcds, dist))
+    # Relative rounding of the value: a pow (one ulp, 2 eps) and a class
+    # fsum per variable; r - 1 convolution rounds, each bin summing at
+    # most sum(gcds) products, the count that lands on residue 0; the
+    # final products and fsum.  The tail's rounding is relative to
+    # n prod_j zeta(s_j): 9 eps per zeta value (its tolerance and 8 eps),
+    # 4 eps per S_j, r - 1 products in each product and 2 eps for the
+    # difference and the factor n, 15 r eps in all.  Underflow needs no
+    # term: each of the at most two operations per step loses at most
+    # 2^-1075, magnified at most n prod_j S_j <= n value times, and with
+    # n and the steps below 1e7 that is under 1e-300 value.
+    rel = (3 * r + (r - 1) * sum(gcds) + 2) * _EPS
+    bound = n * (full - trunc) + n * full * 15 * r * _EPS + value * rel
+    if not math.isfinite(value + bound):
+        raise NumericalError(
+            f"the direct sum {value!r} or its bound {bound!r} is not finite"
+        )
+    return value, bound
 
 
 def _local_terms(fi: FactoredInteger, r: int) -> int:
@@ -284,17 +288,9 @@ def evaluate(
         raise DomainError(f"unknown method {method!r}")
     s = _checked_exponents(n, s)
     if method == "direct":
-        r = len(s)
-        if truncation is not None:
-            trunc = truncation
-        else:
-            # the largest T up to the cap whose steps fit the loop guard
-            cap = 10**4 if r == 1 else 300
-            fits = (t for t in range(cap, 0, -1)
-                    if _direct_steps(n, r, t) <= LOOP_GUARD)
-            trunc = max(n, next(fits, 1))
+        trunc = max(n, 10**4) if truncation is None else truncation
         value, tail = igusa_direct(n, s, trunc)
-        terms = _direct_steps(n, r, trunc)
+        terms = _direct_steps(n, len(s), trunc)
     else:
         fi = factorize(n)
         value, tail = igusa_euler(fi, s, tolerance)

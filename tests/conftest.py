@@ -14,6 +14,14 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("gcdzeta")
 
 
+def poly_at(poly, u: Fraction) -> Fraction:
+    """A dirichlet.LocalPolynomial evaluated exactly at u, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * u + c
+    return acc
+
+
 @pytest.fixture(scope="session")
 def primes_between():
     """Primes p with lo < p <= hi, by a sieve independent of gcdzeta.arith."""
@@ -82,8 +90,7 @@ def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:
         g = 1
         for k in ks:
             g = g * k % nn
-        weight = math.gcd(g, nn) if g else nn
-        term = float(weight)
+        term = float(math.gcd(g, nn))
         for j, k in enumerate(ks):
             term *= factors[(j, k)]
         terms.append(term)

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import poly_at
 
 from gcdzeta import analytic, dirichlet, gcdsum, igusa, multfun
 from gcdzeta.arith import factorize
@@ -89,7 +90,7 @@ def test_criterion_3_correction_factor_structure(convolve):
     for r in (1, 2, 3):
         fr = multfun.MultiplicativeFunction(
             f"f_{r}",
-            lambda p, k, r=r: dirichlet.f_r_local(r, k).evaluate(Fraction(1, p)),
+            lambda p, k, r=r: poly_at(dirichlet.f_r_local(r, k), Fraction(1, p)),
         )
         a_r = convolve(multfun.tau_k(r + 1), fr)
         for n in range(1, 5001):

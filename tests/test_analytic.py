@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
+from conftest import poly_at
 from hypothesis import strategies as st
 
 from gcdzeta import analytic
@@ -109,6 +110,10 @@ class TestSummatoryScan:
         for count in (0, -3):
             with pytest.raises(DomainError):
                 summatory_scan("A", 2, 1000, checkpoint_count=count)
+        # checkpoint i adds up i block sums: count (count + 1) / 2 steps
+        summatory_scan("A", 2, 1000, checkpoint_count=4471)
+        with pytest.raises(ResourceError, match="10001628 loop steps"):
+            summatory_scan("A", 2, 1000, checkpoint_count=4472)
 
     def test_no_fit_below_two_decades(self):
         report = summatory_scan("tau", 2, 100)
@@ -222,7 +227,7 @@ def exact_euler_product(r, primes):
         factor = Fraction(1)
         pk = p
         for poly in polys:
-            factor += poly.evaluate(u) / pk
+            factor += poly_at(poly, u) / pk
             pk *= p
         num *= factor.numerator
         den *= factor.denominator

@@ -1,12 +1,18 @@
 import csv
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcdzeta.cli import main
 
 
 def run_cli(*args):
@@ -96,13 +102,21 @@ class TestExitCodes:
         result = run_cli("scan", "A", "--r", "1", "--xmax", "1000000000")
         assert result.returncode == 4
         assert "resource guard" in result.stderr
-        # 2 + 5000 (3 + 2) + 2 * 5000^2 predicted steps
+        # 2 + 2 * 6e6 + 2^2 predicted steps
         result = run_cli(
-            "igusa", "--n", "2", "--s", "2,2,2", "--method", "direct",
-            "--trunc", "5000",
+            "igusa", "--n", "2", "--s", "2,2", "--method", "direct",
+            "--trunc", "6000000",
         )
         assert result.returncode == 4
-        assert "igusa_direct needs 50025002 loop steps" in result.stderr
+        assert "igusa_direct needs 12000006 loop steps" in result.stderr
+        # the checkpoint fsums add up 5e6 (5e6 + 1) / 2 block sums, refused
+        # before any checkpoint or table entry is made
+        result = run_cli(
+            "scan", "A", "--r", "2", "--xmax", "1000",
+            "--checkpoints", "5000000",
+        )
+        assert result.returncode == 4
+        assert "summatory_scan needs 12500002500000 loop steps" in result.stderr
 
     @pytest.mark.parametrize("argv", [
         ("igusa", "--n", "2", "--s", "2", "--expect", "42"),
@@ -194,16 +208,18 @@ class TestIgusa:
             assert json.loads(result.stdout)["value"] == 1.0
 
     def test_default_direct_truncation_fits_the_guard(self):
-        # T = 300 needs 81001802 steps at r = 4; the default takes the
-        # largest T whose count fits the guard, T = 149:
-        # 2 + 149 (4 + 2) + 3 * 149^3 steps
-        direct = run_cli("igusa", "--n", "2", "--s", "2,2,2,2",
-                         "--method", "direct")
-        assert direct.returncode == 0, direct.stderr
-        record = json.loads(direct.stdout)
-        assert record["terms_evaluated"] == 9924743
-        euler = json.loads(run_cli("igusa", "--n", "2", "--s", "2,2,2,2").stdout)
-        assert 0 <= euler["value"] - record["value"] <= record["tail_bound"]
+        # T = max(n, 1e4) for every r: n + r T + (r - 1) n^2 steps, within
+        # the guard up to r = 5 and beyond
+        for n, s in ((2, "2,2,2,2"), (6, "2,2.5,3,2,3")):
+            direct = run_cli("igusa", "--n", str(n), "--s", s,
+                             "--method", "direct")
+            assert direct.returncode == 0, direct.stderr
+            record = json.loads(direct.stdout)
+            r = s.count(",") + 1
+            assert record["terms_evaluated"] == n + r * 10**4 + (r - 1) * n * n
+            euler = json.loads(run_cli("igusa", "--n", str(n), "--s", s).stdout)
+            gap = euler["value"] - record["value"]
+            assert abs(gap) <= record["tail_bound"] + euler["tail_bound"]
 
     def test_default_record_is_the_euler_product(self):
         result = run_cli("igusa", "--n", "200", "--s", "2,2,2,2")
@@ -293,3 +309,61 @@ class TestScan:
         a = run_cli("eval", "A", "--n", "720", "--r", "3")
         b = run_cli("eval", "A", "--n", "720", "--r", "3")
         assert a.stdout == b.stdout
+
+
+# Argv fuzzing in process: small ints, awkward floats, and no --output,
+# --csv or --json, so nothing is written.
+_INTS = st.integers(-3, 12).map(str)
+_FLOATS = st.sampled_from(["nan", "inf", "-1", "0", "1", "1.5", "2.5", "1e300"])
+_VALUES = {
+    "--s": st.lists(st.one_of(_INTS, _FLOATS), min_size=1, max_size=3)
+    .map(",".join),
+    "--method": st.sampled_from(["euler", "direct", "magic"]),
+    "--tolerance": _FLOATS,
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--expect": st.sampled_from(["0", "1", "7/4", "PASS 0/0"]),
+}
+_COMMANDS = {
+    ("eval", "A"): ("--n", "--r"),
+    ("eval", "B"): ("--n", "--r"),
+    ("eval", "menon"): ("--n", "--a"),
+    ("eval", "tau"): ("--n", "--k"),
+    ("eval", "fr"): ("--r", "--k", "--kmax"),
+    ("scan", "A"): ("--r", "--xmax", "--checkpoints"),
+    ("scan", "tau"): ("--k", "--xmax", "--checkpoints"),
+    ("scan", "extremal"): ("--r", "--x"),
+    ("igusa",): ("--n", "--s", "--method", "--trunc", "--tolerance"),
+    **{("verify", suite): ("--rmax", "--kmax", "--samples", "--seed")
+       for suite in ("menon", "a-threeway", "fr-vanishing", "domination",
+                     "squarefree", "mult", "nonsense")},
+}
+# flags some commands refuse, drawn with any value
+_EXTRA = ("--format", "--expect", "--trunc", "--n", "--k")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    if command[0] == "verify":
+        # the default --nmax of 100 would make each example slow
+        argv += ["--nmax", draw(_INTS)]
+    for flag in _COMMANDS[command]:
+        if draw(st.integers(0, 3)):  # most flags present, so commands run
+            argv += [flag, draw(_VALUES.get(flag, _INTS))]
+    for flag in draw(st.lists(st.sampled_from(_EXTRA), max_size=2, unique=True)):
+        argv += [flag, draw(_VALUES.get(flag, st.one_of(_INTS, _FLOATS)))]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300)
+    @given(argvs())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())

@@ -39,11 +39,8 @@ def b_bruteforce_naive(n: int, r: int) -> int:
     """B_r(n) by enumerating unit tuples."""
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
     assert len(units) ** r <= NAIVE_GUARD
-    total = 0
-    for t in product(units, repeat=r):
-        m = (math.prod(t) - 1) % n
-        total += math.gcd(m, n) if m else n
-    return total
+    # math.gcd(0, n) = n covers the tuples with product 1 mod n
+    return sum(math.gcd(math.prod(t) - 1, n) for t in product(units, repeat=r))
 
 
 def coprime_progression_count(n: int, d: int, x: int) -> int:

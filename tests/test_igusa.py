@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.igusa import (
+    _EPS,
     evaluate,
     hurwitz_zeta,
     igusa_direct,
@@ -63,6 +65,50 @@ def euler_in_n_reference(n: int, s) -> mpmath.mpf:
                 local += term
             value *= local
         return value
+
+
+def igusa_direct_head_walk(n: int, s, truncation: int) -> float:
+    """The truncated direct sum by walking every head tuple m_1..m_{r-1}
+    <= T, with one fsum over m_r per residue of the head's product mod n
+    (the method igusa_direct used before it summed residue classes)."""
+    weights = [[float(m) ** -sj for m in range(1, truncation + 1)] for sj in s]
+    gcds = [math.gcd(c, n) for c in range(n)]
+    last = weights[-1]
+
+    @lru_cache(maxsize=None)
+    def inner(res: int) -> float:
+        return math.fsum(gcds[res * m % n] * last[m - 1]
+                         for m in range(1, truncation + 1))
+
+    def chunks():
+        for head in product(range(1, truncation + 1), repeat=len(s) - 1):
+            w = 1.0
+            res = 1
+            for j, m in enumerate(head):
+                w *= weights[j][m - 1]
+                res = res * m % n
+            yield w * inner(res)
+
+    return math.fsum(chunks())
+
+
+def direct_rounding(n: int, r: int, value: float) -> float:
+    """The value's rounding share of igusa_direct's bound, as documented:
+    (3 r + (r - 1) P(n) + 2) eps value, P(n) = sum_c gcd(c, n) being the
+    number of residue pairs whose product is 0 mod n."""
+    pillai = sum(math.gcd(c, n) for c in range(n))
+    return (3 * r + (r - 1) * pillai + 2) * _EPS * value
+
+
+@st.composite
+def direct_cases(draw):
+    """n <= 30, r <= 3, exponents in (1, 4] and a truncation small enough
+    for the head walk."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    trunc = draw(st.integers(n, max(n, (2000, 200, 40)[r - 1])))
+    s = tuple(draw(st.floats(1.01, 4.0)) for _ in range(r))
+    return n, s, trunc
 
 
 @st.composite
@@ -143,21 +189,68 @@ class TestIgusaDirect:
         assert value < reference
 
     def test_guards(self):
-        # r = 4 runs: 2 + 20 (4 + 2) + 3 * 20^3 = 24122 predicted steps
+        # r = 4 runs: 2 + 4 * 20 + 3 * 2^2 = 94 predicted steps
         value, tail = igusa_direct(2, (3.0,) * 4, 20)
         euler, _ = igusa_euler(2, (3.0,) * 4)
         assert 0 < tail < 0.05
         assert -1e-12 * euler <= euler - value <= tail + 1e-12 * euler
         with pytest.raises(DomainError):
             igusa_direct(10, (2.0,), 5)  # truncation below n
-        # 2 + 5000 (3 + 2) + 2 * 5000^2 steps
-        with pytest.raises(ResourceError, match="50025002 loop steps"):
-            igusa_direct(2, (2.0, 2.0, 2.0), 5000)
-        # r = 1: 2 + 6e6 (1 + 1) steps
-        with pytest.raises(ResourceError, match="12000002 loop steps"):
-            igusa_direct(2, (2.0,), 6 * 10**6)
+        # 2 + 2 * 6e6 + 2^2 steps
+        with pytest.raises(ResourceError, match="12000006 loop steps"):
+            igusa_direct(2, (2.0, 2.0), 6 * 10**6)
+        # the n^2 convolution dominates: 3163 + 2 * 3163 + 3163^2 steps
+        with pytest.raises(ResourceError, match="10014058 loop steps"):
+            igusa_direct(3163, (2.0, 2.0), 3163)
+        # r = 1: 2 + 1e7 steps
+        with pytest.raises(ResourceError, match="10000002 loop steps"):
+            igusa_direct(2, (2.0,), 10**7)
         with pytest.raises(DomainError):
             igusa_direct(2, (1.0,), 100)  # s on the boundary
+
+    def test_overflow_is_numerical_error(self):
+        # prod_j S_j = (1 + 2^-1.5)^2400 passes the float64 range
+        with pytest.raises(NumericalError, match="not finite"):
+            igusa_direct(1, (1.5,) * 2400, 2)
+
+    @given(direct_cases())
+    def test_matches_the_head_walk(self, case):
+        n, s, trunc = case
+        value, bound = igusa_direct(n, s, trunc)
+        reference = igusa_direct_head_walk(n, s, trunc)
+        assert abs(value - reference) <= direct_rounding(n, len(s), value)
+        euler, euler_bound = igusa_euler(n, s)
+        for v in (value, reference):
+            assert abs(euler - v) <= bound + euler_bound
+
+    def test_rounding_against_mpmath(self):
+        # n = 97 is prime, so gcd(m_1 m_2, 97) is 97 when 97 divides m_1 m_2
+        # and 1 otherwise: the truncated sum is S_1 S_2 + 96 (S_1 S_2 -
+        # U_1 U_2), U_j summing over the m not divisible by 97
+        n, s, trunc = 97, (2.2, 2.3), 3000
+        value, bound = igusa_direct(n, s, trunc)
+        with mpmath.workdps(40):
+            full, units = [], []
+            for sj in s:
+                terms = [mpmath.mpf(m) ** -mpmath.mpf(sj)
+                         for m in range(1, trunc + 1)]
+                full.append(mpmath.fsum(terms))
+                units.append(mpmath.fsum(t for m, t in enumerate(terms, 1)
+                                         if m % n))
+            truncated = (full[0] * full[1]
+                         + (n - 1) * (full[0] * full[1] - units[0] * units[1]))
+            error = abs(value - truncated)
+            assert error <= direct_rounding(n, 2, value)
+            assert abs(euler_in_n_reference(n, s) - value) <= bound
+
+    def test_bound_without_a_tail_is_the_rounding(self):
+        # at s = 60 both zeta(60) and the truncated sums round to 1.0, so
+        # the bound is the value's rounding plus 15 r n eps for the tail's
+        n, s = 12, (60.0, 60.0)
+        value, bound = igusa_direct(n, s, n)
+        assert value == 1.0
+        expected = direct_rounding(n, 2, value) + 15 * 2 * n * _EPS
+        assert bound == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestIgusaHurwitz:
@@ -264,13 +357,17 @@ class TestQueryRecord:
         assert evaluate(200, (2.0,) * 4)["terms_evaluated"] == 337
 
     def test_evaluate_direct_record(self):
-        # the steps the loop guard counts: n + T (r + min(n, T^(r-1)))
-        # + (r - 1) T^(r-1)
+        # the steps the loop guard counts: n + r T + (r - 1) n^2
         record = evaluate(2, (2.0,), method="direct", truncation=5000)
-        assert record["terms_evaluated"] == 10002
+        assert record["terms_evaluated"] == 5002
         assert record["tail_bound"] > 0
         record = evaluate(12, (2.5, 2.5), method="direct", truncation=2000)
-        assert record["terms_evaluated"] == 30012
+        assert record["terms_evaluated"] == 4156
+        # the default truncation is max(n, 1e4) for every r
+        record = evaluate(6, (2.0,) * 5, method="direct")
+        assert record["terms_evaluated"] == 6 + 5 * 10**4 + 4 * 36
+        record = evaluate(20000, (2.0,), method="direct")
+        assert record["terms_evaluated"] == 40000
 
     def test_query_validation(self):
         for method in ("magic", "hurwitz"):
