@@ -88,7 +88,7 @@ def _cmd_eval(args) -> int:
             str(value),
         )
     if target == "menon":
-        value = gcdsum.menon_sum(args.n, args.a)
+        (value,) = gcdsum.menon_sum(args.n, [args.a])
         return _finish_value(
             args,
             {"target": "menon", "n": args.n, "a": args.a, "value": str(value)},
@@ -147,10 +147,8 @@ def _verify_menon(args) -> tuple[int, int, str]:
     checked = 0
     for n in range(1, args.nmax + 1):
         expected = gcdsum.b_closed(n, 1)
-        for a in range(1, n + 1):
-            if math.gcd(a, n) != 1:
-                continue
-            got = gcdsum.menon_sum(n, a)
+        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+        for a, got in zip(units, gcdsum.menon_sum(n, units)):
             if got != expected:
                 return checked, n, f"menon_sum({n}, {a}) = {got} != {expected}"
             checked += 1

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 # LOOP_GUARD is re-exported: the brute-force loops here are what it guards
 from .arith import (  # noqa: F401
     LOOP_GUARD,
@@ -24,22 +26,30 @@ from .arith import (  # noqa: F401
 from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau
 
+# entries per numpy block of menon_sum
+_BLOCK = 1 << 16
 
-def _product_residues(n: int, residues, r: int) -> list[int]:
+
+def _product_residues(n: int, residues, r: int) -> np.ndarray:
     """Counts of the r-tuples drawn from residues by their product mod n.
 
     An r-fold convolution under multiplication mod n, starting from the
-    empty product 1: len(residues) inner steps for the first factor and
-    at most n len(residues) for each later one.
+    empty product 1: each factor adds the counts of the current support c
+    into (c residues) mod n in one np.add.at, len(residues) steps for the
+    first factor and at most n len(residues) for each later one.  Every
+    count is at most len(residues)^r, and a total weighted by gcds up to n
+    at most n times that, so the counts are int64 while that product stays
+    below 2^63 and Python ints (dtype=object) beyond.
     """
-    dist = [0] * n
+    residues = np.asarray(residues, dtype=np.int64)
+    dtype = np.int64 if len(residues) ** r * n < 2**63 else object
+    dist = np.zeros(n, dtype=dtype)
     dist[1 % n] = 1
     for _ in range(r):
-        nxt = [0] * n
-        for c, cnt in enumerate(dist):
-            if cnt:
-                for k in residues:
-                    nxt[c * k % n] += cnt
+        c = np.flatnonzero(dist)
+        nxt = np.zeros(n, dtype=dtype)
+        np.add.at(nxt, (c[:, None] * residues % n).ravel(),
+                  np.repeat(dist[c], len(residues)))
         dist = nxt
     return dist
 
@@ -50,16 +60,17 @@ def a_bruteforce(n: int, r: int) -> Fraction:
     gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
     walking all n^r tuples it weights each residue c of the product by
     gcd(c, n) (gcd(0, n) = n), counted by _product_residues over all
-    residues: n + (r - 1) n^2 steps, which is what the guard counts.
+    residues: n + (r - 1) n^2 steps, and n for the residue and gcd tables
+    at r = 0, which is what the guard counts.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    _check_loop_guard(n + (r - 1) * n * n, "a_bruteforce")
-    dist = _product_residues(n, range(n), r)
-    total = sum(cnt * math.gcd(c, n) for c, cnt in enumerate(dist))
-    return Fraction(total, n**r)
+    _check_loop_guard(n + max(r - 1, 0) * n * n, "a_bruteforce")
+    residues = np.arange(n, dtype=np.int64)
+    dist = _product_residues(n, residues, r)
+    return Fraction(int((dist * np.gcd(residues, n)).sum()), n**r)
 
 
 def a_local_sum(t, k: int, r: int):
@@ -136,11 +147,12 @@ def b_bruteforce(n: int, r: int) -> int:
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
-    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    k = np.arange(1, n + 1, dtype=np.int64)
+    units = k[np.gcd(k, n) == 1]
     count = len(units)
     _check_loop_guard(count + (r - 1) * count * count, "b_bruteforce")
     dist = _product_residues(n, units, r)
-    return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
+    return int((dist * np.gcd(np.arange(-1, n - 1, dtype=np.int64), n)).sum())
 
 
 def b_closed(n: int, r: int) -> int:
@@ -153,20 +165,31 @@ def b_closed(n: int, r: int) -> int:
     return eval_int(phi(), fi) ** r * eval_int(tau(), fi)
 
 
-def menon_sum(n: int, a: int) -> int:
-    """sum of gcd(a k - 1, n) over k in [1, n] with gcd(k, n) = 1.
+def menon_sum(n: int, a) -> list[int]:
+    """sum of gcd(a k - 1, n) over k in [1, n] with gcd(k, n) = 1, for
+    each unit a in the sequence a, in its order.
 
-    Requires gcd(a, n) = 1; the sum then equals phi(n) tau(n) regardless
-    of a.  Evaluated by direct summation; math.gcd(0, n) = n.
+    Each sum equals phi(n) tau(n) whatever the unit.  Evaluated by direct
+    summation: k runs over [1, n] in blocks of about _BLOCK / len(a)
+    values, so a block holds about _BLOCK entries; each block keeps the k
+    with gcd(k, n) = 1 and adds gcd((a k - 1) mod n, n) to each unit's
+    row (np.gcd(0, n) = n).  The guard counts len(a) n steps, so any n
+    with a unit to sum is at most 1e7, and with a reduced mod n the
+    products a k < 1e14 are exact in int64.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if math.gcd(abs(a), n) != 1:
-        raise DomainError(f"a = {a} is not a unit mod {n}")
-    _check_loop_guard(n, "menon_sum")
-    total = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            total += math.gcd((a * k - 1) % n, n)
-    return total
-
+    for x in a:
+        if math.gcd(x, n) != 1:
+            raise DomainError(f"a = {x} is not a unit mod {n}")
+    _check_loop_guard(len(a) * n, "menon_sum")
+    if not len(a):
+        return []
+    units = np.array([x % n for x in a], dtype=np.int64)
+    totals = np.zeros(len(units), dtype=np.int64)
+    step = max(1, _BLOCK // len(units))
+    for start in range(1, n + 1, step):
+        k = np.arange(start, min(start + step, n + 1), dtype=np.int64)
+        k = k[np.gcd(k, n) == 1]
+        totals += np.gcd((units[:, None] * k - 1) % n, n).sum(axis=1)
+    return totals.tolist()

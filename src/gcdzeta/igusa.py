@@ -217,11 +217,10 @@ def igusa_euler(
     which the loop guard counts.  The tolerance is relative: a bound above
     tolerance * value is a NumericalError.  Z > 1, since the term with
     every m_j = 1 alone is 1, so this never refuses a bound below
-    tolerance.
+    tolerance.  A value or bound that overflows, as prod_j zeta(s_j) does
+    for many s_j near 1, is a NumericalError too.
     """
     s = _checked_exponents(n.value if isinstance(n, FactoredInteger) else n, s)
-    if not tolerance > 0:
-        raise DomainError("tolerance must be positive")
     fi = n if isinstance(n, FactoredInteger) else factorize(n)
     r = len(s)
     _check_loop_guard(_local_terms(fi, r), "igusa_euler")
@@ -263,6 +262,10 @@ def igusa_euler(
     value = math.prod(zetas) * math.prod(locals_)
     rel += (r + len(locals_)) * _EPS
     bound = value * rel / (1 - rel)
+    if not math.isfinite(value + bound):
+        raise NumericalError(
+            f"the Euler product {value!r} or its bound {bound!r} is not finite"
+        )
     if bound > tolerance * value:
         raise NumericalError(
             f"the computed error bound {bound:.3g} exceeds the tolerance "
@@ -283,10 +286,16 @@ def evaluate(
     tolerance: float = 1e-9,
     truncation: int | None = None,
 ) -> dict:
-    """Evaluate Z(s; n) with the chosen method; returns a plain record."""
+    """Evaluate Z(s; n) with the chosen method; returns a plain record.
+
+    tolerance must be positive for either method, though only the Euler
+    product tests its bound against it.
+    """
     if method not in ("euler", "direct"):
         raise DomainError(f"unknown method {method!r}")
     s = _checked_exponents(n, s)
+    if not tolerance > 0:
+        raise DomainError("tolerance must be positive")
     if method == "direct":
         trunc = max(n, 10**4) if truncation is None else truncation
         value, tail = igusa_direct(n, s, trunc)

@@ -22,6 +22,16 @@ def poly_at(poly, u: Fraction) -> Fraction:
     return acc
 
 
+def menon_sum_loop(n: int, a: int) -> int:
+    """One Menon sum, sum of gcd(a k - 1, n) over the units k in [1, n],
+    by a Python loop: the oracle for the numpy gcdsum.menon_sum."""
+    total = 0
+    for k in range(1, n + 1):
+        if math.gcd(k, n) == 1:
+            total += math.gcd((a * k - 1) % n, n)
+    return total
+
+
 @pytest.fixture(scope="session")
 def primes_between():
     """Primes p with lo < p <= hi, by a sieve independent of gcdzeta.arith."""

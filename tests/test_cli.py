@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import menon_sum_loop
+from gcdzeta import gcdsum
 from gcdzeta.cli import main
 
 
@@ -159,6 +161,23 @@ class TestExitCodes:
         assert run_cli("igusa", "--n", "2", "--s", "2",
                        "--method", "hurwitz").returncode == 2
 
+    def test_overflowing_euler_product_is_numerical_error(self):
+        s = ",".join(["1.0000001"] * 50)
+        for method in ("euler", "direct"):
+            result = run_cli("igusa", "--n", "1", "--s", s, "--method", method)
+            assert result.returncode == 3, method
+            assert not result.stdout
+            assert result.stderr.startswith("numerical error: ")
+            assert "is not finite" in result.stderr
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "0"])
+    def test_direct_method_checks_the_tolerance(self, tolerance):
+        result = run_cli("igusa", "--n", "2", "--s", "2", "--method", "direct",
+                         "--tolerance", tolerance)
+        assert result.returncode == 3
+        assert not result.stdout
+        assert result.stderr == "domain error: tolerance must be positive\n"
+
     def test_eval_beyond_the_digit_limit_is_refused(self):
         for target in ("A", "B"):
             result = run_cli("eval", target, "--n", "12", "--r", "8000")
@@ -237,6 +256,47 @@ class TestVerify:
         assert result.stdout.startswith("PASS")
         left, right = result.stdout.strip().split()[1].split("/")
         assert left == right
+
+    def test_menon_output_bytes(self):
+        # the exact workload's Menon commands
+        result = run_cli("verify", "menon", "--nmax", "300")
+        assert (result.returncode, result.stdout) == (0, "PASS 28298/28298\n")
+        result = run_cli("eval", "menon", "--n", "999733", "--a", "867900")
+        assert (result.returncode, result.stdout) == (0, "6816000\n")
+
+    def test_menon_failure_line_matches_the_loop_form(self, monkeypatch):
+        # one wrong Menon sum, at n = 7 and a = 3, reported as the suite
+        # reported it when it called menon_sum once per unit
+        def wrong(n, a):
+            return n == 7 and a == 3
+
+        def loop_form(nmax, rmax):
+            checked = 0
+            for n in range(1, nmax + 1):
+                expected = gcdsum.b_closed(n, 1)
+                for a in range(1, n + 1):
+                    if math.gcd(a, n) != 1:
+                        continue
+                    got = menon_sum_loop(n, a) + wrong(n, a)
+                    if got != expected:
+                        return (f"FAIL after {checked} checks at {n}: "
+                                f"menon_sum({n}, {a}) = {got} != {expected}")
+                    checked += 1
+                for r in range(1, rmax + 1):
+                    assert gcdsum.b_bruteforce(n, r) == gcdsum.b_closed(n, r)
+                    checked += 1
+            return f"PASS {checked}/{checked}"
+
+        real = gcdsum.menon_sum
+        monkeypatch.setattr(gcdsum, "menon_sum", lambda n, a: [
+            v + wrong(n, x) for x, v in zip(a, real(n, a))
+        ])
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", "menon", "--nmax", "10"])
+        line = "FAIL after 32 checks at 7: menon_sum(7, 3) = 13 != 12"
+        assert (code, out.getvalue()) == (1, line + "\n")
+        assert loop_form(10, 3) == line
 
     def test_threeway(self):
         result = run_cli("verify", "a-threeway", "--nmax", "30", "--rmax", "3")

@@ -5,13 +5,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import menon_sum_loop
 from gcdzeta.arith import factorize, prime_array
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
     LOOP_GUARD,
+    _product_residues,
     a_bruteforce,
     a_eval,
     a_local,
@@ -41,6 +43,32 @@ def b_bruteforce_naive(n: int, r: int) -> int:
     assert len(units) ** r <= NAIVE_GUARD
     # math.gcd(0, n) = n covers the tuples with product 1 mod n
     return sum(math.gcd(math.prod(t) - 1, n) for t in product(units, repeat=r))
+
+
+def product_residues_loop(n: int, residues, r: int) -> list[int]:
+    """The r-fold convolution of _product_residues by Python loops."""
+    dist = [0] * n
+    dist[1 % n] = 1
+    for _ in range(r):
+        nxt = [0] * n
+        for c, cnt in enumerate(dist):
+            if cnt:
+                for k in residues:
+                    nxt[c * k % n] += cnt
+        dist = nxt
+    return dist
+
+
+def a_bruteforce_loop(n: int, r: int) -> Fraction:
+    dist = product_residues_loop(n, range(n), r)
+    return Fraction(sum(cnt * math.gcd(c, n) for c, cnt in enumerate(dist)),
+                    n**r)
+
+
+def b_bruteforce_loop(n: int, r: int) -> int:
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    dist = product_residues_loop(n, units, r)
+    return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
 
 
 def coprime_progression_count(n: int, d: int, x: int) -> int:
@@ -110,6 +138,8 @@ class TestABruteforce:
         start = time.perf_counter()
         with pytest.raises(ResourceError):
             a_bruteforce(10**9, 2)
+        with pytest.raises(ResourceError, match="1000000000 loop steps"):
+            a_bruteforce(10**9, 0)  # n - n^2 steps were counted at r = 0
         with pytest.raises(ResourceError):
             b_bruteforce(10**9 + 7, 1)
         assert time.perf_counter() - start < 0.1
@@ -252,23 +282,90 @@ class TestB:
 
 class TestMenonSum:
     def test_examples(self):
-        assert menon_sum(4, 1) == 6
-        assert menon_sum(5, 2) == 8
-        assert menon_sum(1, 1) == 1
+        assert menon_sum(4, [1]) == [6]
+        assert menon_sum(5, [2]) == [8]
+        assert menon_sum(1, [1]) == [1]
+        assert menon_sum(5, [1, 2, 3, 4]) == [8] * 4
+        assert menon_sum(5, []) == menon_sum(10**18, []) == []
 
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
-            menon_sum(4, 2)
+            menon_sum(4, [2])
+        with pytest.raises(DomainError, match="a = 2 is not a unit mod 4"):
+            menon_sum(4, [1, 2])
 
     def test_negative_unit_allowed(self):
-        assert menon_sum(4, -1) == b_closed(4, 1)
+        assert menon_sum(4, [-1]) == [b_closed(4, 1)]
 
     def test_independent_of_the_unit(self):
         for n in range(1, 120):
-            expected = b_closed(n, 1)
-            for a in range(1, n + 1):
-                if math.gcd(a, n) == 1:
-                    assert menon_sum(n, a) == expected
+            units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+            assert menon_sum(n, units) == [b_closed(n, 1)] * len(units)
+
+    def test_units_outside_the_residues(self):
+        # a is reduced mod n before any int64 product
+        huge = 10**30 + 1
+        for n in (1, 2, 12, 77, 1000):
+            if math.gcd(huge, n) == 1:
+                assert menon_sum(n, [huge, -huge]) == [
+                    menon_sum_loop(n, huge), menon_sum_loop(n, -huge)
+                ]
+                assert menon_sum(n, [huge]) == [b_closed(n, 1)]
+
+    def test_blocks_split_the_walk(self):
+        # 3 units take blocks of 2^16 // 3 = 21845 k, so 70001 spans four
+        n = 70001
+        a = [1, n - 1, 12345]
+        assert all(math.gcd(x, n) == 1 for x in a)
+        assert menon_sum(n, a) == [menon_sum_loop(n, x) for x in a]
+        assert menon_sum(999733, [867900]) == [6816000]
+
+    def test_guard_counts_every_unit(self):
+        # len(a) n steps: 4000 units of 10^4 are 4e7 steps
+        units = [a for a in range(1, 10**4 + 1) if math.gcd(a, 10**4) == 1]
+        with pytest.raises(ResourceError, match="40000000 loop steps"):
+            menon_sum(10**4, units)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError):
+            menon_sum(10**9 + 7, [2])
+        assert time.perf_counter() - start < 0.1
+
+
+class TestFastPathsMatchTheLoops:
+    @settings(max_examples=60)
+    @given(st.integers(1, 150), st.integers(0, 4))
+    def test_against_the_python_loops(self, n, r):
+        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+        expected = b_closed(n, 1)
+        assert menon_sum(n, units) == [menon_sum_loop(n, a) for a in units]
+        assert menon_sum(n, [-1, n + 1]) == [expected, expected]
+        assert a_bruteforce(n, r) == a_bruteforce_loop(n, r) == a_eval(n, r)
+        if r >= 1:
+            assert b_bruteforce(n, r) == b_bruteforce_loop(n, r) == b_closed(n, r)
+
+    def test_smallest_moduli(self):
+        for n in (1, 2):
+            assert menon_sum(n, [1, -1, n + 1, 10**30 + 1]) == [n] * 4
+            for r in range(6):
+                assert a_bruteforce(n, r) == a_bruteforce_loop(n, r) == a_eval(n, r)
+                if r >= 1:
+                    assert b_bruteforce(n, r) == b_closed(n, r)
+
+    def test_python_int_counts_past_int64(self):
+        # int64 while len(residues)^r n < 2^63: 3^39 < 2^63 < 3^40 and
+        # 6^23 9 < 2^63 < 6^24 9, phi(9) = 6
+        assert _product_residues(3, range(3), 38).dtype == np.int64
+        assert _product_residues(3, range(3), 39).dtype == object
+        units9 = [1, 2, 4, 5, 7, 8]
+        assert _product_residues(9, units9, 23).dtype == np.int64
+        assert _product_residues(9, units9, 24).dtype == object
+        for r in (38, 39, 60):
+            assert a_bruteforce(3, r) == a_bruteforce_loop(3, r) == a_eval(3, r)
+        for r in (23, 24, 40):
+            assert b_bruteforce(9, r) == b_bruteforce_loop(9, r) == b_closed(9, r)
+        for counts in (_product_residues(3, range(3), 60),
+                       _product_residues(9, units9, 40)):
+            assert all(type(c) is int for c in counts)
 
 
 class TestCoprimeProgressionCount:

@@ -305,6 +305,14 @@ class TestIgusaHurwitz:
         with pytest.raises(NumericalError, match="exceeds the tolerance"):
             igusa_euler(2, (2.0,), tolerance=bound / value / 2)
 
+    def test_overflowing_product_is_numerical_error(self):
+        # zeta(1.0000001)^50 is about 1e350: value and bound both overflow,
+        # and inf > tolerance * inf would not refuse them
+        with pytest.raises(NumericalError, match="is not finite"):
+            igusa_euler(1, (1.0000001,) * 50)
+        value, bound = igusa_euler(1, (1.0000001,) * 40)
+        assert math.isfinite(value) and math.isfinite(bound)
+
     def test_tolerance_is_relative(self):
         # Z ~ 1.05e8 near the pole: the bound is 6.6e-7 absolute, which
         # an absolute 1e-9 refused, but about 6e-15 relative
@@ -373,5 +381,8 @@ class TestQueryRecord:
         for method in ("magic", "hurwitz"):
             with pytest.raises(DomainError, match="unknown method"):
                 evaluate(2, (2.0,), method=method)
-        with pytest.raises(DomainError):
-            evaluate(2, (2.0,), tolerance=0.0)
+        # the tolerance is checked once, for both methods
+        for method in ("euler", "direct"):
+            for tolerance in (0.0, -1.0, math.nan):
+                with pytest.raises(DomainError, match="tolerance must be"):
+                    evaluate(2, (2.0,), method=method, tolerance=tolerance)
