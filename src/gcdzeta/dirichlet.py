@@ -10,11 +10,11 @@ polynomials are kept with integer coefficients rather than floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .multfun import binom
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ def f_r_local(r: int, k: int) -> LocalPolynomial:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     sign = -1 if k % 2 else 1
-    coeffs = [sign * binom(r + 1, k)] + [0] * r
+    coeffs = [sign * math.comb(r + 1, k)] + [0] * r
     for j in range(r - k + 2):
-        c = sign * binom(r - j, k - 1)
+        c = sign * math.comb(r - j, k - 1)
         for i in range(j + 1):
-            coeffs[i] -= (-1 if i % 2 else 1) * c * binom(j, i)
+            coeffs[i] -= (-1 if i % 2 else 1) * c * math.comb(j, i)
     return LocalPolynomial(tuple(coeffs))
 
 

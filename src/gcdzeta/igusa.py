@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+
+import numpy as np
 
 from .arith import FactoredInteger, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError
 
-# Euler-Maclaurin cutoff growth stops here.
-_EM_MAX_N = 10**7
 # Unit roundoff of float64.
 _EPS = 2.0**-53
+# Terms of zeta(s) summed directly; the Euler-Maclaurin tail starts after.
+_EM_CUT = 16
 
 # Bernoulli numbers B_2, B_4, ..., B_18; index i holds B_{2(i+1)}.
 _BERNOULLI = (
@@ -60,7 +62,7 @@ def _checked_exponents(n: int, s) -> tuple[float, ...]:
 
 
 def _em_corrections(s: float, base: float, count: int) -> list[float]:
-    """Bernoulli correction terms of the Euler-Maclaurin tail at N+a."""
+    """Bernoulli correction terms of the Euler-Maclaurin tail at base."""
     terms = []
     poch = s
     for i in range(1, count + 1):
@@ -73,37 +75,30 @@ def _em_corrections(s: float, base: float, count: int) -> list[float]:
     return terms
 
 
-def hurwitz_zeta(s: float, a: float, tolerance: float = 1e-12) -> float:
-    """zeta(s, a) = sum_{m >= 0} (m + a)^-s for real s > 1, 0 < a <= 1.
+def hurwitz_zeta(s: float) -> float:
+    """zeta(s) = sum_{m >= 1} m^-s for real s > 1.
 
-    Direct summation of the first N terms plus the Euler-Maclaurin tail:
+    Direct summation of the first 16 terms plus the Euler-Maclaurin tail
+    at N = 17:
 
-        (N+a)^(1-s)/(s-1) + (N+a)^(-s)/2 + Bernoulli corrections.
+        N^(1-s)/(s-1) + N^(-s)/2 + Bernoulli corrections.
 
-    N grows until the first omitted Bernoulli term (which bounds the
-    remainder for real s) falls below tolerance.
+    The first omitted Bernoulli term bounds the remainder for real s.  It
+    stays below 1e-21 from just above s = 1 to 1e300, far under the _EPS
+    that the callers' bounds allow for it; a NumericalError guards that.
     """
     if not s > 1:
         raise DomainError(f"s must be > 1, got {s}")
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    if not 0 < a <= 1:
-        raise DomainError(f"a must lie in (0, 1], got {a}")
-    if not tolerance > 0:
-        raise DomainError("tolerance must be positive")
-    n_cut = 16
-    while True:
-        base = n_cut + a
-        terms = _em_corrections(s, base, _EM_TERMS + 1)
-        if abs(terms[-1]) < tolerance:
-            break
-        n_cut *= 2
-        if n_cut > _EM_MAX_N:
-            raise NumericalError(
-                f"tolerance {tolerance} unreachable with "
-                f"{_EM_TERMS} Bernoulli terms"
-            )
-    head = math.fsum((m + a) ** -s for m in range(n_cut))
+    base = _EM_CUT + 1.0
+    terms = _em_corrections(s, base, _EM_TERMS + 1)
+    if not abs(terms[-1]) < _EPS:
+        raise NumericalError(
+            f"the omitted Euler-Maclaurin term {terms[-1]:.3g} at s = {s!r} "
+            f"is not below {_EPS:.3g}"
+        )
+    head = math.fsum(float(m) ** -s for m in range(1, _EM_CUT + 1))
     tail = base ** (1 - s) / (s - 1) + 0.5 * base**-s
     return head + tail + math.fsum(terms[:-1])
 
@@ -157,14 +152,14 @@ def igusa_direct(
                 for d, y in enumerate(classes, start=1):
                     nxt[c * d % n] += x * y
         dist = nxt
-        full *= hurwitz_zeta(sj, 1.0, _EPS)
+        full *= hurwitz_zeta(sj)
         trunc *= math.fsum(classes)
     value = math.fsum(g * x for g, x in zip(gcds, dist))
     # Relative rounding of the value: a pow (one ulp, 2 eps) and a class
     # fsum per variable; r - 1 convolution rounds, each bin summing at
     # most sum(gcds) products, the count that lands on residue 0; the
     # final products and fsum.  The tail's rounding is relative to
-    # n prod_j zeta(s_j): 9 eps per zeta value (its tolerance and 8 eps),
+    # n prod_j zeta(s_j): 9 eps per zeta value (its omitted term and 8 eps),
     # 4 eps per S_j, r - 1 products in each product and 2 eps for the
     # difference and the factor n, 15 r eps in all.  Underflow needs no
     # term: each of the at most two operations per step loses at most
@@ -179,9 +174,22 @@ def igusa_direct(
     return value, bound
 
 
-def _local_terms(fi: FactoredInteger, r: int) -> int:
-    """Terms of the local sums of igusa_euler: (e + 1)^r per p^e || n."""
-    return sum((e + 1) ** r for _, e in fi.factors)
+def _euler_steps(fi: FactoredInteger, r: int) -> int:
+    """Steps of igusa_euler: per p^e || n, (j e + 1)(e + 1) products for
+    the convolution adding table j + 1, j < r, and r e + 1 summed terms."""
+    return sum((e + 1) * (r + e * r * (r - 1) // 2) + r * e + 1
+               for _, e in fi.factors)
+
+
+def _exponent_sum_weights(tables) -> np.ndarray:
+    """c[k] = sum over a with a_1 + ... + a_r = k of prod_j tables[j][a_j].
+
+    The tables are convolved one after another, starting from the empty
+    product [1], which is also the result for no tables.  Any carrier
+    numpy can multiply and add runs the same np.convolve calls in the
+    same order: float64 here, Fraction object arrays in the tests.
+    """
+    return reduce(np.convolve, tables, np.ones(1, dtype=np.int64))
 
 
 def _exp_error(x: float) -> float:
@@ -197,9 +205,7 @@ def _exp_error(x: float) -> float:
 
 
 def igusa_euler(
-    n: int | FactoredInteger,
-    s: tuple[float, ...] | list[float],
-    tolerance: float = 1e-9,
+    n: int | FactoredInteger, s: tuple[float, ...] | list[float],
 ) -> tuple[float, float]:
     """Z = prod_j zeta(s_j) prod_{p^e || n} L_p, with one finite local sum
 
@@ -208,38 +214,39 @@ def igusa_euler(
 
     gcd(m_1...m_r, n) is multiplicative in n.  The m_j with p^a || m_j
     carry the share p^(-a s_j) (1 - p^-s_j) of zeta(s_j), and every
-    a_j >= e gives the same gcd, so those collapse into a_j = e.
+    a_j >= e gives the same gcd, so those collapse into a_j = e.  A term
+    depends on a only through its total k = a_1 + ... + a_r and the
+    product of one table entry per variable, so L_p = sum_k g[k] c[k],
+    c being the r tables' convolution (_exponent_sum_weights).
 
     Returns the value and a computed bound on its error: the zeta
-    truncation tolerances relative to zeta(s_j), plus the float rounding
+    truncation errors relative to zeta(s_j), plus the float rounding
     counted from the operations.  Every local term is positive, so each
-    rounding error is relative.  The sums run over sum_p (e + 1)^r terms,
-    which the loop guard counts.  The tolerance is relative: a bound above
-    tolerance * value is a NumericalError.  Z > 1, since the term with
-    every m_j = 1 alone is 1, so this never refuses a bound below
-    tolerance.  A value or bound that overflows, as prod_j zeta(s_j) does
-    for many s_j near 1, is a NumericalError too.
+    rounding error is relative.  The loop guard checks _euler_steps.  A
+    value or bound that overflows, as prod_j zeta(s_j) does for many s_j
+    near 1, is a NumericalError.
     """
     s = _checked_exponents(n.value if isinstance(n, FactoredInteger) else n, s)
     fi = n if isinstance(n, FactoredInteger) else factorize(n)
     r = len(s)
-    _check_loop_guard(_local_terms(fi, r), "igusa_euler")
+    steps = _euler_steps(fi, r)
+    _check_loop_guard(steps, "igusa_euler")
 
-    zetas = [hurwitz_zeta(sj, 1.0, _EPS) for sj in s]
-    # hurwitz_zeta is taken as good to its tolerance plus 8 eps of
-    # rounding (positive pow terms, one ulp each, summed by fsum)
+    zetas = [hurwitz_zeta(sj) for sj in s]
+    # hurwitz_zeta is taken as good to _EPS (its omitted term) plus 8 eps
+    # of rounding (positive pow terms, one ulp each, summed by fsum)
     rel = math.fsum(_EPS / z + 8 * _EPS for z in zetas)
     locals_ = []
     for p, e in fi.factors:
         log_p = math.log(p)
-        # A term is g[sum a] prod_j v_j[a_j] with g[k] = p^(min(k, e) - k)
-        # and v_j[a] = p^(a (1 - s_j)) (1 - p^-s_j)^[a < e], every factor
-        # at most 1.  Each table's largest exponent bounds the error of
-        # all its entries.  -expm1(-y) = 1 - p^-s_j is good to 8 eps,
-        # since the exponent's 6 eps |y| shrinks by
-        # y e^-y / (1 - e^-y) <= 1; its product with the power adds one.
-        g = [math.exp((e - k) * log_p) if k > e else 1.0
-             for k in range(r * e + 1)]
+        # g[k] = p^(min(k, e) - k) and v_j[a] = p^(a (1 - s_j))
+        # (1 - p^-s_j)^[a < e], every factor at most 1.  Each table's
+        # largest exponent bounds the error of all its entries.
+        # -expm1(-y) = 1 - p^-s_j is good to 8 eps, since the exponent's
+        # 6 eps |y| shrinks by y e^-y / (1 - e^-y) <= 1; its product with
+        # the power adds one.
+        g = np.array([math.exp((e - k) * log_p) if k > e else 1.0
+                      for k in range(r * e + 1)])
         entry_err = _exp_error((1 - r) * e * log_p)
         tables = []
         for sj in s:
@@ -248,16 +255,23 @@ def igusa_euler(
             tables.append([math.exp(a * slope) * one_minus_q for a in range(e)]
                           + [math.exp(e * slope)])
             entry_err += _exp_error(e * slope) + 9 * _EPS
-        # both products walk [0, e]^r in the same order
-        local = math.fsum(
-            g[sum(a)] * math.prod(vs)
-            for a, vs in zip(product(range(e + 1), repeat=r), product(*tables))
+        c = _exponent_sum_weights(tables)
+        local = math.fsum(g * c)
+        # Rounding: the first convolution multiplies by 1, exactly; each
+        # later entry sums at most e + 1 positive products, (e + 1) eps;
+        # the products with g and the fsum add 2 eps.  Underflow: sums of
+        # subnormals are exact, and a product or exp below 2^-1022 loses
+        # at most 2^-1075.  v_j[a] = p^a P(a_j = a), a_j being m_j's
+        # valuation capped at e, so L_p is the mean of p^min(sum a, e),
+        # and an error in a table or convolution entry reaches L_p
+        # weighted by such a mean over fewer variables, at most L_p:
+        # 2^-1074 relative for each of the 2 r (e + 1) table operations
+        # and the products (fewer than steps).  An underflowed g[k] is
+        # weighted by c[k].
+        underflow = 2.0**-1074 * (
+            steps + 2 * r * (e + 1) + math.fsum(c[g < 2.0**-1022]) / local
         )
-        # r products per term and the correctly rounded fsum; entries
-        # that underflow lose at most 2^-1074 each, and the r products
-        # as much again, since no later factor exceeds 1
-        underflow = (e + 1) ** r * (2 * r + 1) * 2.0**-1074 / local
-        rel += entry_err + (r + 1) * _EPS + underflow
+        rel += entry_err + ((r - 1) * (e + 1) + 2) * _EPS + underflow
         locals_.append(local)
     value = math.prod(zetas) * math.prod(locals_)
     rel += (r + len(locals_)) * _EPS
@@ -265,11 +279,6 @@ def igusa_euler(
     if not math.isfinite(value + bound):
         raise NumericalError(
             f"the Euler product {value!r} or its bound {bound!r} is not finite"
-        )
-    if bound > tolerance * value:
-        raise NumericalError(
-            f"the computed error bound {bound:.3g} exceeds the tolerance "
-            f"{tolerance:.3g} relative to the value {value:.6g}"
         )
     return value, bound
 
@@ -289,7 +298,8 @@ def evaluate(
     """Evaluate Z(s; n) with the chosen method; returns a plain record.
 
     tolerance must be positive for either method, though only the Euler
-    product tests its bound against it.
+    product tests its bound against it, relative to the value: Z > 1 (the
+    term with every m_j = 1 alone is 1), so a bound below tolerance passes.
     """
     if method not in ("euler", "direct"):
         raise DomainError(f"unknown method {method!r}")
@@ -302,8 +312,13 @@ def evaluate(
         terms = _direct_steps(n, len(s), trunc)
     else:
         fi = factorize(n)
-        value, tail = igusa_euler(fi, s, tolerance)
-        terms = _local_terms(fi, len(s))
+        value, tail = igusa_euler(fi, s)
+        terms = _euler_steps(fi, len(s))
+        if tail > tolerance * value:
+            raise NumericalError(
+                f"the computed error bound {tail:.3g} exceeds the tolerance "
+                f"{tolerance:.3g} relative to the value {value:.6g}"
+            )
     return {
         "n": n,
         "s": list(s),

@@ -17,29 +17,11 @@ from .arith import FactoredInteger, factorize
 from .errors import DomainError
 
 
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient with the conventions used throughout:
-
-    C(a, 0) = 1 for any integer a; C(a, b) = 0 for 0 <= a < b; and for
-    negative a, C(a, b) = (-1)^b C(b - a - 1, b).
-    """
-    if b < 0:
-        return 0
-    if b == 0:
-        return 1
-    if a < 0:
-        sign = -1 if b % 2 else 1
-        return sign * math.comb(b - a - 1, b)
-    if a < b:
-        return 0
-    return math.comb(a, b)
-
-
 def binom_multiset(n: int, k: int) -> int:
-    """Number of k-multisets drawn from n symbols: C(n+k-1, k)."""
-    if k < 0:
-        raise DomainError(f"multiset size must be >= 0, got {k}")
-    return binom(n + k - 1, k)
+    """Number of k-multisets drawn from n >= 1 symbols: C(n+k-1, k)."""
+    if n < 1 or k < 0:
+        raise DomainError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+    return math.comb(n + k - 1, k)
 
 
 @dataclass(frozen=True)
@@ -124,7 +106,7 @@ def mu_iter(j: int) -> MultiplicativeFunction:
         raise DomainError(f"mu_iter order must be >= 1, got {j}")
     return MultiplicativeFunction(
         f"mu_iter_{j}",
-        lambda p, k: Fraction((-1 if k % 2 else 1) * binom(j, k)),
+        lambda p, k: Fraction((-1 if k % 2 else 1) * math.comb(j, k)),
     )
 
 

@@ -5,7 +5,6 @@ from itertools import product
 import hypothesis
 import pytest
 
-from gcdzeta.igusa import hurwitz_zeta
 from gcdzeta.multfun import MultiplicativeFunction
 
 hypothesis.settings.register_profile(
@@ -70,6 +69,42 @@ def convolve():
     return conv
 
 
+# Bernoulli numbers B_2, B_4, ..., B_18, for shifted_zeta.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798)
+
+
+def shifted_zeta(s: float, a: float, tolerance: float) -> float:
+    """Hurwitz zeta(s, a) = sum_{m >= 0} (m + a)^-s for real s > 1 and
+    0 < a <= 1, in float64, independent of gcdzeta.
+
+    The first N terms are summed directly, plus the Euler-Maclaurin tail
+
+        (N+a)^(1-s)/(s-1) + (N+a)^(-s)/2 + Bernoulli corrections,
+
+    with N doubling from 16 until the first omitted Bernoulli term, which
+    bounds the remainder for real s, falls below tolerance.  (A plain
+    mpmath.zeta(s, a) costs about 0.7 ms a call, which would slow the
+    hypothesis tests that use it by seconds.)
+    """
+    n_cut = 16
+    while True:
+        base = n_cut + a
+        terms = []
+        poch = s  # s (s+1) ... (s + 2i - 2)
+        for i, b in enumerate(_BERNOULLI, start=1):
+            terms.append(b / math.factorial(2 * i) * poch
+                         * base ** (-s - 2 * i + 1))
+            poch *= (s + 2 * i - 1) * (s + 2 * i)
+        if abs(terms[-1]) < tolerance:
+            break
+        n_cut *= 2
+        assert n_cut <= 10**7, f"tolerance {tolerance} unreachable"
+    head = math.fsum((m + a) ** -s for m in range(n_cut))
+    tail = base ** (1 - s) / (s - 1) + 0.5 * base**-s
+    return head + tail + math.fsum(terms[:-1])
+
+
 def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:
     """Exact finite reduction to Hurwitz zeta values:
 
@@ -80,13 +115,13 @@ def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:
     variable capture the whole series; only the zeta factors carry any
     truncation error, and each is evaluated well below the share of the
     requested tolerance it could contribute.  It enumerates n^r tuples and
-    shares only hurwitz_zeta with igusa_euler, which it checks.
+    shares no code with igusa_euler, which it checks.
     """
     s = tuple(float(v) for v in s)
     r = len(s)
     nn = n
     # crude per-factor magnitude bound: n^-s zeta(s, k/n) <= 1 + zeta(s)
-    factor_cap = max(1.0 + hurwitz_zeta(sj, 1.0) for sj in s)
+    factor_cap = max(1.0 + shifted_zeta(sj, 1.0, 1e-12) for sj in s)
     factor_tol = tolerance / (nn**r * nn * r * factor_cap ** max(r - 1, 0))
     factor_tol = min(factor_tol, 1e-12)
 
@@ -94,7 +129,7 @@ def _hurwitz_reduction(n: int, s, tolerance: float = 1e-9) -> float:
     for j, sj in enumerate(s):
         scale = float(nn) ** -sj
         for k in range(1, nn + 1):
-            factors[(j, k)] = scale * hurwitz_zeta(sj, k / nn, factor_tol)
+            factors[(j, k)] = scale * shifted_zeta(sj, k / nn, factor_tol)
     terms = []
     for ks in product(range(1, nn + 1), repeat=r):
         g = 1

@@ -240,12 +240,23 @@ class TestIgusa:
             gap = euler["value"] - record["value"]
             assert abs(gap) <= record["tail_bound"] + euler["tail_bound"]
 
+    def test_many_exponents_stay_within_the_contract(self):
+        # 1100 exponents at n = 2: (r + 1)^2 = 1212201 convolution steps
+        result = run_cli("igusa", "--n", "2", "--s", ",".join(["3"] * 1100))
+        assert result.returncode in (0, 3, 4), result.stderr
+        assert "Traceback" not in result.stderr
+        # 23 exponents, an input the tuple walk took about 10 s on, is 576
+        # steps (test_igusa checks its value against a binomial reference)
+        result = run_cli("igusa", "--n", "2", "--s", ",".join(["2"] * 23))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["terms_evaluated"] == 24**2
+
     def test_default_record_is_the_euler_product(self):
         result = run_cli("igusa", "--n", "200", "--s", "2,2,2,2")
         assert result.returncode == 0
         record = json.loads(result.stdout)
         assert record["method"] == "euler"
-        assert record["terms_evaluated"] == 337
+        assert record["terms_evaluated"] == 158
         assert 0 < record["tail_bound"] <= 1e-9
 
 

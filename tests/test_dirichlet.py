@@ -9,7 +9,7 @@ from gcdzeta.arith import factorize
 from gcdzeta.dirichlet import LocalPolynomial, f_r_local, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval, a_local
-from gcdzeta.multfun import MultiplicativeFunction, binom, mu, mu_iter, tau, tau_k
+from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau, tau_k
 
 
 def f_r(r: int) -> MultiplicativeFunction:
@@ -23,7 +23,7 @@ def fr_as_convolution(r: int, p: int, k: int) -> Fraction:
     """f_r(p^k) recomputed as the convolution (A_r * mu^(r+1))(p^k)."""
     acc = Fraction(0)
     for l in range(k + 1):
-        mu_val = (-1 if l % 2 else 1) * binom(r + 1, l)
+        mu_val = (-1 if l % 2 else 1) * math.comb(r + 1, l)
         a_val = a_local(p, k - l, r) if k - l > 0 else Fraction(1)
         acc += mu_val * a_val
     return acc

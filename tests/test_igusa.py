@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -9,8 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
+from gcdzeta.gcdsum import a_local
 from gcdzeta.igusa import (
+    _EM_CUT,
+    _EM_TERMS,
     _EPS,
+    _em_corrections,
+    _exponent_sum_weights,
     evaluate,
     hurwitz_zeta,
     igusa_direct,
@@ -19,13 +25,13 @@ from gcdzeta.igusa import (
 )
 
 
-def brute_hurwitz(s: float, a: float, terms: int = 10**7) -> tuple[float, float]:
+def brute_zeta(s: float, terms: int = 10**7) -> tuple[float, float]:
     """Partial sum plus an integral tail bracket, fully independent."""
-    m = np.arange(terms, dtype=np.float64)
-    head = float(np.sum((m + a) ** -s))
+    m = np.arange(1, terms + 1, dtype=np.float64)
+    head = float(np.sum(m**-s))
     # integral bracket for the tail: between the two shifted integrals
-    lo = (terms + a) ** (1 - s) / (s - 1)
-    hi = (terms - 1 + a) ** (1 - s) / (s - 1)
+    lo = (terms + 1) ** (1 - s) / (s - 1)
+    hi = terms ** (1 - s) / (s - 1)
     return head + lo, hi - lo
 
 
@@ -64,6 +70,26 @@ def euler_in_n_reference(n: int, s) -> mpmath.mpf:
                         term *= 1 - p ** -mpmath.mpf(sj)
                 local += term
             value *= local
+        return value
+
+
+def equal_exponent_reference(n: int, s: float, r: int) -> mpmath.mpf:
+    """Z(s, ..., s; n) with r equal exponents, at 60 digits.
+
+    L_p is the mean of p^min(A, e), A being the sum of r independent
+    valuations capped at e, each a with probability q^a (1 - q) below e,
+    q = p^-s.  A sum m < e reaches no cap, so it has probability
+    C(m + r - 1, r - 1) q^m (1 - q)^r, and every larger sum weighs p^e.
+    """
+    with mpmath.workdps(60):
+        value = mpmath.zeta(mpmath.mpf(s)) ** r
+        for p, e in trial_factors(n):
+            q = mpmath.mpf(p) ** -mpmath.mpf(s)
+            below = [math.comb(m + r - 1, r - 1) * q**m * (1 - q) ** r
+                     for m in range(e)]
+            value *= (mpmath.fsum(mpmath.mpf(p) ** m * b
+                                  for m, b in enumerate(below))
+                      + mpmath.mpf(p) ** e * (1 - mpmath.fsum(below)))
         return value
 
 
@@ -122,50 +148,44 @@ def igusa_cases(draw):
 
 class TestHurwitzZeta:
     def test_reduces_to_basel_sum(self):
-        assert hurwitz_zeta(2, 1) == pytest.approx(math.pi**2 / 6, abs=1e-12)
-
-    def test_half_shift_identity(self):
-        # zeta(s, 1/2) = (2^s - 1) zeta(s)
-        for s in (2, 3, 4):
-            lhs = hurwitz_zeta(s, 0.5)
-            rhs = (2**s - 1) * hurwitz_zeta(s, 1.0)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert hurwitz_zeta(2, 0.5) == pytest.approx(math.pi**2 / 2, abs=1e-12)
+        assert hurwitz_zeta(2) == pytest.approx(math.pi**2 / 6, abs=1e-12)
 
     def test_apery_value_against_brute_sum(self):
-        value = hurwitz_zeta(3, 1)
-        head, width = brute_hurwitz(3, 1.0, 10**7)
+        value = hurwitz_zeta(3)
+        head, width = brute_zeta(3, 10**7)
         assert abs(value - head) <= width + 1e-12
         assert value == pytest.approx(1.2020569031595942, abs=1e-12)
 
     def test_against_mpmath_grid(self):
-        for s in (1.5, 2.0, 2.5, 3.0, 5.0, 10.0):
-            for a in (0.1, 0.25, 0.5, 1.0):
-                ours = hurwitz_zeta(s, a, tolerance=1e-13)
-                ref = float(mpmath.zeta(s, a))
-                assert ours == pytest.approx(ref, rel=1e-12)
+        # good to _EPS (the omitted term) plus 8 eps of rounding, the
+        # share igusa_euler's bound allows for each zeta value
+        for s in (1.0000001, 1.01, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 60.0):
+            ours = hurwitz_zeta(s)
+            ref = mpmath.zeta(s)
+            assert abs(ours - ref) <= _EPS + 8 * _EPS * ours
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            hurwitz_zeta(1.0, 0.5)
+            hurwitz_zeta(1.0)
         with pytest.raises(DomainError):
-            hurwitz_zeta(2.0, 0.0)
-        with pytest.raises(DomainError):
-            hurwitz_zeta(2.0, 1.5)
-        with pytest.raises(DomainError):
-            hurwitz_zeta(2.0, 0.5, tolerance=-1.0)
+            hurwitz_zeta(0.5)
         with pytest.raises(DomainError, match="finite"):
-            hurwitz_zeta(math.inf, 0.5)
+            hurwitz_zeta(math.inf)
 
     def test_huge_exponent_is_one(self):
         # the Pochhammer product overflows where the power underflows
         for s in (1.3e18, 1e19, 1e300):
-            assert hurwitz_zeta(s, 1.0) == 1.0
-            assert hurwitz_zeta(s, 1.0, 2.0**-53) == 1.0
+            assert hurwitz_zeta(s) == 1.0
 
-    def test_unreachable_tolerance(self):
-        with pytest.raises(NumericalError):
-            hurwitz_zeta(1.0000001, 1e-300 + 1e-12, tolerance=1e-300)
+    def test_omitted_term_check_never_fires(self):
+        # the first omitted Bernoulli term at the fixed cutoff stays far
+        # below _EPS from just above the pole to 1e300, so hurwitz_zeta's
+        # NumericalError is never raised there
+        grid = [1 + 2.0**-52] + [1 + 10 ** (k / 10) for k in range(-150, 3001)]
+        for s in grid:
+            omitted = _em_corrections(s, _EM_CUT + 1.0, _EM_TERMS + 1)[-1]
+            assert abs(omitted) < 1e-21
+            hurwitz_zeta(s)
 
 
 class TestIgusaDirect:
@@ -279,7 +299,7 @@ class TestIgusaHurwitz:
         for n in (1, 2, 3, 4, 6):
             for s in ((2.0,), (2.5,), (2.0, 3.0)):
                 z, _ = igusa_euler(n, s)
-                plain = math.prod(hurwitz_zeta(sj, 1.0) for sj in s)
+                plain = math.prod(hurwitz_zeta(sj) for sj in s)
                 assert plain - 1e-9 <= z <= n * plain + 1e-9
 
     def test_symmetry_in_exponents(self):
@@ -287,6 +307,19 @@ class TestIgusaHurwitz:
             a, _ = igusa_euler(n, (2.0, 3.0))
             b, _ = igusa_euler(n, (3.0, 2.0))
             assert a == pytest.approx(b, rel=1e-10)
+
+    def test_local_sum_at_one_is_a_local(self):
+        # at s_j = 1 the tables are v[a] = 1 - 1/p below e and v[e] = 1,
+        # and the local sum is A_r(p^e): prod_j (s_j - 1) Z(s; n) tends to
+        # A_r(n) as every s_j tends to 1
+        for p in (2, 3, 5, 7):
+            for e in range(1, 6):
+                table = [1 - Fraction(1, p)] * e + [Fraction(1)]
+                for r in range(7):
+                    c = _exponent_sum_weights([table] * r)
+                    local = sum(Fraction(p) ** (min(k, e) - k) * ck
+                                for k, ck in enumerate(c))
+                    assert local == a_local(p, e, r)
 
     @given(igusa_cases())
     def test_three_way_agreement(self, hurwitz_reduction, case):
@@ -301,9 +334,12 @@ class TestIgusaHurwitz:
         assert abs(value - euler_in_n_reference(n, s)) <= bound
 
     def test_unmet_tolerance_is_numerical_error(self):
+        # igusa_euler takes no tolerance: evaluate alone tests the bound
         value, bound = igusa_euler(2, (2.0,))
         with pytest.raises(NumericalError, match="exceeds the tolerance"):
-            igusa_euler(2, (2.0,), tolerance=bound / value / 2)
+            evaluate(2, (2.0,), tolerance=bound / value / 2)
+        record = evaluate(2, (2.0,), tolerance=bound / value)
+        assert (record["value"], record["tail_bound"]) == (value, bound)
 
     def test_overflowing_product_is_numerical_error(self):
         # zeta(1.0000001)^50 is about 1e350: value and bound both overflow,
@@ -316,13 +352,15 @@ class TestIgusaHurwitz:
     def test_tolerance_is_relative(self):
         # Z ~ 1.05e8 near the pole: the bound is 6.6e-7 absolute, which
         # an absolute 1e-9 refused, but about 6e-15 relative
-        value, bound = igusa_euler(360, (1.0000001,))
+        record = evaluate(360, (1.0000001,))
+        value, bound = record["value"], record["tail_bound"]
         assert abs(value - euler_in_n_reference(360, (1.0000001,))) <= bound
         assert bound > 1e-9
         # n = 2 with 23 equal exponents 2: the local sum depends only on
         # how many a_j equal 1, so the reference is a binomial sum
         r = 23
-        value, bound = igusa_euler(2, (2.0,) * r)
+        record = evaluate(2, (2.0,) * r)
+        value, bound = record["value"], record["tail_bound"]
         with mpmath.workdps(40):
             local = sum(
                 math.comb(r, j) * 2 ** min(j, 1) * mpmath.mpf(4) ** -j
@@ -332,19 +370,32 @@ class TestIgusaHurwitz:
             ref = mpmath.zeta(2) ** r * local
         assert bound > 1e-9
         assert abs(value - ref) <= bound
+        assert abs(equal_exponent_reference(2, 2.0, r) - ref) < 1e-30 * ref
 
     def test_guards(self):
-        # 200 = 2^3 5^2: 4^4 + 3^4 = 337 local terms, though 200^4 > 1e7
+        # 200 = 2^3 5^2 at r = 4: 101 + 57 steps, though 200^4 > 1e7
         value, bound = igusa_euler(200, (2.0, 2.0, 2.0, 2.0))
         assert abs(value - euler_in_n_reference(200, (2.0,) * 4)) <= bound
-        # every n with n^r <= 1e7 passes: sum (e + 1)^r <= tau(n)^r <= n^r
+        # every n with n^r <= 1e7 passes
         for n, r in ((10**7, 1), (3162, 2), (215, 3), (56, 4), (25, 5),
                      (14, 6), (10, 7), (2, 16)):
             assert n**r <= 10**7
             value, bound = igusa_euler(n, (2.0,) * r)
             assert 0 < bound <= 1e-9
-        with pytest.raises(ResourceError, match="844596301 loop steps"):
-            igusa_euler(2**60, (2.0,) * 5)  # 61^5 local terms
+        # 2^60 at r = 5 is 37206 steps, where the tuple walk refused 61^5
+        assert 0 < igusa_euler(2**60, (2.0,) * 5)[1] <= 1e-9
+        # at n = 2 the steps are (r + 1)^2: r = 3161 is the last r within
+        # the guard, and one more exponent passes it
+        value, bound = igusa_euler(2, (3.0,) * 3161)
+        assert 0 < bound <= 1e-10 * value
+        with pytest.raises(ResourceError, match="10004569 loop steps"):
+            igusa_euler(2, (3.0,) * 3162)
+        # r = 100 on 2^20 3^10: 2083101 + 546601 steps, where the tuples
+        # number 21^100 + 11^100
+        n = 2**20 * 3**10
+        value, bound = igusa_euler(n, (2.0,) * 100)
+        assert abs(value - equal_exponent_reference(n, 2.0, 100)) <= bound
+        assert bound <= 1e-11 * value
         with pytest.raises(DomainError):
             igusa_euler(2, (0.5,))
         with pytest.raises(DomainError):
@@ -359,10 +410,13 @@ class TestQueryRecord:
     def test_evaluate_euler_record(self):
         record = evaluate(2, (2.0,))
         assert record["method"] == "euler"
-        assert record["terms_evaluated"] == 2
+        # the steps the loop guard counts: per p^e || n, the convolutions'
+        # (e + 1)(r + e r (r - 1) / 2) products and r e + 1 summed terms
+        assert record["terms_evaluated"] == 4
         assert record["value"] == pytest.approx(5 * math.pi**2 / 24, abs=1e-9)
         assert record["tail_bound"] == igusa_euler(2, (2.0,))[1]
-        assert evaluate(200, (2.0,) * 4)["terms_evaluated"] == 337
+        assert evaluate(200, (2.0,) * 4)["terms_evaluated"] == 101 + 57
+        assert evaluate(2, (3.0,) * 3161)["terms_evaluated"] == 3162**2
 
     def test_evaluate_direct_record(self):
         # the steps the loop guard counts: n + r T + (r - 1) n^2

@@ -10,7 +10,6 @@ from gcdzeta import gcdsum
 from gcdzeta.arith import factorize
 from gcdzeta.errors import DomainError
 from gcdzeta.multfun import (
-    binom,
     binom_multiset,
     eval_at,
     eval_int,
@@ -42,25 +41,6 @@ def ordered_factorization_counts(limit: int, k: int) -> list[int]:
     return counts
 
 
-class TestBinom:
-    def test_negative_upper_argument(self):
-        # C(a, b) = (-1)^b C(b - a - 1, b) for a < 0
-        assert binom(-1, 0) == 1
-        assert binom(-1, 3) == -1
-        assert binom(-2, 2) == 3
-        assert binom(-3, 2) == 6
-
-    def test_zero_conventions(self):
-        assert binom(0, 0) == 1
-        assert binom(3, 5) == 0
-        assert binom(5, -1) == 0
-
-    @given(st.integers(0, 40), st.integers(0, 40))
-    def test_matches_math_comb_on_naturals(self, a, b):
-        expected = math.comb(a, b) if a >= b else 0
-        assert binom(a, b) == expected
-
-
 class TestBinomMultiset:
     def test_examples(self):
         assert binom_multiset(1, 5) == 1
@@ -76,14 +56,19 @@ class TestBinomMultiset:
                 assert binom_multiset(n, k) == listed
 
     def test_negative_binomial_form(self):
+        # C(n + k - 1, k) = (-1)^k C(-n, k), the generalized binomial
+        # C(-n, k) being the falling product (-n)(-n - 1)...(-n - k + 1) / k!
         for n in range(1, 8):
             for k in range(0, 8):
                 sign = -1 if k % 2 else 1
-                assert binom_multiset(n, k) == sign * binom(-n, k)
+                falling = math.prod(-n - i for i in range(k))
+                assert binom_multiset(n, k) * math.factorial(k) == sign * falling
 
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
             binom_multiset(3, -1)
+        with pytest.raises(DomainError):
+            binom_multiset(0, 0)
 
 
 class TestStandardFunctions:
