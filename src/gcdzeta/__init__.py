@@ -8,7 +8,7 @@ multivariable zeta function of a cyclic group.  Every identity is backed
 by an independent brute-force oracle in the test suite.
 """
 
-from .arith import FactoredInteger, factorize, gcd
+from .arith import FactoredInteger, factorize
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_eval, a_recursion, b_closed, menon_sum
 from .multfun import MultiplicativeFunction
@@ -16,7 +16,6 @@ from .multfun import MultiplicativeFunction
 __all__ = [
     "FactoredInteger",
     "factorize",
-    "gcd",
     "DomainError",
     "NumericalError",
     "ResourceError",

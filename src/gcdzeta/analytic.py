@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import _check_loop_guard, prime_array, primes_in_range
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError
 from .gcdsum import a_local_sum
 from .multfun import tau_k
 
-# A float table of this many entries is the largest scan we attempt.
-SCAN_LIMIT = 10**8
 # _exact_sum splits entries into integer limbs of this many bits and sums
 # each limb in float64 over chunks of this many entries: the chunk sums
 # stay below 2^(36 + 16) = 2^52, inside float64's exact integers.  A scan
@@ -105,9 +103,10 @@ def _value_table(local, x_max: int) -> np.ndarray:
     Every entry still takes its factors in ascending prime order, so the
     table is bit-identical to a pass per prime.
     """
+    # the sieve's guard refuses x_max before the table is allocated
+    primes = prime_array(x_max)
     vals = np.ones(x_max + 1)
     vals[0] = 0.0
-    primes = prime_array(x_max)
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
     for p in primes[:split].tolist():
         pk = p
@@ -205,8 +204,6 @@ def summatory_scan(
         raise DomainError(
             f"checkpoint count must be >= 1, got {checkpoint_count}"
         )
-    if x_max > SCAN_LIMIT:
-        raise ResourceError(f"scan to {x_max} exceeds guard {SCAN_LIMIT}")
     _check_loop_guard(
         checkpoint_count * (checkpoint_count + 1) // 2, "summatory_scan"
     )

@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: gcd, factorization, the prime sieve.
+"""Integer arithmetic: factorization, the prime sieve, the loop guard,
+and the residue convolution mod n with its step count.
 
 Everything here is pure and deterministic.
 """
@@ -32,17 +33,37 @@ def _check_loop_guard(steps: int, what: str) -> None:
         )
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers.
+def _convolution_steps(size: int, r: int) -> int:
+    """Steps of _residue_convolution over r rows of size nonzero weights:
+    size for the first row (or the tables at r = 0), size^2 per later row."""
+    return size + max(r - 1, 0) * size * size
 
-    gcd(0, n) = n by convention, which is exactly what sums over
-    gcd(k - 1, n) need when k = 1.  gcd(0, 0) is undefined here.
+
+def _residue_convolution(n: int, rows) -> np.ndarray:
+    """Entry c sums prod_j rows[j][k_j - 1] over the tuples of k_j in 1..n
+    with k_1 ... k_r = c (mod n); the empty product is 1.
+
+    Each row adds the current support c into (c k) mod n, k over the
+    row's nonzero weights, in one np.add.at in index order (c ascending,
+    then k).  Float rows keep their carrier.  Boolean rows count tuples:
+    a count is at most the product of the row supports, and a total
+    weighted by gcds up to n at most n times that, so counts are int64
+    while that stays below 2^63 and Python ints (dtype=object) beyond.
     """
-    if a < 0 or b < 0:
-        raise DomainError(f"gcd expects nonnegative arguments, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
+    ks = [np.flatnonzero(row) + 1 for row in rows]
+    if all(row.dtype == bool for row in rows):
+        dtype = np.int64 if math.prod(map(len, ks)) * n < 2**63 else object
+    else:
+        dtype = np.result_type(*rows)
+    dist = np.zeros(n, dtype=dtype)
+    dist[1 % n] = 1
+    for row, k in zip(rows, ks):
+        c = np.flatnonzero(dist)
+        nxt = np.zeros(n, dtype=dtype)
+        np.add.at(nxt, (c[:, None] * k % n).ravel(),
+                  (dist[c][:, None] * row[k - 1]).ravel())
+        dist = nxt
+    return dist
 
 
 @dataclass(frozen=True)

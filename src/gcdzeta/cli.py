@@ -1,9 +1,10 @@
 """Command-line surface: evaluation, verification suites, scans, exports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error, 4 resource guard.  Exact rationals are always printed as p/q and
-serialized as strings in JSON; floats go through repr, so identical
-configurations reproduce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error (output
+that cannot be written included), 3 domain error, 4 resource guard.
+Exact rationals are always printed as p/q and serialized as strings in
+JSON; floats go through repr, so identical configurations reproduce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -34,8 +36,16 @@ def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except OSError:
+        # stdout is closed or full: what stays buffered goes to devnull,
+        # so the flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _finish_value(args, payload: dict, text_value: str) -> int:
@@ -219,7 +229,7 @@ def _verify_squarefree(args) -> tuple[int, int, str]:
 def _verify_mult(args) -> tuple[int, int, str]:
     rng = random.Random(args.seed)
     functions = [
-        multfun.phi(), multfun.tau(), multfun.mu(), multfun.jordan(2),
+        multfun.phi(), multfun.tau_k(2), multfun.mu(), multfun.jordan(2),
         multfun.tau_k(3), multfun.mu_iter(3), multfun.psi(1),
     ]
     checked = 0
@@ -301,6 +311,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_igusa(args) -> int:
+    if args.trunc is not None and args.method != "direct":
+        print("usage error: --trunc applies only to --method direct",
+              file=sys.stderr)
+        return 2
     try:
         s = tuple(float(part) for part in args.s.split(","))
     except ValueError:
@@ -423,6 +437,10 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # like argparse's refusal of an unopenable path, a usage error
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,38 +20,16 @@ from .arith import (  # noqa: F401
     LOOP_GUARD,
     FactoredInteger,
     _check_loop_guard,
+    _convolution_steps,
+    _residue_convolution,
     divisors,
     factorize,
 )
 from .errors import DomainError
-from .multfun import binom_multiset, eval_int, phi, tau
+from .multfun import binom_multiset, eval_int, phi, tau_k
 
 # entries per numpy block of menon_sum
 _BLOCK = 1 << 16
-
-
-def _product_residues(n: int, residues, r: int) -> np.ndarray:
-    """Counts of the r-tuples drawn from residues by their product mod n.
-
-    An r-fold convolution under multiplication mod n, starting from the
-    empty product 1: each factor adds the counts of the current support c
-    into (c residues) mod n in one np.add.at, len(residues) steps for the
-    first factor and at most n len(residues) for each later one.  Every
-    count is at most len(residues)^r, and a total weighted by gcds up to n
-    at most n times that, so the counts are int64 while that product stays
-    below 2^63 and Python ints (dtype=object) beyond.
-    """
-    residues = np.asarray(residues, dtype=np.int64)
-    dtype = np.int64 if len(residues) ** r * n < 2**63 else object
-    dist = np.zeros(n, dtype=dtype)
-    dist[1 % n] = 1
-    for _ in range(r):
-        c = np.flatnonzero(dist)
-        nxt = np.zeros(n, dtype=dtype)
-        np.add.at(nxt, (c[:, None] * residues % n).ravel(),
-                  np.repeat(dist[c], len(residues)))
-        dist = nxt
-    return dist
 
 
 def a_bruteforce(n: int, r: int) -> Fraction:
@@ -59,18 +37,16 @@ def a_bruteforce(n: int, r: int) -> Fraction:
 
     gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
     walking all n^r tuples it weights each residue c of the product by
-    gcd(c, n) (gcd(0, n) = n), counted by _product_residues over all
-    residues: n + (r - 1) n^2 steps, and n for the residue and gcd tables
-    at r = 0, which is what the guard counts.
+    gcd(c, n) (gcd(0, n) = n), counted by _residue_convolution over all
+    of 1..n; the guard counts its _convolution_steps.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    _check_loop_guard(n + max(r - 1, 0) * n * n, "a_bruteforce")
-    residues = np.arange(n, dtype=np.int64)
-    dist = _product_residues(n, residues, r)
-    return Fraction(int((dist * np.gcd(residues, n)).sum()), n**r)
+    _check_loop_guard(_convolution_steps(n, r), "a_bruteforce")
+    dist = _residue_convolution(n, [np.ones(n, dtype=bool)] * r)
+    return Fraction(int((dist * np.gcd(np.arange(n), n)).sum()), n**r)
 
 
 def a_local_sum(t, k: int, r: int):
@@ -137,21 +113,19 @@ def a_recursion(n: int, r: int) -> Fraction:
 def b_bruteforce(n: int, r: int) -> int:
     """B_r(n) summed from the definition.
 
-    As for a_bruteforce: _product_residues counts the products of unit
+    As for a_bruteforce: _residue_convolution counts the products of unit
     tuples by residue c mod n, and c is weighted by gcd(c - 1, n), which
     is n at c = 1.  The guard counts the n steps that find the units,
-    then phi(n) + (r - 1) phi(n)^2 convolution steps.
+    then the convolution's steps over phi(n) units.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
-    k = np.arange(1, n + 1, dtype=np.int64)
-    units = k[np.gcd(k, n) == 1]
-    count = len(units)
-    _check_loop_guard(count + (r - 1) * count * count, "b_bruteforce")
-    dist = _product_residues(n, units, r)
+    units = np.gcd(np.arange(1, n + 1, dtype=np.int64), n) == 1
+    _check_loop_guard(_convolution_steps(int(units.sum()), r), "b_bruteforce")
+    dist = _residue_convolution(n, [units] * r)
     return int((dist * np.gcd(np.arange(-1, n - 1, dtype=np.int64), n)).sum())
 
 
@@ -162,7 +136,7 @@ def b_closed(n: int, r: int) -> int:
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     fi = factorize(n)
-    return eval_int(phi(), fi) ** r * eval_int(tau(), fi)
+    return eval_int(phi(), fi) ** r * eval_int(tau_k(2), fi)
 
 
 def menon_sum(n: int, a) -> list[int]:

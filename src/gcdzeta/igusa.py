@@ -22,7 +22,8 @@ from functools import reduce
 
 import numpy as np
 
-from .arith import FactoredInteger, _check_loop_guard, factorize
+from .arith import (FactoredInteger, _check_loop_guard, _convolution_steps,
+                    _residue_convolution, factorize)
 from .errors import DomainError, NumericalError
 
 # Unit roundoff of float64.
@@ -104,11 +105,9 @@ def hurwitz_zeta(s: float) -> float:
 
 
 def _direct_steps(n: int, r: int, truncation: int) -> int:
-    """Steps of igusa_direct with T = truncation, n + r T + (r - 1) n^2:
-    r T powers summed into residue classes, then their convolution mod n,
-    n steps for the first variable and at most n^2 for each later one.
-    """
-    return n + r * truncation + (r - 1) * n * n
+    """Steps of igusa_direct with T = truncation: r T powers summed into
+    residue classes, then their convolution mod n (_convolution_steps)."""
+    return r * truncation + _convolution_steps(n, r)
 
 
 def igusa_direct(
@@ -118,9 +117,9 @@ def igusa_direct(
 
     gcd(m_1...m_r, n) depends only on the product mod n.  So each variable
     is summed into its class sums W_j[d] = sum of m^-s_j over m <= T with
-    m = d (mod n), the classes are convolved under multiplication mod n,
-    in a fixed order, and residue c is weighted by gcd(c, n).  The loop
-    guard checks _direct_steps.
+    m = d (mod n), the classes are convolved under multiplication mod n
+    (_residue_convolution, in float64), and residue c is weighted by
+    gcd(c, n).  The loop guard checks _direct_steps.
 
     The bound is the truncation tail, from gcd <= n on every omitted
     tuple,
@@ -136,25 +135,20 @@ def igusa_direct(
     if truncation < n:
         raise DomainError(f"truncation {truncation} must be >= n = {n}")
     _check_loop_guard(_direct_steps(n, r, truncation), "igusa_direct")
-    gcds = [math.gcd(c, n) for c in range(n)]
-    dist = [0.0] * n
-    dist[1 % n] = 1.0
+    rows = []
     full = 1.0
     trunc = 1.0
     for sj in s:
-        classes = [
+        rows.append(np.array([
             math.fsum(float(m) ** -sj for m in range(d, truncation + 1, n))
             for d in range(1, n + 1)
-        ]
-        nxt = [0.0] * n
-        for c, x in enumerate(dist):
-            if x:
-                for d, y in enumerate(classes, start=1):
-                    nxt[c * d % n] += x * y
-        dist = nxt
+        ]))
         full *= hurwitz_zeta(sj)
-        trunc *= math.fsum(classes)
-    value = math.fsum(g * x for g, x in zip(gcds, dist))
+        trunc *= math.fsum(rows[-1])
+    gcds = np.gcd(np.arange(n), n)
+    # an overflow to inf is the NumericalError below, not a warning
+    with np.errstate(over="ignore"):
+        value = math.fsum(gcds * _residue_convolution(n, rows))
     # Relative rounding of the value: a pow (one ulp, 2 eps) and a class
     # fsum per variable; r - 1 convolution rounds, each bin summing at
     # most sum(gcds) products, the count that lands on residue 0; the
@@ -165,7 +159,7 @@ def igusa_direct(
     # term: each of the at most two operations per step loses at most
     # 2^-1075, magnified at most n prod_j S_j <= n value times, and with
     # n and the steps below 1e7 that is under 1e-300 value.
-    rel = (3 * r + (r - 1) * sum(gcds) + 2) * _EPS
+    rel = (3 * r + (r - 1) * int(gcds.sum()) + 2) * _EPS
     bound = n * (full - trunc) + n * full * 15 * r * _EPS + value * rel
     if not math.isfinite(value + bound):
         raise NumericalError(

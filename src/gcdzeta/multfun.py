@@ -74,11 +74,6 @@ def jordan(m: int) -> MultiplicativeFunction:
     )
 
 
-def tau() -> MultiplicativeFunction:
-    """Divisor count: tau(p^k) = k + 1."""
-    return MultiplicativeFunction("tau", lambda p, k: Fraction(k + 1))
-
-
 def tau_k(m: int) -> MultiplicativeFunction:
     """Piltz divisor function: ordered factorizations into m parts.
 

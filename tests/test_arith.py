@@ -12,7 +12,6 @@ from gcdzeta.arith import (
     FactoredInteger,
     divisors,
     factorize,
-    gcd,
     is_prime,
     prime_array,
     primes_in_range,
@@ -66,35 +65,6 @@ def spf_factorize(spf: np.ndarray, n: int) -> FactoredInteger:
             k += 1
         factors.append((p, k))
     return FactoredInteger(value, tuple(factors))
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(6, 4) == 2
-        assert gcd(0, 4) == 4
-        assert gcd(12, 18) == 6
-
-    def test_zero_zero_is_domain_error(self):
-        with pytest.raises(DomainError):
-            gcd(0, 0)
-
-    def test_negative_is_domain_error(self):
-        with pytest.raises(DomainError):
-            gcd(-2, 4)
-
-    @given(st.integers(0, 2**62), st.integers(0, 2**62))
-    def test_commutative_and_divides(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g = gcd(a, b)
-        assert g == gcd(b, a)
-        assert (a == 0 or a % g == 0) and (b == 0 or b % g == 0)
-
-    @given(
-        st.integers(1, 2**62), st.integers(1, 2**62), st.integers(1, 2**62)
-    )
-    def test_fold_associative(self, a, b, c):
-        assert gcd(gcd(a, b), c) == gcd(a, gcd(b, c))
 
 
 class TestFactorize:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -133,6 +134,7 @@ class TestExitCodes:
         ("eval", "fr", "--r", "2", "--kmax", "3", "--format", "json"),
         ("eval", "fr", "--r", "2", "--k", "1", "--csv", "x.csv"),
         ("eval", "fr", "--r", "2", "--k", "1", "--kmax", "2"),
+        ("igusa", "--n", "2", "--s", "2", "--trunc", "5"),
     ], ids=lambda argv: " ".join(argv))
     def test_flag_the_command_ignores_is_usage_error(self, argv):
         result = run_cli(*argv)
@@ -208,6 +210,25 @@ class TestExitCodes:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("numerical error: fit is ill-conditioned")
+
+    def test_scan_beyond_the_sieve_limit_stops_at_once(self):
+        # refused by the sieve's guard before the 8-byte-per-n value table
+        start = time.perf_counter()
+        result = run_cli("scan", "A", "--r", "1", "--xmax", "100000001")
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 4
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("resource guard: sieve limit")
+        assert elapsed < 1.0
+
+    def test_direct_overflow_prints_one_line(self):
+        s = ",".join(["1.5"] * 2400)
+        result = run_cli("igusa", "--n", "1", "--s", s, "--method", "direct",
+                         "--trunc", "2")
+        assert result.returncode == 3
+        assert not result.stdout
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("numerical error: ")
 
     def test_eval_menon_beyond_guard_stops_at_once(self):
         start = time.perf_counter()
@@ -382,8 +403,57 @@ class TestScan:
         assert a.stdout == b.stdout
 
 
-# Argv fuzzing in process: small ints, awkward floats, and no --output,
-# --csv or --json, so nothing is written.
+class TestOutputErrors:
+    """Output that cannot be written exits 2 with one line, no traceback."""
+
+    def check(self, result):
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("output error: ")
+
+    def test_missing_directory(self, tmp_path):
+        missing = str(tmp_path / "no-such-directory" / "out")
+        result = run_cli("eval", "A", "--n", "4", "--r", "2", "--output", missing)
+        self.check(result)
+        assert not result.stdout
+        for argv in (("scan", "A", "--r", "1", "--xmax", "1000", "--csv"),
+                     ("scan", "extremal", "--r", "1", "--x", "200", "--json")):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                assert main([*argv, missing]) == 2, argv
+            assert err.getvalue().startswith("output error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+
+    def run_to(self, stdout):
+        """igusa with stdout block-buffered, as it is by default, so the
+        flush at interpreter exit would meet the error again."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-m", "gcdzeta", "igusa", "--n", "2", "--s", "2"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout(self):
+        with open("/dev/full", "w") as full:
+            result = self.run_to(full)
+        self.check(result)
+        assert "No space left on device" in result.stderr
+
+    def test_closed_stdout(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_to(write_end)
+        finally:
+            os.close(write_end)
+        self.check(result)
+        assert "Broken pipe" in result.stderr
+
+
+# Argv fuzzing in process: small ints, awkward floats, and --output only
+# to devnull or under a missing directory, so nothing is written.
 _INTS = st.integers(-3, 12).map(str)
 _FLOATS = st.sampled_from(["nan", "inf", "-1", "0", "1", "1.5", "2.5", "1e300"])
 _VALUES = {
@@ -393,6 +463,9 @@ _VALUES = {
     "--tolerance": _FLOATS,
     "--format": st.sampled_from(["text", "json", "xml"]),
     "--expect": st.sampled_from(["0", "1", "7/4", "PASS 0/0"]),
+    "--output": st.sampled_from(
+        [os.devnull, os.path.join("no-such-directory", "out")]
+    ),
 }
 _COMMANDS = {
     ("eval", "A"): ("--n", "--r"),
@@ -408,8 +481,8 @@ _COMMANDS = {
        for suite in ("menon", "a-threeway", "fr-vanishing", "domination",
                      "squarefree", "mult", "nonsense")},
 }
-# flags some commands refuse, drawn with any value
-_EXTRA = ("--format", "--expect", "--trunc", "--n", "--k")
+# flags some commands refuse, drawn with any value, and --output
+_EXTRA = ("--format", "--expect", "--trunc", "--n", "--k", "--output")
 
 
 @st.composite

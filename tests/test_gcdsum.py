@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import menon_sum_loop
-from gcdzeta.arith import factorize, prime_array
+from gcdzeta.arith import _residue_convolution, factorize, prime_array
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
     LOOP_GUARD,
-    _product_residues,
     a_bruteforce,
     a_eval,
     a_local,
@@ -46,7 +45,7 @@ def b_bruteforce_naive(n: int, r: int) -> int:
 
 
 def product_residues_loop(n: int, residues, r: int) -> list[int]:
-    """The r-fold convolution of _product_residues by Python loops."""
+    """The r-fold count of _residue_convolution by Python loops."""
     dist = [0] * n
     dist[1 % n] = 1
     for _ in range(r):
@@ -352,19 +351,20 @@ class TestFastPathsMatchTheLoops:
                     assert b_bruteforce(n, r) == b_closed(n, r)
 
     def test_python_int_counts_past_int64(self):
-        # int64 while len(residues)^r n < 2^63: 3^39 < 2^63 < 3^40 and
+        # int64 while (row support)^r n < 2^63: 3^39 < 2^63 < 3^40 and
         # 6^23 9 < 2^63 < 6^24 9, phi(9) = 6
-        assert _product_residues(3, range(3), 38).dtype == np.int64
-        assert _product_residues(3, range(3), 39).dtype == object
-        units9 = [1, 2, 4, 5, 7, 8]
-        assert _product_residues(9, units9, 23).dtype == np.int64
-        assert _product_residues(9, units9, 24).dtype == object
+        all3 = np.ones(3, dtype=bool)
+        units9 = np.gcd(np.arange(1, 10), 9) == 1
+        assert _residue_convolution(3, [all3] * 38).dtype == np.int64
+        assert _residue_convolution(3, [all3] * 39).dtype == object
+        assert _residue_convolution(9, [units9] * 23).dtype == np.int64
+        assert _residue_convolution(9, [units9] * 24).dtype == object
         for r in (38, 39, 60):
             assert a_bruteforce(3, r) == a_bruteforce_loop(3, r) == a_eval(3, r)
         for r in (23, 24, 40):
             assert b_bruteforce(9, r) == b_bruteforce_loop(9, r) == b_closed(9, r)
-        for counts in (_product_residues(3, range(3), 60),
-                       _product_residues(9, units9, 40)):
+        for counts in (_residue_convolution(3, [all3] * 60),
+                       _residue_convolution(9, [units9] * 40)):
             assert all(type(c) is int for c in counts)
 
 

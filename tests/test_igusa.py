@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -118,6 +119,35 @@ def igusa_direct_head_walk(n: int, s, truncation: int) -> float:
     return math.fsum(chunks())
 
 
+def igusa_direct_loop(n: int, s, truncation: int) -> tuple[float, float]:
+    """igusa_direct's value and bound with the residue convolution written
+    as a Python double loop over residue pairs: c ascending, then d, the
+    order in which np.add.at adds them, so the results agree bit for bit."""
+    gcds = [math.gcd(c, n) for c in range(n)]
+    dist = [0.0] * n
+    dist[1 % n] = 1.0
+    full = 1.0
+    trunc = 1.0
+    for sj in s:
+        classes = [
+            math.fsum(float(m) ** -sj for m in range(d, truncation + 1, n))
+            for d in range(1, n + 1)
+        ]
+        nxt = [0.0] * n
+        for c, x in enumerate(dist):
+            if x:
+                for d, y in enumerate(classes, start=1):
+                    nxt[c * d % n] += x * y
+        dist = nxt
+        full *= hurwitz_zeta(sj)
+        trunc *= math.fsum(classes)
+    value = math.fsum(g * x for g, x in zip(gcds, dist))
+    r = len(s)
+    rel = (3 * r + (r - 1) * sum(gcds) + 2) * _EPS
+    bound = n * (full - trunc) + n * full * 15 * r * _EPS + value * rel
+    return value, bound
+
+
 def direct_rounding(n: int, r: int, value: float) -> float:
     """The value's rounding share of igusa_direct's bound, as documented:
     (3 r + (r - 1) P(n) + 2) eps value, P(n) = sum_c gcd(c, n) being the
@@ -134,6 +164,16 @@ def direct_cases(draw):
     n = draw(st.integers(1, 30))
     trunc = draw(st.integers(n, max(n, (2000, 200, 40)[r - 1])))
     s = tuple(draw(st.floats(1.01, 4.0)) for _ in range(r))
+    return n, s, trunc
+
+
+@st.composite
+def loop_cases(draw):
+    """n <= 40, r <= 3, exponents in (1, 60] and T up to n + 300."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    trunc = draw(st.integers(n, n + 300))
+    s = tuple(draw(st.floats(1.01, 60.0)) for _ in range(r))
     return n, s, trunc
 
 
@@ -229,9 +269,12 @@ class TestIgusaDirect:
             igusa_direct(2, (1.0,), 100)  # s on the boundary
 
     def test_overflow_is_numerical_error(self):
-        # prod_j S_j = (1 + 2^-1.5)^2400 passes the float64 range
-        with pytest.raises(NumericalError, match="not finite"):
-            igusa_direct(1, (1.5,) * 2400, 2)
+        # prod_j S_j = (1 + 2^-1.5)^2400 passes the float64 range, with no
+        # numpy overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                igusa_direct(1, (1.5,) * 2400, 2)
 
     @given(direct_cases())
     def test_matches_the_head_walk(self, case):
@@ -242,6 +285,13 @@ class TestIgusaDirect:
         euler, euler_bound = igusa_euler(n, s)
         for v in (value, reference):
             assert abs(euler - v) <= bound + euler_bound
+
+    @given(loop_cases())
+    def test_equals_the_loop_bit_for_bit(self, case):
+        n, s, trunc = case
+        ours = igusa_direct(n, s, trunc)
+        loop = igusa_direct_loop(n, s, trunc)
+        assert [v.hex() for v in ours] == [v.hex() for v in loop]
 
     def test_rounding_against_mpmath(self):
         # n = 97 is prime, so gcd(m_1 m_2, 97) is 97 when 97 divides m_1 m_2

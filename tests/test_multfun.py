@@ -18,7 +18,6 @@ from gcdzeta.multfun import (
     mu_iter,
     phi,
     psi,
-    tau,
     tau_k,
 )
 
@@ -74,8 +73,8 @@ class TestBinomMultiset:
 class TestStandardFunctions:
     def test_phi_and_tau_values(self):
         assert eval_at(phi(), 12) == 4
-        assert eval_at(tau(), 1) == 1
-        assert eval_at(tau(), 12) == 6
+        assert eval_at(tau_k(2), 1) == 1
+        assert eval_at(tau_k(2), 12) == 6
 
     def test_jordan2_at_12(self):
         # 144 * (3/4) * (8/9)
@@ -138,13 +137,13 @@ class TestStandardFunctions:
                     assert f.local(p, k) == direct
 
     def test_eval_at_one_is_one(self):
-        for f in (phi(), tau(), mu(), jordan(3), tau_k(4), mu_iter(2), psi(2)):
+        for f in (phi(), tau_k(2), mu(), jordan(3), tau_k(4), mu_iter(2), psi(2)):
             assert eval_at(f, 1) == 1
 
     @given(st.integers(1, 10**4), st.integers(1, 10**4))
     def test_multiplicative_on_coprime_pairs(self, m, n):
         if math.gcd(m, n) != 1:
             return
-        for f in (phi(), tau(), mu(), jordan(2), tau_k(3), mu_iter(3), psi(1)):
+        for f in (phi(), tau_k(2), mu(), jordan(2), tau_k(3), mu_iter(3), psi(1)):
             assert eval_at(f, m * n) == eval_at(f, m) * eval_at(f, n)
 
