@@ -51,7 +51,6 @@ class SummatoryReport:
     checkpoints: list[tuple[int, float]]
     degree: int
     fixed_leading: float
-    euler_leading: float
     euler_tail_bound: float
     fitted_poly: list[float] = field(default_factory=list)
     fitted_leading_free: float = math.nan
@@ -221,12 +220,10 @@ def summatory_scan(
     if kind == "A":
         degree = r_or_k
         limit = max(100, min(x_max, 10**6))
-        euler_leading, euler_tail = euler_leading_coefficient(r_or_k, limit)
-        fixed = euler_leading
+        fixed, euler_tail = euler_leading_coefficient(r_or_k, limit)
     else:
         degree = r_or_k - 1
-        fixed = 1.0 / math.factorial(r_or_k - 1)
-        euler_leading, euler_tail = fixed, 0.0
+        fixed, euler_tail = 1.0 / math.factorial(r_or_k - 1), 0.0
 
     report = SummatoryReport(
         kind=kind,
@@ -235,7 +232,6 @@ def summatory_scan(
         checkpoints=checkpoints,
         degree=degree,
         fixed_leading=fixed,
-        euler_leading=euler_leading,
         euler_tail_bound=euler_tail,
     )
     xs = [x for x, _ in checkpoints]

@@ -94,9 +94,6 @@ class FactoredInteger:
                 f"factor product {prod} does not reproduce value {self.value}"
             )
 
-    def __iter__(self):
-        return iter(self.factors)
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n below 3.317e24 (fixed witness set)."""

@@ -126,8 +126,7 @@ def _cmd_eval(args) -> int:
                 return 2
             rows = []
             for k in range(1, args.kmax + 1):
-                poly = dirichlet.f_r_local(args.r, k)
-                for i, c in enumerate(poly.coefficients):
+                for i, c in enumerate(dirichlet.f_r_local(args.r, k)):
                     rows.append((args.r, k, i, c))
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:
@@ -137,13 +136,13 @@ def _cmd_eval(args) -> int:
             lines = [f"r={r} k={k} c_{i}={c}" for r, k, i, c in rows]
             _emit(args, "\n".join(lines) if lines else "all zero")
             return 0
-        poly = dirichlet.f_r_local(args.r, args.k)
-        text = str(poly)
+        coeffs = dirichlet.f_r_local(args.r, args.k)
+        text = dirichlet.format_poly(coeffs)
         payload = {
             "target": "fr",
             "r": args.r,
             "k": args.k,
-            "coefficients": list(poly.coefficients),
+            "coefficients": list(coeffs),
             "value": text,
         }
         return _finish_value(args, payload, text)
@@ -245,18 +244,19 @@ def _verify_mult(args) -> tuple[int, int, str]:
     return checked, 0, ""
 
 
+# each suite's loop and the flags it reads, with their defaults
 _VERIFY_SUITES = {
-    "menon": _verify_menon,
-    "a-threeway": _verify_threeway,
-    "fr-vanishing": _verify_fr_vanishing,
-    "domination": _verify_domination,
-    "squarefree": _verify_squarefree,
-    "mult": _verify_mult,
+    "menon": (_verify_menon, {"nmax": 100, "rmax": 3}),
+    "a-threeway": (_verify_threeway, {"nmax": 100, "rmax": 3}),
+    "fr-vanishing": (_verify_fr_vanishing, {"rmax": 3, "kmax": 10}),
+    "domination": (_verify_domination, {"nmax": 100, "rmax": 3}),
+    "squarefree": (_verify_squarefree, {"nmax": 100, "rmax": 3}),
+    "mult": (_verify_mult, {"samples": 200, "seed": DEFAULT_SEED}),
 }
 
 
 def _cmd_verify(args) -> int:
-    checked, where, message = _VERIFY_SUITES[args.suite](args)
+    checked, where, message = _VERIFY_SUITES[args.suite][0](args)
     if message:
         _emit(args, f"FAIL after {checked} checks at {where}: {message}")
         return 1
@@ -367,13 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    p_verify.add_argument("--nmax", type=int, default=100)
-    p_verify.add_argument("--rmax", type=int, default=3)
-    p_verify.add_argument("--kmax", type=int, default=10)
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _common_output(p_verify)
+    vs = p_verify.add_subparsers(dest="suite", required=True)
+    for name, (_, defaults) in sorted(_VERIFY_SUITES.items()):
+        p = vs.add_parser(name)
+        for flag, default in defaults.items():
+            p.add_argument(f"--{flag}", type=int, default=default)
+        _common_output(p)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_scan = sub.add_parser("scan", help="summatory scan or extremal probe")

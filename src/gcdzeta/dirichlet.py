@@ -4,68 +4,40 @@ A_r factors as tau_{r+1} * f_r under Dirichlet convolution.  The local
 values f_r(p^k) are polynomials in u = 1/p with integer coefficients; they
 vanish identically for k >= r+1 and have zero constant term for k <= r,
 which is what makes the associated Dirichlet series converge on Re(s) > 0.
-Those vanishing statements are exact polynomial identities, so the
-polynomials are kept with integer coefficients rather than floats.
+Those vanishing statements are exact polynomial identities, so each
+polynomial is kept as its tuple of integer coefficients, ascending in u,
+with trailing zeros trimmed: the zero polynomial is ().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class LocalPolynomial:
-    """Integer-coefficient polynomial in u = 1/p, coefficients ascending.
-
-    Trailing zeros are trimmed; the zero polynomial is the empty tuple.
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def constant_term(self) -> int:
-        return self.coefficients[0] if self.coefficients else 0
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                var = "u" if i == 1 else f"u^{i}"
-                term = f"{'-' if c < 0 else ''}{mag}{var}"
-                if parts:
-                    term = f"+ {mag}{var}" if c > 0 else f"- {mag}{var}"
-            parts.append(term)
-        return " ".join(parts)
+def format_poly(coeffs: tuple[int, ...]) -> str:
+    """An ascending coefficient tuple in u, as text: "4u - u^2"; "0" for ()."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            mag = "" if abs(c) == 1 else str(abs(c))
+            var = "u" if i == 1 else f"u^{i}"
+            term = f"{'-' if c < 0 else ''}{mag}{var}"
+            if parts:
+                term = f"+ {mag}{var}" if c > 0 else f"- {mag}{var}"
+        parts.append(term)
+    return " ".join(parts) if parts else "0"
 
 
 @lru_cache(maxsize=None)
-def f_r_local(r: int, k: int) -> LocalPolynomial:
-    """f_r(p^k) as a polynomial in u = 1/p.
+def f_r_local(r: int, k: int) -> tuple[int, ...]:
+    """f_r(p^k) as the trimmed coefficient tuple of a polynomial in u = 1/p.
 
     With x marking the exponent, sum_k A_r(p^k) x^k is
     1 + x sum_{j=0}^{r} (1-u)^j (1-x)^-(j+1), and tau_{r+1} contributes
@@ -86,7 +58,9 @@ def f_r_local(r: int, k: int) -> LocalPolynomial:
         c = sign * math.comb(r - j, k - 1)
         for i in range(j + 1):
             coeffs[i] -= (-1 if i % 2 else 1) * c * math.comb(j, i)
-    return LocalPolynomial(tuple(coeffs))
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def verify_fr_structure(r: int, k_max: int) -> list[str]:
@@ -100,11 +74,11 @@ def verify_fr_structure(r: int, k_max: int) -> list[str]:
         raise DomainError(f"r and k_max must be >= 1, got r={r}, k_max={k_max}")
     failures = []
     for k in range(1, k_max + 1):
-        poly = f_r_local(r, k)
-        if k >= r + 1 and not poly.is_zero:
+        coeffs = f_r_local(r, k)
+        if k >= r + 1 and coeffs:
             failures.append(f"(r={r}, k={k}): expected zero polynomial")
-        if k <= r and poly.constant_term != 0:
+        if k <= r and coeffs and coeffs[0] != 0:
             failures.append(f"(r={r}, k={k}): constant coefficient nonzero")
-        if poly.degree > r:
-            failures.append(f"(r={r}, k={k}): degree {poly.degree} > {r}")
+        if len(coeffs) - 1 > r:
+            failures.append(f"(r={r}, k={k}): degree {len(coeffs) - 1} > {r}")
     return failures

@@ -2,15 +2,15 @@
 
 A multiplicative function is pinned down by its values at prime powers:
 f(1) = 1 and f(n) is the product of f(p^k) over the factorization of n.
-Local evaluators return exact rationals even when the values are integers,
-so products and convolutions of them stay in one carrier type.
+The functions defined here take integer values, so their local
+evaluators return plain ints; eval_int multiplies whatever the local
+values are, so a function with rational local values gives a Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .arith import FactoredInteger, factorize
@@ -32,37 +32,27 @@ class MultiplicativeFunction:
     """
 
     name: str
-    local: Callable[[int, int], Fraction]
+    local: Callable[[int, int], int]
 
-    def __call__(self, n: int | FactoredInteger) -> Fraction:
-        return eval_at(self, n)
+    def __call__(self, n: int | FactoredInteger) -> int:
+        return eval_int(self, n)
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.name})"
 
 
-def eval_at(f: MultiplicativeFunction, n: int | FactoredInteger) -> Fraction:
-    """f(n) as the product of local values over the factorization of n."""
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    out = Fraction(1)
-    for p, k in fi.factors:
-        out *= f.local(p, k)
-    return out
-
-
 def eval_int(f: MultiplicativeFunction, n: int | FactoredInteger) -> int:
-    """f(n) for integer-valued f; raises if the value is not integral."""
-    v = eval_at(f, n)
-    if v.denominator != 1:
-        raise DomainError(f"{f.name}({n}) = {v} is not an integer")
-    return v.numerator
+    """f(n) as the product of local values over the factorization of n.
+
+    The product starts from the int 1 and takes the local values' type.
+    """
+    fi = n if isinstance(n, FactoredInteger) else factorize(n)
+    return math.prod(f.local(p, k) for p, k in fi.factors)
 
 
 def phi() -> MultiplicativeFunction:
     """Euler's totient: phi(p^k) = p^k - p^(k-1)."""
-    return MultiplicativeFunction(
-        "phi", lambda p, k: Fraction(p**k - p ** (k - 1))
-    )
+    return MultiplicativeFunction("phi", lambda p, k: p**k - p ** (k - 1))
 
 
 def jordan(m: int) -> MultiplicativeFunction:
@@ -70,7 +60,7 @@ def jordan(m: int) -> MultiplicativeFunction:
     if m < 1:
         raise DomainError(f"jordan order must be >= 1, got {m}")
     return MultiplicativeFunction(
-        f"jordan_{m}", lambda p, k: Fraction(p ** (m * k) - p ** (m * (k - 1)))
+        f"jordan_{m}", lambda p, k: p ** (m * k) - p ** (m * (k - 1))
     )
 
 
@@ -83,16 +73,12 @@ def tau_k(m: int) -> MultiplicativeFunction:
     """
     if m < 1:
         raise DomainError(f"tau_k order must be >= 1, got {m}")
-    return MultiplicativeFunction(
-        f"tau_{m}", lambda p, k: Fraction(binom_multiset(m, k))
-    )
+    return MultiplicativeFunction(f"tau_{m}", lambda p, k: binom_multiset(m, k))
 
 
 def mu() -> MultiplicativeFunction:
     """Moebius function: -1 at primes, 0 at higher prime powers."""
-    return MultiplicativeFunction(
-        "mu", lambda p, k: Fraction(-1 if k == 1 else 0)
-    )
+    return MultiplicativeFunction("mu", lambda p, k: -1 if k == 1 else 0)
 
 
 def mu_iter(j: int) -> MultiplicativeFunction:
@@ -101,7 +87,7 @@ def mu_iter(j: int) -> MultiplicativeFunction:
         raise DomainError(f"mu_iter order must be >= 1, got {j}")
     return MultiplicativeFunction(
         f"mu_iter_{j}",
-        lambda p, k: Fraction((-1 if k % 2 else 1) * math.comb(j, k)),
+        lambda p, k: (-1 if k % 2 else 1) * math.comb(j, k),
     )
 
 
@@ -109,14 +95,13 @@ def psi(m: int) -> MultiplicativeFunction:
     """Jordan-totient analog of the gcd-sum (Pillai) function.
 
     psi_m(n) = sum over d | n of d^m phi_m(n/d), with local value
-    p^(mk) (1 + k (1 - p^-m)).  In particular psi_1(n)/n equals the mean
-    of gcd(k, n) over k <= n.
+    p^(mk) (1 + k (1 - p^-m)) = p^(mk) + k (p^(mk) - p^(m(k-1))).  In
+    particular psi_1(n)/n equals the mean of gcd(k, n) over k <= n.
     """
     if m < 1:
         raise DomainError(f"psi order must be >= 1, got {m}")
-
-    def local(p: int, k: int) -> Fraction:
-        return Fraction(p ** (m * k)) * (1 + k * (1 - Fraction(1, p**m)))
-
-    return MultiplicativeFunction(f"psi_{m}", local)
+    return MultiplicativeFunction(
+        f"psi_{m}",
+        lambda p, k: p ** (m * k) + k * (p ** (m * k) - p ** (m * (k - 1))),
+    )
 

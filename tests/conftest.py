@@ -13,10 +13,11 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("gcdzeta")
 
 
-def poly_at(poly, u: Fraction) -> Fraction:
-    """A dirichlet.LocalPolynomial evaluated exactly at u, by Horner."""
+def poly_at(coeffs: tuple[int, ...], u: Fraction) -> Fraction:
+    """An ascending coefficient tuple, as dirichlet.f_r_local returns it,
+    evaluated exactly at u by Horner."""
     acc = Fraction(0)
-    for c in reversed(poly.coefficients):
+    for c in reversed(coeffs):
         acc = acc * u + c
     return acc
 

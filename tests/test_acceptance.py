@@ -81,10 +81,10 @@ def test_criterion_3_correction_factor_structure(convolve):
     ok = True
     for r in range(1, 7):
         for k in range(r + 1, r + 7):
-            if not dirichlet.f_r_local(r, k).is_zero:
+            if dirichlet.f_r_local(r, k) != ():
                 ok = False
         for k in range(1, r + 1):
-            if dirichlet.f_r_local(r, k).constant_term != 0:
+            if dirichlet.f_r_local(r, k)[0] != 0:
                 ok = False
     for r in (1, 2, 3):
         fr = multfun.MultiplicativeFunction(

@@ -97,8 +97,8 @@ class TestSummatoryScan:
     def test_r2_fit_cross_validates_euler_product(self):
         # two independent estimates of the same leading coefficient
         report = summatory_scan("A", 2, 10**6)
-        rel = abs(report.fitted_leading_free - report.euler_leading)
-        assert rel / report.euler_leading < 0.05
+        rel = abs(report.fitted_leading_free - report.fixed_leading)
+        assert rel / report.fixed_leading < 0.05
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -125,7 +125,7 @@ class TestSummatoryScan:
         for x_max, limit in ((50, 100), (10**4, 10**4), (10**6 + 10, 10**6)):
             report = summatory_scan("A", 1, x_max)
             value, bound = euler_leading_coefficient(1, limit)
-            assert (report.euler_leading, report.euler_tail_bound) == (value, bound)
+            assert (report.fixed_leading, report.euler_tail_bound) == (value, bound)
 
 
 class TestEulerLeadingCoefficient:
@@ -402,7 +402,6 @@ class TestResidualExponentEstimate:
             checkpoints=[(x, 0.0) for x in xs],
             degree=1,
             fixed_leading=1.0,
-            euler_leading=1.0,
             euler_tail_bound=0.0,
             residuals=[(x, x**exponent) for x in xs],
         )

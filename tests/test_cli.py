@@ -41,6 +41,12 @@ class TestEval:
         result = run_cli("eval", "fr", "--r", "2", "--k", "1")
         assert result.returncode == 0
         assert result.stdout.strip() == "-3u + u^2"
+        result = run_cli("eval", "fr", "--r", "3", "--k", "2", "--format", "json")
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {
+            "coefficients": [0, 4, -1], "k": 2, "r": 3, "target": "fr",
+            "value": "4u - u^2",
+        }
 
     def test_eval_menon(self):
         result = run_cli("eval", "menon", "--n", "5", "--a", "2")
@@ -135,6 +141,9 @@ class TestExitCodes:
         ("eval", "fr", "--r", "2", "--k", "1", "--csv", "x.csv"),
         ("eval", "fr", "--r", "2", "--k", "1", "--kmax", "2"),
         ("igusa", "--n", "2", "--s", "2", "--trunc", "5"),
+        ("verify", "menon", "--nmax", "5", "--kmax", "99", "--samples", "3"),
+        ("verify", "fr-vanishing", "--nmax", "5", "--samples", "3",
+         "--seed", "1"),
     ], ids=lambda argv: " ".join(argv))
     def test_flag_the_command_ignores_is_usage_error(self, argv):
         result = run_cli(*argv)
@@ -361,7 +370,7 @@ class TestFrTable:
 
         for row in rows:
             r, k, i, c = (int(row[key]) for key in ("r", "k", "i", "c_i"))
-            assert f_r_local(r, k).coefficients[i] == c
+            assert f_r_local(r, k)[i] == c
         # zero polynomials contribute no rows
         assert all(int(row["k"]) <= 3 for row in rows)
 
@@ -467,6 +476,8 @@ _VALUES = {
         [os.devnull, os.path.join("no-such-directory", "out")]
     ),
 }
+# the verify suites that read --nmax (and --rmax), and one that is no suite
+_NMAX_SUITES = ("menon", "a-threeway", "domination", "squarefree", "nonsense")
 _COMMANDS = {
     ("eval", "A"): ("--n", "--r"),
     ("eval", "B"): ("--n", "--r"),
@@ -477,19 +488,20 @@ _COMMANDS = {
     ("scan", "tau"): ("--k", "--xmax", "--checkpoints"),
     ("scan", "extremal"): ("--r", "--x"),
     ("igusa",): ("--n", "--s", "--method", "--trunc", "--tolerance"),
-    **{("verify", suite): ("--rmax", "--kmax", "--samples", "--seed")
-       for suite in ("menon", "a-threeway", "fr-vanishing", "domination",
-                     "squarefree", "mult", "nonsense")},
+    **{("verify", suite): ("--rmax",) for suite in _NMAX_SUITES},
+    ("verify", "fr-vanishing"): ("--rmax", "--kmax"),
+    ("verify", "mult"): ("--samples", "--seed"),
 }
 # flags some commands refuse, drawn with any value, and --output
-_EXTRA = ("--format", "--expect", "--trunc", "--n", "--k", "--output")
+_EXTRA = ("--format", "--expect", "--trunc", "--n", "--k", "--output",
+          "--nmax", "--kmax", "--samples", "--seed")
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = list(command)
-    if command[0] == "verify":
+    if command[0] == "verify" and command[1] in _NMAX_SUITES:
         # the default --nmax of 100 would make each example slow
         argv += ["--nmax", draw(_INTS)]
     for flag in _COMMANDS[command]:

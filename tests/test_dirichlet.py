@@ -6,7 +6,7 @@ from conftest import poly_at
 
 from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
-from gcdzeta.dirichlet import LocalPolynomial, f_r_local, verify_fr_structure
+from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval, a_local
 from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau_k
@@ -48,52 +48,48 @@ def pointwise_product(
     )
 
 
-class TestLocalPolynomial:
-    def test_trims_trailing_zeros(self):
-        assert LocalPolynomial((1, 2, 0, 0)).coefficients == (1, 2)
-        assert LocalPolynomial((0, 0)).is_zero
-
-    def test_degree_and_constant(self):
-        p = LocalPolynomial((0, -3, 1))
-        assert p.degree == 2
-        assert p.constant_term == 0
-        assert LocalPolynomial(()).degree == -1
-
-    def test_evaluate_exactly(self):
-        p = LocalPolynomial((0, -3, 1))
-        assert poly_at(p, Fraction(1, 3)) == Fraction(-8, 9)
-
+class TestFormatPoly:
     def test_string_forms(self):
-        assert str(LocalPolynomial((0, -3, 1))) == "-3u + u^2"
-        assert str(LocalPolynomial((0, -1))) == "-u"
-        assert str(LocalPolynomial(())) == "0"
-        assert str(LocalPolynomial((1, 2))) == "1 + 2u"
-        assert str(LocalPolynomial((0, 3, -1))) == "3u - u^2"
+        assert format_poly((0, -3, 1)) == "-3u + u^2"
+        assert format_poly((0, -1)) == "-u"
+        assert format_poly(()) == "0"
+        assert format_poly((1, 2)) == "1 + 2u"
+        assert format_poly((0, 3, -1)) == "3u - u^2"
 
 
 class TestFrLocal:
     def test_r1_k1_is_minus_u(self):
-        assert f_r_local(1, 1).coefficients == (0, -1)
+        assert f_r_local(1, 1) == (0, -1)
 
     def test_r2_k1(self):
         # A_2(p) - 3 expanded in u = 1/p
-        assert f_r_local(2, 1).coefficients == (0, -3, 1)
+        assert f_r_local(2, 1) == (0, -3, 1)
+
+    def test_coefficients_are_trimmed_int_tuples(self):
+        # the zero polynomial is (); any other tuple ends in a nonzero int
+        for r in range(1, 9):
+            for k in range(1, 11):
+                coeffs = f_r_local(r, k)
+                assert type(coeffs) is tuple
+                assert all(type(c) is int for c in coeffs)
+                assert coeffs[-1:] != (0,), (r, k)
+                assert (coeffs == ()) == (k > r), (r, k)
 
     def test_vanishing_beyond_r(self):
-        assert f_r_local(3, 4).is_zero
+        assert f_r_local(3, 4) == ()
         for r in range(1, 7):
             for k in range(r + 1, r + 7):
-                assert f_r_local(r, k).is_zero
+                assert f_r_local(r, k) == ()
 
     def test_zero_constant_term(self):
         for r in range(1, 7):
             for k in range(1, r + 1):
-                assert f_r_local(r, k).constant_term == 0
+                assert f_r_local(r, k)[0] == 0
 
     def test_degree_bounded_by_r(self):
         for r in range(1, 7):
             for k in range(1, r + 4):
-                assert f_r_local(r, k).degree <= r
+                assert len(f_r_local(r, k)) - 1 <= r
 
     @pytest.mark.parametrize("r", range(1, 41))
     def test_fold_is_the_closed_local_factor(self, r):
@@ -101,7 +97,7 @@ class TestFrLocal:
         # that analytic.euler_leading_coefficient takes in closed form
         fold = [0] * (2 * r + 1)
         for k in range(1, r + 1):
-            for i, c in enumerate(f_r_local(r, k).coefficients):
+            for i, c in enumerate(f_r_local(r, k)):
                 fold[i + k] += c
         closed = [(-1) ** i * math.comb(r, i) for i in range(r + 1)] + [0]
         for i in range(r, -1, -1):
@@ -121,6 +117,7 @@ class TestFrAsConvolution:
         assert fr_as_convolution(1, 2, 1) == Fraction(-1, 2)
         assert fr_as_convolution(1, 2, 1) == a_local(2, 1, 1) - 2
         assert fr_as_convolution(2, 3, 1) == Fraction(-8, 9)
+        assert poly_at(f_r_local(2, 1), Fraction(1, 3)) == Fraction(-8, 9)
         assert fr_as_convolution(2, 5, 3) == 0
 
     def test_matches_symbolic_polynomial(self, convolve):
@@ -139,21 +136,19 @@ class TestVerifyFrStructure:
     def test_r1_all_pass(self):
         assert verify_fr_structure(1, 6) == []
         # f_1(p^k) is the zero polynomial for every k >= 2
-        assert all(f_r_local(1, k).is_zero for k in range(2, 7))
+        assert all(f_r_local(1, k) == () for k in range(2, 7))
 
     def test_r4_kmax10_passes(self):
         assert verify_fr_structure(4, 10) == []
 
     def test_r2_constant_terms_zero(self):
         assert verify_fr_structure(2, 2) == []
-        assert all(f_r_local(2, k).constant_term == 0 for k in (1, 2))
+        assert all(f_r_local(2, k)[0] == 0 for k in (1, 2))
 
     def test_names_every_violation(self, monkeypatch):
         # a nonzero constant everywhere breaks both the vanishing and
         # the cancellation statements; a degree-3 term breaks the bound
-        monkeypatch.setattr(
-            dirichlet, "f_r_local", lambda r, k: LocalPolynomial((1, 0, 0, 1))
-        )
+        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: (1, 0, 0, 1))
         assert verify_fr_structure(2, 3) == [
             "(r=2, k=1): constant coefficient nonzero",
             "(r=2, k=1): degree 3 > 2",
@@ -162,6 +157,9 @@ class TestVerifyFrStructure:
             "(r=2, k=3): expected zero polynomial",
             "(r=2, k=3): degree 3 > 2",
         ]
+        # the zero polynomial () has a zero constant term
+        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: ())
+        assert verify_fr_structure(2, 3) == []
 
     def test_arguments_validated(self):
         with pytest.raises(DomainError):

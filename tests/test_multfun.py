@@ -11,7 +11,6 @@ from gcdzeta.arith import factorize
 from gcdzeta.errors import DomainError
 from gcdzeta.multfun import (
     binom_multiset,
-    eval_at,
     eval_int,
     jordan,
     mu,
@@ -72,13 +71,13 @@ class TestBinomMultiset:
 
 class TestStandardFunctions:
     def test_phi_and_tau_values(self):
-        assert eval_at(phi(), 12) == 4
-        assert eval_at(tau_k(2), 1) == 1
-        assert eval_at(tau_k(2), 12) == 6
+        assert eval_int(phi(), 12) == 4
+        assert eval_int(tau_k(2), 1) == 1
+        assert eval_int(tau_k(2), 12) == 6
 
     def test_jordan2_at_12(self):
         # 144 * (3/4) * (8/9)
-        assert eval_at(jordan(2), 12) == 96
+        assert eval_int(jordan(2), 12) == 96
         assert Fraction(144) * Fraction(3, 4) * Fraction(8, 9) == 96
 
     def test_tau_3_at_4_by_enumeration(self):
@@ -117,13 +116,13 @@ class TestStandardFunctions:
             f = mu_iter(j)
             for n in range(1, 5001):
                 fi = factorize(n)
-                assert eval_at(f, fi) == eval_at(chain, fi)
+                assert eval_int(f, fi) == eval_int(chain, fi)
 
     def test_psi1_over_n_is_mean_gcd(self):
         f = psi(1)
         for n in range(1, 10**4 + 1):
             fi = factorize(n)
-            assert eval_at(f, fi) / n == gcdsum.a_eval(fi, 1)
+            assert Fraction(eval_int(f, fi), n) == gcdsum.a_eval(fi, 1)
 
     def test_psi_local_closed_form(self):
         for m in (1, 2, 3):
@@ -131,19 +130,30 @@ class TestStandardFunctions:
             for p in (2, 3, 5):
                 for k in (1, 2, 3):
                     direct = sum(
-                        Fraction(d**m) * eval_at(jordan(m), (p**k) // d)
+                        d**m * eval_int(jordan(m), (p**k) // d)
                         for d in [p**j for j in range(k + 1)]
                     )
                     assert f.local(p, k) == direct
 
     def test_eval_at_one_is_one(self):
         for f in (phi(), tau_k(2), mu(), jordan(3), tau_k(4), mu_iter(2), psi(2)):
-            assert eval_at(f, 1) == 1
+            assert eval_int(f, 1) == 1
 
     @given(st.integers(1, 10**4), st.integers(1, 10**4))
     def test_multiplicative_on_coprime_pairs(self, m, n):
         if math.gcd(m, n) != 1:
             return
         for f in (phi(), tau_k(2), mu(), jordan(2), tau_k(3), mu_iter(3), psi(1)):
-            assert eval_at(f, m * n) == eval_at(f, m) * eval_at(f, n)
+            assert eval_int(f, m * n) == eval_int(f, m) * eval_int(f, n)
+
+    def test_values_are_plain_ints(self):
+        # the seven functions of `verify mult`; calling one is eval_int
+        functions = (phi(), tau_k(2), mu(), jordan(2), tau_k(3), mu_iter(3),
+                     psi(1))
+        for n in range(1, 2001):
+            fi = factorize(n)
+            for f in functions:
+                value = f(fi)
+                assert type(value) is int, (f.name, n)
+                assert value == eval_int(f, n)
 
