@@ -48,6 +48,23 @@ def pointwise_product(
     )
 
 
+class TestLocalPolynomial:
+    # f_r(p^k) as the ascending coefficient tuple in u = 1/p
+    def test_trims_trailing_zeros(self):
+        assert f_r_local(3, 4) == ()
+        assert f_r_local(2, 1) == (0, -3, 1)
+        assert f_r_local(2, 1)[-1] != 0
+
+    def test_degree_and_constant(self):
+        coeffs = f_r_local(2, 1)
+        assert len(coeffs) - 1 == 2
+        assert coeffs[0] == 0
+        assert len(f_r_local(1, 2)) - 1 == -1
+
+    def test_evaluate_exactly(self):
+        assert poly_at(f_r_local(2, 1), Fraction(1, 3)) == Fraction(-8, 9)
+
+
 class TestFormatPoly:
     def test_string_forms(self):
         assert format_poly((0, -3, 1)) == "-3u + u^2"
@@ -117,7 +134,6 @@ class TestFrAsConvolution:
         assert fr_as_convolution(1, 2, 1) == Fraction(-1, 2)
         assert fr_as_convolution(1, 2, 1) == a_local(2, 1, 1) - 2
         assert fr_as_convolution(2, 3, 1) == Fraction(-8, 9)
-        assert poly_at(f_r_local(2, 1), Fraction(1, 3)) == Fraction(-8, 9)
         assert fr_as_convolution(2, 5, 3) == 0
 
     def test_matches_symbolic_polynomial(self, convolve):
