@@ -195,15 +195,20 @@ def _verify_fr_vanishing(args) -> tuple[int, int, str]:
 
 def _verify_domination(args) -> tuple[int, int, str]:
     checked = 0
+    taus = [multfun.tau_k(r + 1) for r in range(args.rmax + 1)]
     for n in range(1, args.nmax + 1):
         fi = factorize(n)
-        for r in range(0, args.rmax + 1):
-            a = gcdsum.a_eval(fi, r)
-            t = multfun.eval_int(multfun.tau_k(r + 1), fi)
+        for r, tau in enumerate(taus):
+            # A_r(n) against tau_{r+1}(n), both times n^r
+            scale = n**r
+            total = gcdsum.a_numerator(fi, r)
+            t = multfun.eval_int(tau, fi)
+            bound = t * scale
             # equality holds exactly at n = 1, except that r = 0 makes
             # both sides identically 1
-            bad = a > t or (r >= 1 and (a == t) != (n == 1))
+            bad = total > bound or (r >= 1 and (total == bound) != (n == 1))
             if bad:
+                a = Fraction(total, scale)
                 return checked, n, f"A_{r}({n}) = {a} vs tau_{r+1} = {t}"
             checked += 1
     return checked, 0, ""
@@ -216,10 +221,10 @@ def _verify_squarefree(args) -> tuple[int, int, str]:
         if any(k > 1 for _, k in fi.factors):
             continue
         for r in range(0, args.rmax + 1):
-            expected = Fraction(1)
-            for p, _ in fi.factors:
-                expected *= p * (1 - Fraction(p - 1, p) ** (r + 1))
-            if gcdsum.a_eval(fi, r) != expected:
+            # n^r prod_p p (1 - (1 - 1/p)^(r+1)) over the primes p | n
+            expected = math.prod(p ** (r + 1) - (p - 1) ** (r + 1)
+                                 for p, _ in fi.factors)
+            if gcdsum.a_numerator(fi, r) != expected:
                 return checked, n, f"squarefree expansion fails at n={n}, r={r}"
             checked += 1
     return checked, 0, ""
@@ -244,19 +249,28 @@ def _verify_mult(args) -> tuple[int, int, str]:
     return checked, 0, ""
 
 
-# each suite's loop and the flags it reads, with their defaults
+# each suite's loop and the flags it reads, with their defaults and the
+# least value that leaves the suite something to check (None: any value)
 _VERIFY_SUITES = {
-    "menon": (_verify_menon, {"nmax": 100, "rmax": 3}),
-    "a-threeway": (_verify_threeway, {"nmax": 100, "rmax": 3}),
-    "fr-vanishing": (_verify_fr_vanishing, {"rmax": 3, "kmax": 10}),
-    "domination": (_verify_domination, {"nmax": 100, "rmax": 3}),
-    "squarefree": (_verify_squarefree, {"nmax": 100, "rmax": 3}),
-    "mult": (_verify_mult, {"samples": 200, "seed": DEFAULT_SEED}),
+    "menon": (_verify_menon, {"nmax": (100, 1), "rmax": (3, 0)}),
+    "a-threeway": (_verify_threeway, {"nmax": (100, 1), "rmax": (3, 0)}),
+    "fr-vanishing": (_verify_fr_vanishing, {"rmax": (3, 1), "kmax": (10, 1)}),
+    "domination": (_verify_domination, {"nmax": (100, 1), "rmax": (3, 0)}),
+    "squarefree": (_verify_squarefree, {"nmax": (100, 1), "rmax": (3, 0)}),
+    "mult": (_verify_mult,
+             {"samples": (200, 1), "seed": (DEFAULT_SEED, None)}),
 }
 
 
 def _cmd_verify(args) -> int:
-    checked, where, message = _VERIFY_SUITES[args.suite][0](args)
+    run, flags = _VERIFY_SUITES[args.suite]
+    for flag, (_, least) in flags.items():
+        value = getattr(args, flag)
+        if least is not None and value < least:
+            raise DomainError(
+                f"verify {args.suite} needs --{flag} >= {least}, got {value}"
+            )
+    checked, where, message = run(args)
     if message:
         _emit(args, f"FAIL after {checked} checks at {where}: {message}")
         return 1
@@ -368,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     vs = p_verify.add_subparsers(dest="suite", required=True)
-    for name, (_, defaults) in sorted(_VERIFY_SUITES.items()):
+    for name, (_, flags) in sorted(_VERIFY_SUITES.items()):
         p = vs.add_parser(name)
-        for flag, default in defaults.items():
+        for flag, (default, _) in flags.items():
             p.add_argument(f"--{flag}", type=int, default=default)
         _common_output(p)
     p_verify.set_defaults(func=_cmd_verify)

@@ -3,8 +3,10 @@
 A_r(n) is the mean of gcd(k_1 ... k_r, n) over all r-tuples of indices in
 [1, n]; it is computed three independent ways (brute force over residues,
 prime-power product formula, divisor recursion) so each can vouch for the
-others.  B_r(n) restricts the tuples to products coprime to n and sums
-gcd(k_1 ... k_r - 1, n); it collapses to phi(n)^r tau(n).
+others.  The product formula and the recursion work on the integer total
+n^r A_r(n) and form one Fraction at the end.  B_r(n) restricts the tuples
+to products coprime to n and sums gcd(k_1 ... k_r - 1, n); it collapses
+to phi(n)^r tau(n).
 """
 
 from __future__ import annotations
@@ -65,31 +67,41 @@ def a_local_sum(t, k: int, r: int):
 
 
 @lru_cache(maxsize=None)
-def a_local(p: int, k: int, r: int) -> Fraction:
-    """A_r at the prime power p^k, exactly."""
+def a_local_numerator(p: int, k: int, r: int) -> int:
+    """p^(kr) A_r(p^k), the total of gcd(k_1 ... k_r, p^k) over the
+    p^(kr) tuples, exactly."""
     if k < 1:
         raise DomainError(f"exponent must be >= 1, got {k}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    # Fraction() keeps the carrier type at r = 0, where the sum is the int 1
-    return Fraction(a_local_sum(Fraction(p - 1, p), k, r))
+    # exact: the local sum's denominator divides p^r
+    return int(a_local_sum(Fraction(p - 1, p), k, r) * p ** (k * r))
 
 
-def a_eval(n: int | FactoredInteger, r: int) -> Fraction:
-    """A_r(n) via multiplicativity: product of local values over p^k || n."""
+def a_numerator(n: int | FactoredInteger, r: int) -> int:
+    """n^r A_r(n), the total of gcd(k_1 ... k_r, n) over the n^r tuples:
+    the product of the local numerators over p^k || n."""
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    out = Fraction(1)
-    for p, k in fi.factors:
-        out *= a_local(p, k, r)
-    return out
+    return math.prod(a_local_numerator(p, k, r) for p, k in fi.factors)
+
+
+def a_eval(n: int | FactoredInteger, r: int) -> Fraction:
+    """A_r(n) via multiplicativity, reduced once: a_numerator over n^r."""
+    total = a_numerator(n, r)
+    value = n.value if isinstance(n, FactoredInteger) else n
+    return Fraction(total, value**r)
 
 
 def a_recursion(n: int, r: int) -> Fraction:
     """A_r(n) by the divisor recursion
 
         A_r(n) = sum_{d | n} phi(d) A_{r-1}(d) / d,  A_0 = 1,
+
+    run on the integer numerators N_j(d) = d^j A_j(d), as
+
+        N_j(d) = sum_{e | d} phi(e) (d/e)^j N_{j-1}(e),  N_0 = 1,
 
     memoized level by level over the divisor lattice of n (divisors of a
     divisor are again divisors of n, so one table per level suffices).
@@ -99,15 +111,15 @@ def a_recursion(n: int, r: int) -> Fraction:
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     divs = divisors(n)
-    phi_over_d = {d: Fraction(eval_int(phi(), d), d) for d in divs}
+    phis = {d: eval_int(phi(), d) for d in divs}
     sub = {d: [e for e in divs if d % e == 0] for d in divs}
-    level = {d: Fraction(1) for d in divs}
-    for _ in range(r):
+    level = dict.fromkeys(divs, 1)
+    for j in range(1, r + 1):
         level = {
-            d: sum((phi_over_d[e] * level[e] for e in sub[d]), Fraction(0))
+            d: sum(phis[e] * (d // e) ** j * level[e] for e in sub[d])
             for d in divs
         }
-    return level[n]
+    return Fraction(level[n], n**r)
 
 
 def b_bruteforce(n: int, r: int) -> int:

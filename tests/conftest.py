@@ -5,7 +5,9 @@ from itertools import product
 import hypothesis
 import pytest
 
-from gcdzeta.multfun import MultiplicativeFunction
+from gcdzeta.arith import FactoredInteger, divisors, factorize
+from gcdzeta.gcdsum import a_local_sum
+from gcdzeta.multfun import MultiplicativeFunction, eval_int, phi
 
 hypothesis.settings.register_profile(
     "gcdzeta", deadline=None, max_examples=100
@@ -20,6 +22,40 @@ def poly_at(coeffs: tuple[int, ...], u: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
+
+
+def a_local(p: int, k: int, r: int) -> Fraction:
+    """A_r(p^k) as a Fraction: the local sum at t = 1 - 1/p."""
+    # Fraction() keeps the carrier type at r = 0, where the sum is the int 1
+    return Fraction(a_local_sum(Fraction(p - 1, p), k, r))
+
+
+def a_eval_product(n: int | FactoredInteger, r: int) -> Fraction:
+    """A_r(n) as a product of Fraction local values, one reduction per
+    prime: the oracle for gcdsum.a_numerator and gcdsum.a_eval."""
+    fi = n if isinstance(n, FactoredInteger) else factorize(n)
+    out = Fraction(1)
+    for p, k in fi.factors:
+        out *= a_local(p, k, r)
+    return out
+
+
+def a_recursion_fraction(n: int, r: int) -> Fraction:
+    """A_r(n) by the divisor recursion in Fractions,
+
+        A_r(n) = sum_{d | n} phi(d) A_{r-1}(d) / d,  A_0 = 1:
+
+    the oracle for the integer recursion of gcdsum.a_recursion."""
+    divs = divisors(n)
+    phi_over_d = {d: Fraction(eval_int(phi(), d), d) for d in divs}
+    sub = {d: [e for e in divs if d % e == 0] for d in divs}
+    level = {d: Fraction(1) for d in divs}
+    for _ in range(r):
+        level = {
+            d: sum((phi_over_d[e] * level[e] for e in sub[d]), Fraction(0))
+            for d in divs
+        }
+    return level[n]
 
 
 def menon_sum_loop(n: int, a: int) -> int:

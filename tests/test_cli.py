@@ -8,13 +8,15 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import menon_sum_loop
-from gcdzeta import gcdsum
+from conftest import a_eval_product, menon_sum_loop
+from gcdzeta import gcdsum, multfun
+from gcdzeta.arith import FactoredInteger, factorize
 from gcdzeta.cli import main
 
 
@@ -338,6 +340,101 @@ class TestVerify:
         line = "FAIL after 32 checks at 7: menon_sum(7, 3) = 13 != 12"
         assert (code, out.getvalue()) == (1, line + "\n")
         assert loop_form(10, 3) == line
+
+    @staticmethod
+    def fraction_form(suite, nmax, rmax, wrong):
+        """The domination or squarefree suite on Fraction values, as it
+        ran before it compared integer numerators, with wrong(n, r) / n^r
+        added to A_r(n)."""
+        checked = 0
+        for n in range(1, nmax + 1):
+            fi = factorize(n)
+            if suite == "squarefree" and any(k > 1 for _, k in fi.factors):
+                continue
+            for r in range(rmax + 1):
+                a = a_eval_product(fi, r) + Fraction(wrong(n, r), n**r)
+                if suite == "domination":
+                    t = multfun.eval_int(multfun.tau_k(r + 1), fi)
+                    if a > t or (r >= 1 and (a == t) != (n == 1)):
+                        return (f"FAIL after {checked} checks at {n}: "
+                                f"A_{r}({n}) = {a} vs tau_{r + 1} = {t}")
+                else:
+                    expected = Fraction(1)
+                    for p, _ in fi.factors:
+                        expected *= p * (1 - Fraction(p - 1, p) ** (r + 1))
+                    if a != expected:
+                        return (f"FAIL after {checked} checks at {n}: "
+                                f"squarefree expansion fails at n={n}, r={r}")
+                checked += 1
+        return f"PASS {checked}/{checked}"
+
+    @pytest.mark.parametrize("suite, at, line", [
+        ("domination", None, "PASS 200/200"),
+        ("domination", (2, 1), "FAIL after 6 checks at 2: A_1(2) = 2 vs tau_2 = 2"),
+        ("domination", (1, 0), "FAIL after 0 checks at 1: A_0(1) = 2 vs tau_1 = 1"),
+        ("domination", (12, 3),
+         "FAIL after 58 checks at 12: A_3(12) = 69121/1728 vs tau_4 = 40"),
+        ("squarefree", None, "PASS 130/130"),
+        ("squarefree", (30, 2),
+         "FAIL after 92 checks at 30: squarefree expansion fails at n=30, r=2"),
+    ])
+    def test_output_matches_the_fraction_form(self, monkeypatch, suite, at,
+                                              line):
+        # one numerator off, at n^r A_r(n) for (n, r) = at; the domination
+        # case at 12 is off by 12^3 (tau_4(12) - A_3(12)) + 1, with
+        # tau_4(12) = 40, so the reduced Fraction in its line is not whole
+        def wrong(n, r):
+            if (n, r) != at:
+                return 0
+            if at == (12, 3):
+                return int(12**3 * (40 - a_eval_product(12, 3))) + 1
+            return 1
+
+        real = gcdsum.a_numerator
+
+        def off(n, r):
+            value = n.value if isinstance(n, FactoredInteger) else n
+            return real(n, r) + wrong(value, r)
+
+        monkeypatch.setattr(gcdsum, "a_numerator", off)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", suite, "--nmax", "40", "--rmax", "4"])
+        assert (code, out.getvalue()) == (int(at is not None), line + "\n")
+        assert self.fraction_form(suite, 40, 4, wrong) == line
+
+    # each suite's bounds at their least value, the output there, and the
+    # domain error one step below it
+    @pytest.mark.parametrize("argv, flag, least, line", [
+        (("menon", "--nmax", "1"), "--nmax", 1, "PASS 4/4"),
+        (("menon", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 4/4"),
+        (("a-threeway", "--nmax", "1"), "--nmax", 1, "PASS 4/4"),
+        (("a-threeway", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 3/3"),
+        (("fr-vanishing", "--rmax", "1"), "--rmax", 1, "PASS 10/10"),
+        (("fr-vanishing", "--kmax", "1"), "--kmax", 1, "PASS 3/3"),
+        (("domination", "--nmax", "1"), "--nmax", 1, "PASS 4/4"),
+        (("domination", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 3/3"),
+        (("squarefree", "--nmax", "1"), "--nmax", 1, "PASS 4/4"),
+        (("squarefree", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 3/3"),
+        (("mult", "--samples", "1", "--seed", "2"), "--samples", 1, "PASS 7/7"),
+    ])
+    def test_bounds_below_the_least_are_domain_errors(self, argv, flag, least,
+                                                      line):
+        argv = ["verify", *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+        assert (out.getvalue(), err.getvalue()) == (line + "\n", "")
+        below = argv.copy()
+        below[below.index(flag) + 1] = str(least - 1)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(below) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            f"domain error: verify {argv[1]} needs {flag} >= {least}, "
+            f"got {least - 1}\n"
+        )
 
     def test_threeway(self):
         result = run_cli("verify", "a-threeway", "--nmax", "30", "--rmax", "3")

@@ -2,13 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import poly_at
+from conftest import a_local, poly_at
 
 from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
 from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
 from gcdzeta.errors import DomainError
-from gcdzeta.gcdsum import a_eval, a_local
+from gcdzeta.gcdsum import a_eval
 from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau_k
 
 

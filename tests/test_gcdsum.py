@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import menon_sum_loop
+from conftest import (
+    a_eval_product,
+    a_local,
+    a_recursion_fraction,
+    menon_sum_loop,
+)
 from gcdzeta.arith import _residue_convolution, factorize, prime_array
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
     LOOP_GUARD,
     a_bruteforce,
     a_eval,
-    a_local,
+    a_local_numerator,
     a_local_sum,
+    a_numerator,
     a_recursion,
     b_bruteforce,
     b_closed,
@@ -152,15 +158,30 @@ class TestABruteforce:
 
 class TestALocal:
     def test_examples(self):
-        assert a_local(2, 1, 1) == Fraction(3, 2)
-        assert a_local(2, 1, 2) == Fraction(7, 4)
-        assert a_local(17, 3, 0) == 1
+        # p^(kr) A_r(p^k): 2 A_1(2) = 3, 4 A_2(2) = 7
+        assert a_local_numerator(2, 1, 1) == 3
+        assert a_local_numerator(2, 1, 2) == 7
+        assert a_local_numerator(17, 3, 0) == 1
+        for p, k, r in ((2, 1, 1), (3, 4, 2), (97, 2, 5)):
+            want = a_local(p, k, r)
+            assert Fraction(a_local_numerator(p, k, r), p ** (k * r)) == want
 
     def test_single_prime_closed_form_r1(self):
-        # 1 + k (1 - 1/p)
+        # p^k (1 + k (1 - 1/p))
         for p in (2, 3, 5, 7):
             for k in range(1, 6):
-                assert a_local(p, k, 1) == 1 + k * Fraction(p - 1, p)
+                want = p**k + k * (p - 1) * p ** (k - 1)
+                assert a_local_numerator(p, k, 1) == want
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            a_local_numerator(2, 0, 1)
+        with pytest.raises(DomainError):
+            a_local_numerator(2, 1, -1)
+        with pytest.raises(DomainError):
+            a_numerator(12, -1)
+        with pytest.raises(DomainError):
+            a_numerator(0, 1)
 
     def test_float_sum_bit_identical_to_float64_loop(self):
         # the scan feeds a_local_sum floats at small primes and one array
@@ -180,9 +201,8 @@ class TestALocal:
                     p = int(ps[i])
                     scalar = a_local_sum(1.0 - 1.0 / p, k, r)
                     assert type(scalar) is float and scalar == want[i]
-                    assert float(a_local(p, k, r)) == pytest.approx(
-                        scalar, rel=1e-15
-                    )
+                    exact = a_local_numerator(p, k, r) / p ** (k * r)
+                    assert exact == pytest.approx(scalar, rel=1e-15)
 
 
 class TestAEval:
@@ -247,6 +267,33 @@ class TestARecursion:
             for n in range(1, 41):
                 brute = a_bruteforce(n, r)
                 assert brute == a_eval(n, r) == a_recursion(n, r)
+
+
+class TestIntegerNumerators:
+    """n^r A_r(n) in integers against the Fraction forms it replaced."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 200), st.integers(0, 8))
+    def test_numerator_is_the_gcd_total(self, n, r):
+        assert a_numerator(n, r) == n**r * a_bruteforce(n, r)
+
+    @given(st.integers(1, 2000), st.integers(0, 8))
+    def test_numerator_matches_the_fraction_product(self, n, r):
+        total = a_numerator(n, r)
+        assert type(total) is int
+        assert Fraction(total, n**r) == a_eval_product(n, r) == a_eval(n, r)
+        assert a_eval(factorize(n), r) == a_eval(n, r)
+
+    @given(st.integers(1, 2000), st.integers(0, 8))
+    def test_integer_recursion_matches_the_fraction_recursion(self, n, r):
+        assert a_recursion(n, r) == a_recursion_fraction(n, r)
+
+    def test_highly_composite_moduli(self):
+        for n in (720, 1680, 2000):
+            for r in range(9):
+                want = a_eval_product(n, r)
+                assert a_recursion(n, r) == a_recursion_fraction(n, r) == want
+                assert a_numerator(n, r) == want * n**r
 
 
 class TestB:
