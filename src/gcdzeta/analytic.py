@@ -31,6 +31,7 @@ from .multfun import tau_k
 # values for A_r and tau_k with r, k <= 4), so it takes two limbs.
 _LIMB_BITS = 36
 _CHUNK = 2**16
+_WINDOW = 2**18  # _value_table's pass window: 2 MB of float64, inside L2
 
 
 @dataclass
@@ -93,36 +94,38 @@ def _value_table(local, x_max: int) -> np.ndarray:
     """vals[n] = f(n) in float64 for n <= x_max, multiplicatively sieved.
 
     local(p, k) is f(p^k); p may be an int or an int64 array of primes.
-    Each prime p <= sqrt(x_max) takes one pass per prime power: entries
-    divisible by p^k pick up the ratio local(p, k) / local(p, k-1), which
-    leaves exactly local(p, v_p(n)) multiplied in for every n.  A larger
-    prime divides n <= x_max at most once and is then n's largest prime
-    factor, so those primes go in last, bucketed by the cofactor
-    m = n / p: one scatter per m instead of one strided pass per prime.
-    Every entry still takes its factors in ascending prime order, so the
-    table is bit-identical to a pass per prime.
+    Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
+    into the entries divisible by p^k, for each p^k <= x_max, which
+    leaves exactly local(p, v_p(n)) in every n; these strided passes run
+    one _WINDOW of the table at a time, so it stays in cache.  A larger
+    prime p divides n <= x_max at most once, and then m = n / p <
+    sqrt(x_max) has n's small-prime valuations: vals[n] already holds
+    vals[m], so one scatter per m writes vals[m] local(p, 1) without
+    reading vals[n].  Every entry takes its factors in ascending prime
+    order, so the table is bit-identical to a pass per prime.
     """
     # the sieve's guard refuses x_max before the table is allocated
     primes = prime_array(x_max)
     vals = np.ones(x_max + 1)
     vals[0] = 0.0
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
+    ratios = []
     for p in primes[:split].tolist():
-        pk = p
-        k = 1
-        prev = 1.0
+        pk, k, prev = p, 1, 1.0
         while pk <= x_max:
             loc = local(p, k)
-            vals[pk::pk] *= loc / prev
-            prev = loc
-            pk *= p
-            k += 1
+            ratios.append((pk, loc / prev))
+            prev, pk, k = loc, pk * p, k + 1
+    for lo in range(0, x_max + 1, _WINDOW):
+        window = vals[lo : lo + _WINDOW]
+        for pk, ratio in ratios:
+            window[-lo % pk :: pk] *= ratio
     big = primes[split:]
     if big.size:
         loc = np.broadcast_to(local(big, 1), big.shape)
         for m in range(1, x_max // int(big[0]) + 1):
             count = int(np.searchsorted(big, x_max // m, side="right"))
-            vals[m * big[:count]] *= loc[:count]
+            vals[m * big[:count]] = vals[m] * loc[:count]
     return vals
 
 

@@ -237,18 +237,22 @@ def divisors(n: int | FactoredInteger) -> list[int]:
 
 
 def prime_array(n: int) -> np.ndarray:
-    """All primes <= n as an ascending int64 array (Eratosthenes)."""
+    """All primes <= n as an ascending int64 array: Eratosthenes over the
+    odd numbers only, index i standing for 2i + 1, then spread over 0..n
+    so the primes are read off as positions, with no int64 arithmetic."""
     if n > SIEVE_LIMIT:
         raise ResourceError(f"sieve limit {n} exceeds guard {SIEVE_LIMIT}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    sieve[4::2] = False
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    sieve[0] = False
     for p in range(3, math.isqrt(n) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = False
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[1::2] = sieve
+    flags[2] = True
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def primes_upto(n: int) -> list[int]:

@@ -84,33 +84,6 @@ def _check_digits(n: int, r: int) -> None:
 
 def _cmd_eval(args) -> int:
     target = args.target
-    if target in ("A", "B"):
-        _check_digits(args.n, args.r)
-    if target == "A":
-        text = _fmt_fraction(gcdsum.a_eval(args.n, args.r))
-        return _finish_value(
-            args, {"target": "A", "n": args.n, "r": args.r, "value": text}, text
-        )
-    if target == "B":
-        value = gcdsum.b_closed(args.n, args.r)
-        return _finish_value(
-            args, {"target": "B", "n": args.n, "r": args.r, "value": str(value)},
-            str(value),
-        )
-    if target == "menon":
-        (value,) = gcdsum.menon_sum(args.n, [args.a])
-        return _finish_value(
-            args,
-            {"target": "menon", "n": args.n, "a": args.a, "value": str(value)},
-            str(value),
-        )
-    if target == "tau":
-        value = multfun.eval_int(multfun.tau_k(args.k), factorize(args.n))
-        return _finish_value(
-            args,
-            {"target": "tau", "n": args.n, "k": args.k, "value": str(value)},
-            str(value),
-        )
     if target == "fr":
         if args.kmax is None and args.csv:
             print("usage error: eval fr --csv writes the --kmax table",
@@ -146,7 +119,23 @@ def _cmd_eval(args) -> int:
             "value": text,
         }
         return _finish_value(args, payload, text)
-    raise DomainError(f"unknown eval target {target!r}")
+    if target in ("A", "B"):
+        _check_digits(args.n, args.r)
+    if target == "A":
+        param, text = "r", _fmt_fraction(gcdsum.a_eval(args.n, args.r))
+    elif target == "B":
+        param, text = "r", str(gcdsum.b_closed(args.n, args.r))
+    elif target == "menon":
+        (value,) = gcdsum.menon_sum(args.n, [args.a])
+        param, text = "a", str(value)
+    elif target == "tau":
+        value = multfun.eval_int(multfun.tau_k(args.k), factorize(args.n))
+        param, text = "k", str(value)
+    else:
+        raise DomainError(f"unknown eval target {target!r}")
+    payload = {"target": target, "n": args.n, param: getattr(args, param),
+               "value": text}
+    return _finish_value(args, payload, text)
 
 
 # ---------------------------------------------------------------- verify
@@ -348,72 +337,72 @@ def _cmd_igusa(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The gcdzeta parser, with options and nested parsers for argv's
+    command only: the top level takes no option with a value, so that is
+    the first argument not starting with "-" whenever argparse accepts one."""
+    command = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="gcdzeta",
         description="gcd-sum functions, their convolution structure, "
         "summatory scans, and cyclic-group zeta values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
-    ev = p_eval.add_subparsers(dest="target", required=True)
-    for name in ("A", "B"):
-        p = ev.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        _value_output(p)
-    p = ev.add_parser("menon")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    _value_output(p)
-    p = ev.add_parser("tau")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _value_output(p)
-    p = ev.add_parser("fr")
-    p.add_argument("--r", type=int, required=True)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=int)
-    which.add_argument("--kmax", type=int)
-    p.add_argument("--csv", help="write the coefficient table as CSV")
-    _value_output(p)
-    p_eval.set_defaults(func=_cmd_eval)
-
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    vs = p_verify.add_subparsers(dest="suite", required=True)
-    for name, (_, flags) in sorted(_VERIFY_SUITES.items()):
-        p = vs.add_parser(name)
-        for flag, (default, _) in flags.items():
-            p.add_argument(f"--{flag}", type=int, default=default)
-        _common_output(p)
-    p_verify.set_defaults(func=_cmd_verify)
-
     p_scan = sub.add_parser("scan", help="summatory scan or extremal probe")
-    sc = p_scan.add_subparsers(dest="target", required=True)
-    p = sc.add_parser("A")
-    p.add_argument("--r", type=int, required=True)
-    _scan_common(p)
-    p = sc.add_parser("tau")
-    p.add_argument("--k", type=int, required=True)
-    _scan_common(p)
-    p = sc.add_parser("extremal")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--json", help="also write the record to this path")
-    _common_output(p)
-    p_scan.set_defaults(func=_cmd_scan)
-
     p_igusa = sub.add_parser("igusa", help="evaluate the cyclic-group zeta")
-    p_igusa.add_argument("--n", type=int, required=True)
-    p_igusa.add_argument("--s", required=True, help="comma-separated exponents")
-    p_igusa.add_argument(
-        "--method", choices=("euler", "direct"), default="euler"
-    )
-    p_igusa.add_argument("--trunc", type=int, default=None)
-    p_igusa.add_argument("--tolerance", type=float, default=1e-9)
-    _common_output(p_igusa)
-    p_igusa.set_defaults(func=_cmd_igusa)
+    if command == "eval":
+        ev = p_eval.add_subparsers(dest="target", required=True)
+        for name in ("A", "B"):
+            p = ev.add_parser(name)
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--r", type=int, required=True)
+            _value_output(p)
+        p = ev.add_parser("menon")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        _value_output(p)
+        p = ev.add_parser("tau")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        _value_output(p)
+        p = ev.add_parser("fr")
+        p.add_argument("--r", type=int, required=True)
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--k", type=int)
+        which.add_argument("--kmax", type=int)
+        p.add_argument("--csv", help="write the coefficient table as CSV")
+        _value_output(p)
+    elif command == "verify":
+        vs = p_verify.add_subparsers(dest="suite", required=True)
+        for name, (_, flags) in sorted(_VERIFY_SUITES.items()):
+            p = vs.add_parser(name)
+            for flag, (default, _) in flags.items():
+                p.add_argument(f"--{flag}", type=int, default=default)
+            _common_output(p)
+    elif command == "scan":
+        sc = p_scan.add_subparsers(dest="target", required=True)
+        p = sc.add_parser("A")
+        p.add_argument("--r", type=int, required=True)
+        _scan_common(p)
+        p = sc.add_parser("tau")
+        p.add_argument("--k", type=int, required=True)
+        _scan_common(p)
+        p = sc.add_parser("extremal")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--x", type=int, required=True)
+        p.add_argument("--json", help="also write the record to this path")
+        _common_output(p)
+    elif command == "igusa":
+        p_igusa.add_argument("--n", type=int, required=True)
+        p_igusa.add_argument("--s", required=True, help="comma-separated exponents")
+        p_igusa.add_argument(
+            "--method", choices=("euler", "direct"), default="euler"
+        )
+        p_igusa.add_argument("--trunc", type=int, default=None)
+        p_igusa.add_argument("--tolerance", type=float, default=1e-9)
+        _common_output(p_igusa)
     return parser
 
 
@@ -437,10 +426,12 @@ def _scan_common(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
+    run = {"eval": _cmd_eval, "verify": _cmd_verify, "scan": _cmd_scan,
+           "igusa": _cmd_igusa}[args.command]
     try:
-        return args.func(args)
+        return run(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ values are, so a function with rational local values gives a Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,6 +18,7 @@ from .arith import FactoredInteger, factorize
 from .errors import DomainError
 
 
+@functools.lru_cache(maxsize=1024)  # tau_k and a_local_sum repeat few (n, k)
 def binom_multiset(n: int, k: int) -> int:
     """Number of k-multisets drawn from n >= 1 symbols: C(n+k-1, k)."""
     if n < 1 or k < 0:

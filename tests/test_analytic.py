@@ -251,6 +251,7 @@ def float_bits(values):
 
 
 CHUNK = analytic._CHUNK
+WINDOW = analytic._WINDOW
 
 
 @st.composite
@@ -319,8 +320,13 @@ class TestExactSum:
 
 class TestFastPathsAgainstReferences:
     # 317 is prime: at 317^2 it is the largest prime on the small side of
-    # sqrt(x), and at 317^2 - 1 the smallest on the large side
-    @pytest.mark.parametrize("x_max", [10**5, 317**2, 317**2 - 1])
+    # sqrt(x), and at 317^2 - 1 the smallest on the large side; the rest
+    # put the table's end on, next to or past the pass windows' edges
+    @pytest.mark.parametrize(
+        "x_max",
+        [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
+         3 * WINDOW + 7],
+    )
     @pytest.mark.parametrize(
         "kind, param",
         [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("tau", 2), ("tau", 3),

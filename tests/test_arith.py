@@ -228,8 +228,11 @@ class TestPrimesInRange:
 
 
 class TestPrimeArray:
-    # 317 is prime: n = 317^2 puts a square of a prime at the sieve's end
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 317**2, 10**5])
+    # 317 is prime: n = 317^2 puts a square of a prime at the sieve's end,
+    # as 9 and 25 do; 4, 8 and 10 end the sieve on an even number
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, 8, 9, 10, 25, 317**2, 10**5]
+    )
     def test_matches_bytearray_sieve(self, n, primes_between):
         got = prime_array(n)
         assert got.dtype == np.int64

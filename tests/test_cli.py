@@ -87,6 +87,40 @@ class TestExitCodes:
         assert run_cli("nonsense").returncode == 2
         assert run_cli("eval", "fr", "--r", "2").returncode == 2
 
+    # only the named command's nested parsers are built, so every level's
+    # help and choices must still show up when asked for
+    @pytest.mark.parametrize(
+        "argv, shows",
+        [([], "{eval,verify,scan,igusa}"),
+         (["eval"], "{A,B,menon,tau,fr}"),
+         (["eval", "fr"], "--kmax"),
+         (["verify"],
+          "{a-threeway,domination,fr-vanishing,menon,mult,squarefree}"),
+         (["verify", "mult"], "--samples"),
+         (["scan"], "{A,tau,extremal}"),
+         (["scan", "tau"], "--checkpoints"),
+         (["igusa"], "--tolerance")],
+    )
+    def test_help_at_every_level(self, argv, shows, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert shows in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [(["eval", "nonsense"], "invalid choice: 'nonsense'"),
+         (["-5", "eval", "A"], "invalid choice: '-5'"),
+         (["scan", "A", "--r", "2"], "required: --xmax"),
+         (["igusa", "--n", "2", "--s", "2", "--bogus"],
+          "unrecognized arguments: --bogus")],
+    )
+    def test_usage_errors_name_the_fault(self, argv, says, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert says in capsys.readouterr().err
+
     def test_domain_error_is_three(self):
         result = run_cli("eval", "menon", "--n", "4", "--a", "2")
         assert result.returncode == 3
