@@ -236,6 +236,19 @@ def divisors(n: int | FactoredInteger) -> list[int]:
     return sorted(divs)
 
 
+def gcd_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(divs, idx): the divisors of n ascending (int64), and idx[c] the
+    position of gcd(c, n) in divs, c = 0..n-1, 1 byte each (2 if tau(n) >
+    256).  By trial division, independent of factorize; idx[::d] = i in
+    ascending d leaves each c its largest divisor.  Callers guard n."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divs = np.array(sorted({*low, *(n // d for d in low)}), dtype=np.int64)
+    idx = np.zeros(n, dtype=np.min_scalar_type(len(divs) - 1))
+    for i, d in enumerate(divs.tolist()):
+        idx[::d] = i
+    return divs, idx
+
+
 def prime_array(n: int) -> np.ndarray:
     """All primes <= n as an ascending int64 array: Eratosthenes over the
     odd numbers only, index i standing for 2i + 1, then spread over 0..n

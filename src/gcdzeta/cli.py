@@ -111,13 +111,8 @@ def _cmd_eval(args) -> int:
             return 0
         coeffs = dirichlet.f_r_local(args.r, args.k)
         text = dirichlet.format_poly(coeffs)
-        payload = {
-            "target": "fr",
-            "r": args.r,
-            "k": args.k,
-            "coefficients": list(coeffs),
-            "value": text,
-        }
+        payload = {"target": "fr", "r": args.r, "k": args.k,
+                   "coefficients": list(coeffs), "value": text}
         return _finish_value(args, payload, text)
     if target in ("A", "B"):
         _check_digits(args.n, args.r)

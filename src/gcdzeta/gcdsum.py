@@ -18,20 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 # LOOP_GUARD is re-exported: the brute-force loops here are what it guards
-from .arith import (  # noqa: F401
-    LOOP_GUARD,
-    FactoredInteger,
-    _check_loop_guard,
-    _convolution_steps,
-    _residue_convolution,
-    divisors,
-    factorize,
-)
+from .arith import (LOOP_GUARD, FactoredInteger, _check_loop_guard,  # noqa: F401
+                    _convolution_steps, _residue_convolution, divisors,
+                    factorize, gcd_table)
 from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau_k
 
-# entries per numpy block of menon_sum
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # entries per numpy block of menon_sum
 
 
 def a_bruteforce(n: int, r: int) -> Fraction:
@@ -39,7 +32,7 @@ def a_bruteforce(n: int, r: int) -> Fraction:
 
     gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
     walking all n^r tuples it weights each residue c of the product by
-    gcd(c, n) (gcd(0, n) = n), counted by _residue_convolution over all
+    gcd(c, n) from gcd_table, counted by _residue_convolution over all
     of 1..n; the guard counts its _convolution_steps.
     """
     if n < 1:
@@ -48,7 +41,8 @@ def a_bruteforce(n: int, r: int) -> Fraction:
         raise DomainError(f"r must be >= 0, got {r}")
     _check_loop_guard(_convolution_steps(n, r), "a_bruteforce")
     dist = _residue_convolution(n, [np.ones(n, dtype=bool)] * r)
-    return Fraction(int((dist * np.gcd(np.arange(n), n)).sum()), n**r)
+    divs, idx = gcd_table(n)
+    return Fraction(int((dist * divs[idx]).sum()), n**r)
 
 
 def a_local_sum(t, k: int, r: int):
@@ -125,20 +119,22 @@ def a_recursion(n: int, r: int) -> Fraction:
 def b_bruteforce(n: int, r: int) -> int:
     """B_r(n) summed from the definition.
 
-    As for a_bruteforce: _residue_convolution counts the products of unit
-    tuples by residue c mod n, and c is weighted by gcd(c - 1, n), which
-    is n at c = 1.  The guard counts the n steps that find the units,
-    then the convolution's steps over phi(n) units.
+    As for a_bruteforce, over the unit tuples, with residue c weighted by
+    gcd(c - 1, n) (n at c = 1); gcd_table gives the units, row entry k - 1
+    standing for k, and the weights.  The guard counts the n steps that
+    find the units, then the convolution's steps over phi(n) units.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
-    units = np.gcd(np.arange(1, n + 1, dtype=np.int64), n) == 1
+    divs, idx = gcd_table(n)
+    gcds = divs[idx]
+    units = np.concatenate((gcds[1:], gcds[:1])) == 1
     _check_loop_guard(_convolution_steps(int(units.sum()), r), "b_bruteforce")
     dist = _residue_convolution(n, [units] * r)
-    return int((dist * np.gcd(np.arange(-1, n - 1, dtype=np.int64), n)).sum())
+    return int((dist * np.concatenate((gcds[-1:], gcds[:-1]))).sum())
 
 
 def b_closed(n: int, r: int) -> int:
@@ -156,12 +152,11 @@ def menon_sum(n: int, a) -> list[int]:
     each unit a in the sequence a, in its order.
 
     Each sum equals phi(n) tau(n) whatever the unit.  Evaluated by direct
-    summation: k runs over [1, n] in blocks of about _BLOCK / len(a)
-    values, so a block holds about _BLOCK entries; each block keeps the k
-    with gcd(k, n) = 1 and adds gcd((a k - 1) mod n, n) to each unit's
-    row (np.gcd(0, n) = n).  The guard counts len(a) n steps, so any n
-    with a unit to sum is at most 1e7, and with a reduced mod n the
-    products a k < 1e14 are exact in int64.
+    summation over gcd_table(n): the residues k mod n run in blocks of
+    about _BLOCK / len(a), so a block holds about _BLOCK entries, and each
+    unit k (idx[k] = 0) adds divs[idx[(a k - 1) mod n]] to each a's row.
+    The guard counts len(a) n steps before the table is built, so n <= 1e7
+    and, with a reduced mod n, a k < 1e14 is exact in int64.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -171,11 +166,11 @@ def menon_sum(n: int, a) -> list[int]:
     _check_loop_guard(len(a) * n, "menon_sum")
     if not len(a):
         return []
+    divs, idx = gcd_table(n)
     units = np.array([x % n for x in a], dtype=np.int64)
     totals = np.zeros(len(units), dtype=np.int64)
     step = max(1, _BLOCK // len(units))
-    for start in range(1, n + 1, step):
-        k = np.arange(start, min(start + step, n + 1), dtype=np.int64)
-        k = k[np.gcd(k, n) == 1]
-        totals += np.gcd((units[:, None] * k - 1) % n, n).sum(axis=1)
+    for start in range(0, n, step):
+        k = np.flatnonzero(idx[start : start + step] == 0) + start
+        totals += divs[idx[(units[:, None] * k - 1) % n]].sum(axis=1)
     return totals.tolist()

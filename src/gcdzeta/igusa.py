@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .arith import (FactoredInteger, _check_loop_guard, _convolution_steps,
-                    _residue_convolution, factorize)
+                    _residue_convolution, factorize, gcd_table)
 from .errors import DomainError, NumericalError
 
 # Unit roundoff of float64.
@@ -119,7 +119,7 @@ def igusa_direct(
     is summed into its class sums W_j[d] = sum of m^-s_j over m <= T with
     m = d (mod n), the classes are convolved under multiplication mod n
     (_residue_convolution, in float64), and residue c is weighted by
-    gcd(c, n).  The loop guard checks _direct_steps.
+    gcd(c, n), read off gcd_table.  The loop guard checks _direct_steps.
 
     The bound is the truncation tail, from gcd <= n on every omitted
     tuple,
@@ -135,17 +135,14 @@ def igusa_direct(
     if truncation < n:
         raise DomainError(f"truncation {truncation} must be >= n = {n}")
     _check_loop_guard(_direct_steps(n, r, truncation), "igusa_direct")
-    rows = []
-    full = 1.0
-    trunc = 1.0
-    for sj in s:
-        rows.append(np.array([
-            math.fsum(float(m) ** -sj for m in range(d, truncation + 1, n))
-            for d in range(1, n + 1)
-        ]))
-        full *= hurwitz_zeta(sj)
-        trunc *= math.fsum(rows[-1])
-    gcds = np.gcd(np.arange(n), n)
+    rows = [np.array([
+        math.fsum(float(m) ** -sj for m in range(d, truncation + 1, n))
+        for d in range(1, n + 1)
+    ]) for sj in s]
+    full = math.prod(hurwitz_zeta(sj) for sj in s)
+    trunc = math.prod(math.fsum(row) for row in rows)
+    divs, idx = gcd_table(n)
+    gcds = divs[idx]
     # an overflow to inf is the NumericalError below, not a warning
     with np.errstate(over="ignore"):
         value = math.fsum(gcds * _residue_convolution(n, rows))

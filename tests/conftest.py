@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import hypothesis
+import numpy as np
 import pytest
 
 from gcdzeta.arith import FactoredInteger, divisors, factorize
@@ -66,6 +67,26 @@ def menon_sum_loop(n: int, a: int) -> int:
         if math.gcd(k, n) == 1:
             total += math.gcd((a * k - 1) % n, n)
     return total
+
+
+def gcd_row(n: int, lo: int, hi: int) -> np.ndarray:
+    """gcd(c, n) for c in [lo, hi) by np.gcd, the form the brute forces
+    read before arith.gcd_table: the oracle for the table."""
+    return np.gcd(np.arange(lo, hi, dtype=np.int64), n)
+
+
+def menon_sum_gcd_blocks(n: int, a) -> list[int]:
+    """gcdsum.menon_sum as it was before arith.gcd_table: k over [1, n] in
+    blocks of 2^16 // len(a), each block's units and gcd((a k - 1) mod n,
+    n) taken by np.gcd.  The oracle for the table's block loop."""
+    units = np.array([x % n for x in a], dtype=np.int64)
+    totals = np.zeros(len(units), dtype=np.int64)
+    step = max(1, 2**16 // len(units))
+    for start in range(1, n + 1, step):
+        k = np.arange(start, min(start + step, n + 1), dtype=np.int64)
+        k = k[np.gcd(k, n) == 1]
+        totals += np.gcd((units[:, None] * k - 1) % n, n).sum(axis=1)
+    return totals.tolist()
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import gcd_row
 from gcdzeta.arith import (
     SIEVE_LIMIT,
     FactoredInteger,
     divisors,
     factorize,
+    gcd_table,
     is_prime,
     prime_array,
     primes_in_range,
@@ -252,6 +254,32 @@ class TestDivisors:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
         assert divisors(factorize(36)) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+
+
+class TestGcdTable:
+    def test_equals_np_gcd_to_3000(self):
+        for n in range(1, 3001):
+            divs, idx = gcd_table(n)
+            assert divs.dtype == np.int64
+            assert divs.tolist() == divisors(n)
+            assert idx.dtype == (np.uint8 if len(divs) <= 256 else np.uint16)
+            assert np.array_equal(divs[idx], gcd_row(n, 0, n))
+
+    @pytest.mark.parametrize("n, tau, dtype", [
+        (1, 1, np.uint8),
+        (720720, 240, np.uint8),  # 2^4 3^2 5 7 11 13
+        (999983, 2, np.uint8),  # prime
+        (8648640, 448, np.uint16),  # 2^6 3^3 5 7 11 13: tau > 256
+    ])
+    def test_large_moduli(self, n, tau, dtype):
+        divs, idx = gcd_table(n)
+        assert len(divs) == tau
+        assert idx.dtype == dtype
+        assert divs.tolist() == divisors(n)
+        # the np.gcd form a million residues at a time, to keep memory small
+        for lo in range(0, n, 2**20):
+            hi = min(lo + 2**20, n)
+            assert np.array_equal(divs[idx[lo:hi]], gcd_row(n, lo, hi))
 
 
 class TestExactRationals:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcdzeta.gcdsum
 from conftest import (
     a_eval_product,
     a_local,
     a_recursion_fraction,
+    gcd_row,
+    menon_sum_gcd_blocks,
     menon_sum_loop,
 )
 from gcdzeta.arith import _residue_convolution, factorize, prime_array
@@ -74,6 +78,20 @@ def b_bruteforce_loop(n: int, r: int) -> int:
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
     dist = product_residues_loop(n, units, r)
     return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
+
+
+def a_bruteforce_gcd(n: int, r: int) -> Fraction:
+    """a_bruteforce as it was before arith.gcd_table, weights by np.gcd."""
+    dist = _residue_convolution(n, [np.ones(n, dtype=bool)] * r)
+    return Fraction(int((dist * gcd_row(n, 0, n)).sum()), n**r)
+
+
+def b_bruteforce_gcd(n: int, r: int) -> int:
+    """b_bruteforce as it was before arith.gcd_table: units and weights
+    gcd(c - 1, n) by np.gcd."""
+    units = gcd_row(n, 1, n + 1) == 1
+    dist = _residue_convolution(n, [units] * r)
+    return int((dist * gcd_row(n, -1, n - 1)).sum())
 
 
 def coprime_progression_count(n: int, d: int, x: int) -> int:
@@ -139,7 +157,11 @@ class TestABruteforce:
         # 500 + 2 * 500^2 = 500500 steps, though 500^3 tuples exceed 1e8
         assert a_bruteforce(500, 3) == a_eval(500, 3)
 
-    def test_guard_refuses_before_allocating(self):
+    def test_guard_refuses_before_allocating(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError(f"gcd_table({n}) built before the guard")
+
+        monkeypatch.setattr(gcdzeta.gcdsum, "gcd_table", no_table)
         start = time.perf_counter()
         with pytest.raises(ResourceError):
             a_bruteforce(10**9, 2)
@@ -147,6 +169,9 @@ class TestABruteforce:
             a_bruteforce(10**9, 0)  # n - n^2 steps were counted at r = 0
         with pytest.raises(ResourceError):
             b_bruteforce(10**9 + 7, 1)
+        with pytest.raises(ResourceError):
+            menon_sum(10**9 + 7, [1])
+        assert menon_sum(10**18, []) == []
         assert time.perf_counter() - start < 0.1
 
     def test_domain_errors(self):
@@ -388,6 +413,29 @@ class TestFastPathsMatchTheLoops:
         assert a_bruteforce(n, r) == a_bruteforce_loop(n, r) == a_eval(n, r)
         if r >= 1:
             assert b_bruteforce(n, r) == b_bruteforce_loop(n, r) == b_closed(n, r)
+
+    def test_menon_sum_equals_the_gcd_blocks(self):
+        for n in range(1, 201):
+            units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+            assert menon_sum(n, units) == menon_sum_gcd_blocks(n, units)
+
+    def test_menon_sum_equals_the_gcd_blocks_near_1e6(self):
+        rng = random.Random(1)
+        # a prime, 10^6 itself (tau = 49) and 999999 = 3^3 7 11 13 37
+        for n in (999983, 10**6, 999999):
+            a = []
+            while len(a) < 3:
+                x = rng.randrange(2, n)
+                if math.gcd(x, n) == 1:
+                    a.append(x)
+            assert menon_sum(n, a) == menon_sum_gcd_blocks(n, a)
+
+    def test_brute_forces_equal_the_np_gcd_forms(self):
+        for n in range(1, 151):
+            for r in range(4):
+                assert a_bruteforce(n, r) == a_bruteforce_gcd(n, r)
+                if r >= 1:
+                    assert b_bruteforce(n, r) == b_bruteforce_gcd(n, r)
 
     def test_smallest_moduli(self):
         for n in (1, 2):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gcdzeta.igusa
+from conftest import gcd_row
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.gcdsum import a_local_numerator
 from gcdzeta.igusa import (
@@ -292,6 +294,16 @@ class TestIgusaDirect:
         ours = igusa_direct(n, s, trunc)
         loop = igusa_direct_loop(n, s, trunc)
         assert [v.hex() for v in ours] == [v.hex() for v in loop]
+
+    def test_gcd_table_weights_equal_np_gcd_bit_for_bit(self, monkeypatch):
+        # the CI rerun of `igusa --n 12 --s 2,2.5,3,3.5 --method direct`
+        s, trunc = (2.0, 2.5, 3.0, 3.5), 10**4
+        ours = igusa_direct(12, s, trunc)
+        # the np.gcd weights igusa_direct read before arith.gcd_table
+        monkeypatch.setattr(gcdzeta.igusa, "gcd_table",
+                            lambda n: (gcd_row(n, 0, n), np.arange(n)))
+        old = igusa_direct(12, s, trunc)
+        assert [v.hex() for v in ours] == [v.hex() for v in old]
 
     def test_rounding_against_mpmath(self):
         # n = 97 is prime, so gcd(m_1 m_2, 97) is 97 when 97 divides m_1 m_2
