@@ -123,11 +123,9 @@ def _cmd_eval(args) -> int:
     elif target == "menon":
         (value,) = gcdsum.menon_sum(args.n, [args.a])
         param, text = "a", str(value)
-    elif target == "tau":
+    else:  # tau
         value = multfun.eval_int(multfun.tau_k(args.k), factorize(args.n))
         param, text = "k", str(value)
-    else:
-        raise DomainError(f"unknown eval target {target!r}")
     payload = {"target": target, "n": args.n, param: getattr(args, param),
                "value": text}
     return _finish_value(args, payload, text)
@@ -136,49 +134,38 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_menon(args) -> tuple[int, int, str]:
-    checked = 0
+def _verify_menon(args):
     for n in range(1, args.nmax + 1):
         expected = gcdsum.b_closed(n, 1)
         units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
         for a, got in zip(units, gcdsum.menon_sum(n, units)):
-            if got != expected:
-                return checked, n, f"menon_sum({n}, {a}) = {got} != {expected}"
-            checked += 1
+            yield n, (f"menon_sum({n}, {a}) = {got} != {expected}"
+                      if got != expected else None)
         for r in range(1, args.rmax + 1):
-            if gcdsum.b_bruteforce(n, r) != gcdsum.b_closed(n, r):
-                return checked, n, f"B_{r}({n}) brute != closed"
-            checked += 1
-    return checked, 0, ""
+            yield n, (f"B_{r}({n}) brute != closed"
+                      if gcdsum.b_bruteforce(n, r) != gcdsum.b_closed(n, r)
+                      else None)
 
 
-def _verify_threeway(args) -> tuple[int, int, str]:
-    checked = 0
+def _verify_threeway(args):
     for r in range(0, args.rmax + 1):
         for n in range(1, args.nmax + 1):
             brute = gcdsum.a_bruteforce(n, r)
             local = gcdsum.a_eval(n, r)
             rec = gcdsum.a_recursion(n, r)
-            if not brute == local == rec:
-                return checked, n, (
-                    f"A_{r}({n}): brute={brute} local={local} recursion={rec}"
-                )
-            checked += 1
-    return checked, 0, ""
+            yield n, None if brute == local == rec else (
+                f"A_{r}({n}): brute={brute} local={local} recursion={rec}")
 
 
-def _verify_fr_vanishing(args) -> tuple[int, int, str]:
-    checked = 0
+def _verify_fr_vanishing(args):
     for r in range(1, args.rmax + 1):
-        failures = dirichlet.verify_fr_structure(r, args.kmax)
-        if failures:
-            return checked, r, "; ".join(failures)
-        checked += args.kmax
-    return checked, 0, ""
+        # one audit covers k = 1..kmax, and counts as kmax checks
+        failure = "; ".join(dirichlet.verify_fr_structure(r, args.kmax))
+        for _ in range(args.kmax):
+            yield r, failure
 
 
-def _verify_domination(args) -> tuple[int, int, str]:
-    checked = 0
+def _verify_domination(args):
     taus = [multfun.tau_k(r + 1) for r in range(args.rmax + 1)]
     for n in range(1, args.nmax + 1):
         fi = factorize(n)
@@ -191,15 +178,11 @@ def _verify_domination(args) -> tuple[int, int, str]:
             # equality holds exactly at n = 1, except that r = 0 makes
             # both sides identically 1
             bad = total > bound or (r >= 1 and (total == bound) != (n == 1))
-            if bad:
-                a = Fraction(total, scale)
-                return checked, n, f"A_{r}({n}) = {a} vs tau_{r+1} = {t}"
-            checked += 1
-    return checked, 0, ""
+            yield n, (f"A_{r}({n}) = {Fraction(total, scale)} "
+                      f"vs tau_{r+1} = {t}" if bad else None)
 
 
-def _verify_squarefree(args) -> tuple[int, int, str]:
-    checked = 0
+def _verify_squarefree(args):
     for n in range(1, args.nmax + 1):
         fi = factorize(n)
         if any(k > 1 for _, k in fi.factors):
@@ -208,32 +191,28 @@ def _verify_squarefree(args) -> tuple[int, int, str]:
             # n^r prod_p p (1 - (1 - 1/p)^(r+1)) over the primes p | n
             expected = math.prod(p ** (r + 1) - (p - 1) ** (r + 1)
                                  for p, _ in fi.factors)
-            if gcdsum.a_numerator(fi, r) != expected:
-                return checked, n, f"squarefree expansion fails at n={n}, r={r}"
-            checked += 1
-    return checked, 0, ""
+            yield n, (f"squarefree expansion fails at n={n}, r={r}"
+                      if gcdsum.a_numerator(fi, r) != expected else None)
 
 
-def _verify_mult(args) -> tuple[int, int, str]:
+def _verify_mult(args):
     rng = random.Random(args.seed)
     functions = [
         multfun.phi(), multfun.tau_k(2), multfun.mu(), multfun.jordan(2),
         multfun.tau_k(3), multfun.mu_iter(3), multfun.psi(1),
     ]
-    checked = 0
     for _ in range(args.samples):
         m = rng.randrange(1, 10**4)
         n = rng.randrange(1, 10**4)
         if math.gcd(m, n) != 1:
             continue
         for f in functions:
-            if f(m * n) != f(m) * f(n):
-                return checked, m, f"{f.name} not multiplicative at ({m}, {n})"
-            checked += 1
-    return checked, 0, ""
+            yield m, (f"{f.name} not multiplicative at ({m}, {n})"
+                      if f(m * n) != f(m) * f(n) else None)
 
 
-# each suite's loop and the flags it reads, with their defaults and the
+# each suite's loop, which yields (where, failure) per check with failure
+# None on a pass, and the flags it reads, with their defaults and the
 # least value that leaves the suite something to check (None: any value)
 _VERIFY_SUITES = {
     "menon": (_verify_menon, {"nmax": (100, 1), "rmax": (3, 0)}),
@@ -254,10 +233,14 @@ def _cmd_verify(args) -> int:
             raise DomainError(
                 f"verify {args.suite} needs --{flag} >= {least}, got {value}"
             )
-    checked, where, message = run(args)
-    if message:
-        _emit(args, f"FAIL after {checked} checks at {where}: {message}")
-        return 1
+    checked = 0
+    for where, failure in run(args):
+        if failure:
+            _emit(args, f"FAIL after {checked} checks at {where}: {failure}")
+            return 1
+        checked += 1
+    if not checked:
+        raise DomainError(f"verify {args.suite} found nothing to check")
     _emit(args, f"PASS {checked}/{checked}")
     return 0
 

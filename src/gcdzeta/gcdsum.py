@@ -17,10 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# LOOP_GUARD is re-exported: the brute-force loops here are what it guards
-from .arith import (LOOP_GUARD, FactoredInteger, _check_loop_guard,  # noqa: F401
-                    _convolution_steps, _residue_convolution, divisors,
-                    factorize, gcd_table)
+from .arith import (FactoredInteger, _check_loop_guard, _convolution_steps,
+                    _residue_convolution, divisors, factorize, gcd_table)
 from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau_k
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import a_eval_product, menon_sum_loop
-from gcdzeta import gcdsum, multfun
+from gcdzeta import dirichlet, gcdsum, multfun
 from gcdzeta.arith import FactoredInteger, factorize
 from gcdzeta.cli import main
 
@@ -375,6 +375,41 @@ class TestVerify:
         assert (code, out.getvalue()) == (1, line + "\n")
         assert loop_form(10, 3) == line
 
+    # one function wrong at one point: the suite's own failure line, with
+    # the checks that passed before it
+    @pytest.mark.parametrize("module, name, wrong, argv, line", [
+        (gcdsum, "b_bruteforce",
+         lambda real: lambda n, r: real(n, r) + ((n, r) == (6, 2)),
+         ["menon", "--nmax", "10"],
+         "FAIL after 28 checks at 6: B_2(6) brute != closed"),
+        (gcdsum, "a_recursion",
+         lambda real: lambda n, r: real(n, r) + ((n, r) == (5, 1)),
+         ["a-threeway", "--nmax", "10"],
+         "FAIL after 14 checks at 5: "
+         "A_1(5): brute=9/5 local=9/5 recursion=14/5"),
+        (dirichlet, "f_r_local",
+         lambda real: lambda r, k: (1, 0, 0, 5) if (r, k) == (2, 3)
+         else real(r, k),
+         ["fr-vanishing"],
+         "FAIL after 10 checks at 2: (r=2, k=3): expected zero polynomial; "
+         "(r=2, k=3): degree 3 > 2"),
+        # (7629, 4081) is the third coprime pair that seed 5 draws, and
+        # tau_3 the fifth function checked on it: 2 * 7 + 4 checks before
+        (multfun, "eval_int",
+         lambda real: lambda f, n: real(f, n) + (
+             f.name == "tau_3" and n == 7629 * 4081),
+         ["mult", "--seed", "5"],
+         "FAIL after 18 checks at 7629: tau_3 not multiplicative at "
+         "(7629, 4081)"),
+    ])
+    def test_failure_lines(self, monkeypatch, module, name, wrong, argv,
+                           line):
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", *argv])
+        assert (code, out.getvalue()) == (1, line + "\n")
+
     @staticmethod
     def fraction_form(suite, nmax, rmax, wrong):
         """The domination or squarefree suite on Fraction values, as it
@@ -469,6 +504,14 @@ class TestVerify:
             f"domain error: verify {argv[1]} needs {flag} >= {least}, "
             f"got {least - 1}\n"
         )
+
+    def test_a_run_that_checks_nothing_is_a_domain_error(self):
+        # the one pair the default seed draws is not coprime
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["verify", "mult", "--samples", "1"]) == 3
+        assert (out.getvalue(), err.getvalue()) == (
+            "", "domain error: verify mult found nothing to check\n")
 
     def test_threeway(self):
         result = run_cli("verify", "a-threeway", "--nmax", "30", "--rmax", "3")

@@ -18,10 +18,10 @@ from conftest import (
     menon_sum_gcd_blocks,
     menon_sum_loop,
 )
-from gcdzeta.arith import _residue_convolution, factorize, prime_array
+from gcdzeta.arith import (LOOP_GUARD, _residue_convolution, factorize,
+                            prime_array)
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
-    LOOP_GUARD,
     a_bruteforce,
     a_eval,
     a_local_numerator,
