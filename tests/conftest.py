@@ -89,6 +89,18 @@ def menon_sum_gcd_blocks(n: int, a) -> list[int]:
     return totals.tolist()
 
 
+def geometric_checkpoints_set(x_max: int, count: int) -> list[int]:
+    """analytic._geometric_checkpoints by a set of Python ints, the form
+    before np.unique: the oracle for the vectorized points."""
+    x_min = max(10, x_max // 1000)
+    if x_min >= x_max:
+        return [x_max]
+    pts = np.geomspace(x_min, x_max, count)
+    cps = sorted(set(int(round(v)) for v in pts))
+    cps[-1] = x_max
+    return sorted(set(cps))
+
+
 @pytest.fixture(scope="session")
 def primes_between():
     """Primes p with lo < p <= hi, by a sieve independent of gcdzeta.arith."""

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
-from conftest import poly_at
+from conftest import geometric_checkpoints_set, poly_at
 from hypothesis import strategies as st
 
 from gcdzeta import analytic
@@ -110,10 +110,10 @@ class TestSummatoryScan:
         for count in (0, -3):
             with pytest.raises(DomainError):
                 summatory_scan("A", 2, 1000, checkpoint_count=count)
-        # checkpoint i adds up i block sums: count (count + 1) / 2 steps
-        summatory_scan("A", 2, 1000, checkpoint_count=4471)
-        with pytest.raises(ResourceError, match="10001628 loop steps"):
-            summatory_scan("A", 2, 1000, checkpoint_count=4472)
+        # one block sum per checkpoint, _BLOCK_SUM_STEPS = 75 steps each
+        summatory_scan("A", 2, 1000, checkpoint_count=133333)
+        with pytest.raises(ResourceError, match="10000050 loop steps"):
+            summatory_scan("A", 2, 1000, checkpoint_count=133334)
 
     def test_no_fit_below_two_decades(self):
         report = summatory_scan("tau", 2, 100)
@@ -234,80 +234,99 @@ def exact_euler_product(r, primes):
     return num / (den * math.factorial(r))
 
 
-def fsum_block_sums(vals, cps):
-    """The scan's block loop with math.fsum per block: the block sums and
-    the checkpoints, each the fsum of the block sums so far."""
-    block_sums, checkpoints = [], []
-    prev = 0
-    for x in cps:
-        block_sums.append(math.fsum(vals[prev + 1 : x + 1]))
-        checkpoints.append((x, math.fsum(block_sums)))
-        prev = x
-    return block_sums, checkpoints
-
-
 def float_bits(values):
     return np.array(values, dtype=np.float64).view(np.int64).tolist()
 
 
+def grid_units(values) -> int:
+    """The exact sum of float entries >= 1, in units of 2^-52: each entry
+    is num / 2^j with j <= 52, so num 2^(52 - j) counts its units."""
+    return sum(num * (2**52 // den)
+               for num, den in map(float.as_integer_ratio, values))
+
+
 CHUNK = analytic._CHUNK
 WINDOW = analytic._WINDOW
+ULP_1 = 2.0**-52
 
 
 @st.composite
 def spread_blocks(draw):
-    """Positive finite float64 arrays with exponents from the subnormal
-    range up to 2^1000, at lengths that cross the chunk boundaries."""
+    """Float64 arrays with entries in [1, 2^1000), at lengths that cross
+    the chunk boundaries."""
     length = draw(st.sampled_from(
-        [0, 1, 2, 3, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]
+        [1, 2, 3, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]
     ))
-    low = draw(st.integers(-1074, 1000))
-    high = draw(st.integers(low, 1000))
+    low = draw(st.integers(0, 999))
+    high = draw(st.integers(low, 999))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mantissas = 1.0 + rng.random(length)
     return np.ldexp(mantissas, rng.integers(low, high + 1, length))
 
 
+def tie_above(target: Fraction) -> Fraction:
+    """The least midpoint between two adjacent floats that is >= target."""
+    low = float(target)
+    if Fraction(low) > target:
+        low = math.nextafter(low, 0)
+    while True:
+        high = math.nextafter(low, math.inf)
+        tie = (Fraction(low) + Fraction(high)) / 2
+        if tie >= target:
+            return tie
+        low = high
+
+
 class TestExactSum:
+    """_grid_total, the exact block sum on the 2^-52 grid, and its one
+    rounding to a checkpoint."""
+
     @given(spread_blocks())
     def test_equals_fsum_bit_for_bit(self, block):
-        got = analytic._exact_sum(block)
-        assert float_bits([got]) == float_bits([math.fsum(block)])
+        total = analytic._grid_total(block)
+        assert total == grid_units(block.tolist())
+        assert float_bits([total / 2**52]) == float_bits([math.fsum(block)])
 
     @given(
         st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
-        st.integers(-1000, 900),
+        st.integers(0, 900),
         st.integers(0, 2**32 - 1),
     )
     def test_long_blocks_at_a_tie_round_half_even(self, length, k, seed):
-        # entries in [2^k, 2^(k+1)) fill every limb bit, and one more
+        # entries in [2^k, 2^(k+1)) fill every limb bit, and one more such
         # entry moves the exact sum onto a midpoint between two floats,
         # where an inexact limb sum anywhere would flip the rounding
         rng = np.random.default_rng(seed)
         block = np.ldexp(1.0 + rng.random(length), k)
-        mantissas = np.ldexp(block, 52 - k).astype(np.int64).tolist()
-        exact = sum(mantissas) * Fraction(2) ** (k - 52)
-        nearest = float(exact)
-        gap = Fraction(nearest) + Fraction(math.ulp(nearest)) / 2 - exact
-        assert Fraction(float(gap)) == gap > 0
+        exact = Fraction(grid_units(block.tolist()), 2**52)
+        tie = tie_above(exact + 2**k)
+        gap = tie - exact
+        assert Fraction(float(gap)) == gap >= 2**k
         block = np.append(block, float(gap))
-        got = analytic._exact_sum(block)
+        total = analytic._grid_total(block)
+        assert total == tie * 2**52
+        got = total / 2**52
         assert float_bits([got]) == float_bits([math.fsum(block)])
+        assert got == float(tie)
 
-    @given(st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=40))
+    @given(st.lists(st.floats(min_value=1.0, max_value=1e300),
+                    min_size=1, max_size=40))
     def test_short_lists_equal_fsum(self, values):
-        got = analytic._exact_sum(np.array(values, dtype=np.float64))
-        assert float_bits([got]) == float_bits([math.fsum(values)])
+        total = analytic._grid_total(np.array(values, dtype=np.float64))
+        assert total == grid_units(values)
+        assert total == sum(map(Fraction, values)) * 2**52
+        assert float_bits([total / 2**52]) == float_bits([math.fsum(values)])
 
     @pytest.mark.parametrize("values, want", [
         ([2.0**53 + 2, 1.0], 2.0**53 + 4),
         ([2.0**53, 1.0], 2.0**53),
-        ([1.0, 2.0**-53], 1.0),
-        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
-        ([5e-324, 5e-324], 1e-323),
+        ([1.0, 1.0 + ULP_1], 2.0),
+        ([1.0 + ULP_1, 1.0 + 2 * ULP_1], 2.0 + 4 * ULP_1),
+        ([1.0 + ULP_1] * 2 + [1.0] * 2, 4.0),
+        ([1.0 + 3 * ULP_1] * 2 + [1.0] * 2, 4.0 + 8 * ULP_1),
     ])
     def test_ties_round_half_even(self, values, want):
-        got = analytic._exact_sum(np.array(values))
+        got = analytic._grid_total(np.array(values)) / 2**52
         assert got == want == math.fsum(values)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -315,7 +334,31 @@ class TestExactSum:
         block = np.ones(CHUNK + 3)
         block[CHUNK + 1] = bad
         with pytest.raises(NumericalError):
-            analytic._exact_sum(block)
+            analytic._grid_total(block)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0 - 2.0**-53, 5e-324])
+    def test_rejects_entries_below_one(self, bad):
+        # an entry below 1 may lie off the 2^-52 grid, so none is summed
+        block = np.ones(CHUNK + 3)
+        block[CHUNK + 1] = bad
+        with pytest.raises(NumericalError, match="at least 1"):
+            analytic._grid_total(block)
+
+    def test_checkpoint_at_a_tie_rounds_half_even(self, monkeypatch):
+        # S(x) = 2^53 + x - 1 exactly; at even x it lies halfway between
+        # two floats and rounds to the one with an even mantissa.  Adding
+        # rounded block sums drifts: S(10) = 2^53 + 9 rounds to 2^53 + 8,
+        # and the next block's 2 gives 2^53 + 10 at x = 12, where the
+        # exact 2^53 + 11 rounds to 2^53 + 12.
+        vals = np.ones(10**4 + 1)
+        vals[0] = 0.0
+        vals[1] = 2.0**53
+        monkeypatch.setattr(analytic, "_value_table", lambda local, x: vals)
+        report = summatory_scan("A", 1, 10**4)
+        xs = [x for x, _ in report.checkpoints]
+        assert sum(x % 2 == 0 for x in xs) >= 10
+        for x, s in report.checkpoints:
+            assert s == float(2**53 + x - 1) == math.fsum(vals[1 : x + 1])
 
 
 class TestFastPathsAgainstReferences:
@@ -341,24 +384,35 @@ class TestFastPathsAgainstReferences:
         "kind, param, x_max",
         [("A", r, 10**5) for r in (1, 2, 3, 4)]
         + [("tau", k, 10**5) for k in (2, 3, 4)]
-        + [("A", 2, 10**6), ("tau", 3, 10**6)],
+        + [("A", 2, 10**4), ("A", 2, 10**6), ("tau", 3, 10**6)],
     )
     def test_block_sums_bit_identical(self, kind, param, x_max):
+        # each block's grid total is exact, and each checkpoint is the
+        # correctly rounded sum of the table up to x: math.fsum's value
         vals = analytic._value_table(analytic._scan_local(kind, param), x_max)
         cps = analytic._geometric_checkpoints(x_max, 40)
         bounds = list(zip([0] + cps, cps))
         if x_max == 10**6:
             # the chunk loop runs more than once on the longest blocks
             assert max(x - prev for prev, x in bounds) > CHUNK
-        want_blocks, want_checkpoints = fsum_block_sums(vals, cps)
-        got_blocks = [analytic._exact_sum(vals[prev + 1 : x + 1])
-                      for prev, x in bounds]
-        assert float_bits(got_blocks) == float_bits(want_blocks)
+        table = vals.tolist()
+        for prev, x in bounds:
+            want = grid_units(table[prev + 1 : x + 1])
+            assert analytic._grid_total(vals[prev + 1 : x + 1]) == want
         report = summatory_scan(kind, param, x_max)
         assert [x for x, _ in report.checkpoints] == cps
         assert float_bits([s for _, s in report.checkpoints]) == float_bits(
-            [s for _, s in want_checkpoints]
+            [math.fsum(table[1 : x + 1]) for x in cps]
         )
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 40, 41, 4471])
+    @pytest.mark.parametrize(
+        "x_max", [10, 11, 999, 1000, 10**4, 10**6, 9970830]
+    )
+    def test_geometric_checkpoints_match_set_form(self, x_max, count):
+        got = analytic._geometric_checkpoints(x_max, count)
+        assert got == geometric_checkpoints_set(x_max, count)
+        assert all(type(x) is int for x in got)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_euler_product_against_exact_oracle(self, r, primes_between):

@@ -154,14 +154,14 @@ class TestExitCodes:
         )
         assert result.returncode == 4
         assert "igusa_direct needs 12000006 loop steps" in result.stderr
-        # the checkpoint fsums add up 5e6 (5e6 + 1) / 2 block sums, refused
-        # before any checkpoint or table entry is made
+        # 5e6 block sums of 75 steps each, refused before any checkpoint
+        # or table entry is made
         result = run_cli(
             "scan", "A", "--r", "2", "--xmax", "1000",
             "--checkpoints", "5000000",
         )
         assert result.returncode == 4
-        assert "summatory_scan needs 12500002500000 loop steps" in result.stderr
+        assert "summatory_scan needs 375000000 loop steps" in result.stderr
 
     @pytest.mark.parametrize("argv", [
         ("igusa", "--n", "2", "--s", "2", "--expect", "42"),
