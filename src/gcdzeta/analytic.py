@@ -4,17 +4,18 @@ The partial sums of both A_r and the Piltz divisor function tau_k behave
 like x times a polynomial in log x.  Only the leading coefficient has a
 closed form (an Euler product for A_r, 1/(k-1)! for tau_k); the lower
 coefficients here are fitted, never derived, and the reports keep the two
-provenances separate.  Every table entry is at least 1, a multiple of
-2^-52: each block between checkpoints is summed exactly as a count of
-2^-52 (_grid_total), one int total runs from block to block, and each
-checkpoint rounds it once, to the correctly rounded sum of the table up
-to x (math.fsum's value), so repeated runs are byte-identical.
+provenances separate.  The values f(n), all >= 1 and so multiples of
+2^-52, are sieved and summed one 2 MB window at a time, never all held:
+each block between checkpoints and window edges is summed exactly as a
+count of 2^-52 (_grid_total), one int total runs across them, and each
+checkpoint rounds it once, to math.fsum(f(1..x)), byte-identical on rerun.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ _CHUNK = 2**16
 # One block sum of 1 to 100 entries takes 18.5-19.5 us (2-vCPU x86-64,
 # Python 3.11, numpy 2.4): about this many loop-guard steps of 0.25 us.
 _BLOCK_SUM_STEPS = 75
-_WINDOW = 2**18  # _value_table's pass window: 2 MB of float64, inside L2
+# Building 1e5 to 3e6 checkpoints takes 64-168 ns a point: under a step.
+_POINT_STEPS = 1
+_WINDOW = 2**18  # _value_windows' window: 2 MB of float64, inside L2
 
 
 @dataclass
@@ -94,24 +97,21 @@ def _scan_local(kind: str, order: int):
     return lambda p, k: float(tau.local(p, k))
 
 
-def _value_table(local, x_max: int) -> np.ndarray:
-    """vals[n] = f(n) in float64 for n <= x_max, multiplicatively sieved.
+def _value_windows(local, x_max: int):
+    """Yield (lo, window) with window[i] = f(lo + i) (f(0) = 0), one final
+    _WINDOW of 0..x_max at a time, all in one reused float64 buffer.
 
     local(p, k) is f(p^k); p may be an int or an int64 array of primes.
     Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
-    into the entries divisible by p^k, for each p^k <= x_max, which
-    leaves exactly local(p, v_p(n)) in every n; these strided passes run
-    one _WINDOW of the table at a time, so it stays in cache.  A larger
-    prime p divides n <= x_max at most once, and then m = n / p <
-    sqrt(x_max) has n's small-prime valuations: vals[n] already holds
-    vals[m], so one scatter per m writes vals[m] local(p, 1) without
-    reading vals[n].  Every entry takes its factors in ascending prime
-    order, so the table is bit-identical to a pass per prime.
+    into the entries divisible by p^k, leaving local(p, v_p(n)) in each
+    n.  A larger prime p divides n at most once, and m = n / p <
+    sqrt(x_max) then has n's small-prime valuations, so f(n) =
+    f(m) local(p, 1), with f(m) read from window 0: scatters of a quarter
+    window each (small index arrays) write it without reading the entry.
+    Each entry takes its factors in ascending prime order, so the values
+    are bit-identical to a pass per prime.
     """
-    # the sieve's guard refuses x_max before the table is allocated
     primes = prime_array(x_max)
-    vals = np.ones(x_max + 1)
-    vals[0] = 0.0
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
     ratios = []
     for p in primes[:split].tolist():
@@ -120,17 +120,26 @@ def _value_table(local, x_max: int) -> np.ndarray:
             loc = local(p, k)
             ratios.append((pk, loc / prev))
             prev, pk, k = loc, pk * p, k + 1
+    big = primes[split:]
+    loc = np.broadcast_to(local(big, 1), big.shape)
+    ms = np.arange(1, x_max // int(big[0]) + 1)
+    b = np.zeros_like(ms)  # each slice starts where the last one ended
+    buf = np.empty(min(_WINDOW, x_max + 1))
     for lo in range(0, x_max + 1, _WINDOW):
-        window = vals[lo : lo + _WINDOW]
+        window = buf[: min(_WINDOW, x_max + 1 - lo)]
+        window.fill(1.0)
+        window[0] = 1.0 if lo else 0.0  # f(0) = 0: from 1 it would overflow
         for pk, ratio in ratios:
             window[-lo % pk :: pk] *= ratio
-    big = primes[split:]
-    if big.size:
-        loc = np.broadcast_to(local(big, 1), big.shape)
-        for m in range(1, x_max // int(big[0]) + 1):
-            count = int(np.searchsorted(big, x_max // m, side="right"))
-            vals[m * big[:count]] = vals[m] * loc[:count]
-    return vals
+        head = head if lo else window[: ms.size + 1].copy()  # f(0..ms[-1])
+        # big[a[j]:b[j]] are the large primes p with start <= ms[j] p < end
+        for start in range(lo, lo + window.size, _WINDOW // 4):
+            end = min(start + _WINDOW // 4, lo + window.size)
+            a, b = b, np.searchsorted(big, (end - 1) // ms, side="right")
+            m = np.repeat(ms, b - a)
+            idx = np.repeat(b - np.cumsum(b - a), b - a) + np.arange(m.size)
+            window[m * big[idx] - lo] = head[m] * loc[idx]
+        yield lo, window
 
 
 def _grid_total(block: np.ndarray) -> int:
@@ -191,7 +200,8 @@ def summatory_scan(
     decades the main term is fitted (leading coefficient pinned to the
     closed form) and residuals are recorded; otherwise the fit fields are
     left empty and only the sums are reported.  The loop guard counts
-    one block sum per checkpoint, _BLOCK_SUM_STEPS steps each.
+    _POINT_STEPS per checkpoint asked for and _BLOCK_SUM_STEPS per block
+    summed: one per distinct checkpoint and one more per window.
     """
     if kind not in ("A", "tau"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -203,17 +213,22 @@ def summatory_scan(
         raise DomainError(
             f"checkpoint count must be >= 1, got {checkpoint_count}"
         )
-    _check_loop_guard(checkpoint_count * _BLOCK_SUM_STEPS, "summatory_scan")
+    blocks = min(checkpoint_count, x_max - max(10, x_max // 1000) + 1)
+    blocks += x_max // _WINDOW + 1  # and a piece at each window's end
+    steps = blocks * _BLOCK_SUM_STEPS + checkpoint_count * _POINT_STEPS
+    _check_loop_guard(steps, "summatory_scan")
 
-    vals = _value_table(_scan_local(kind, r_or_k), x_max)
     cps = _geometric_checkpoints(x_max, checkpoint_count)
     checkpoints: list[tuple[int, float]] = []
-    total = prev = 0
-    for x in cps:
-        total += _grid_total(vals[prev + 1 : x + 1])
-        # int / int division is correctly rounded, half to even
-        checkpoints.append((x, total / (1 << _GRID_BITS)))
-        prev = x
+    total, done = 0, 1  # the exact sum of f(1..lo+done-1), in 2^-52
+    for lo, window in _value_windows(_scan_local(kind, r_or_k), x_max):
+        for x in cps[len(checkpoints) : bisect_left(cps, lo + window.size)]:
+            total += _grid_total(window[done : x + 1 - lo])
+            # int / int division is correctly rounded, half to even
+            checkpoints.append((x, total / (1 << _GRID_BITS)))
+            done = x + 1 - lo
+        total += _grid_total(window[done:]) if done < window.size else 0
+        done = 0
 
     if kind == "A":
         degree = r_or_k

@@ -6,6 +6,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from gcdzeta import analytic
 from gcdzeta.arith import FactoredInteger, divisors, factorize
 from gcdzeta.gcdsum import a_local_sum
 from gcdzeta.multfun import MultiplicativeFunction, eval_int, phi
@@ -99,6 +100,14 @@ def geometric_checkpoints_set(x_max: int, count: int) -> list[int]:
     cps = sorted(set(int(round(v)) for v in pts))
     cps[-1] = x_max
     return sorted(set(cps))
+
+
+def value_table(local, x_max: int) -> np.ndarray:
+    """f(0..x_max) as one array: copies of analytic._value_windows'
+    windows, which reuse one buffer, joined in order."""
+    return np.concatenate(
+        [window.copy() for _, window in analytic._value_windows(local, x_max)]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
-from conftest import geometric_checkpoints_set, poly_at
+from conftest import geometric_checkpoints_set, poly_at, value_table
 from hypothesis import strategies as st
 
-from gcdzeta import analytic
+from gcdzeta import analytic, arith
 from gcdzeta.analytic import (
     ExtremalSample,
     SummatoryReport,
@@ -110,10 +110,42 @@ class TestSummatoryScan:
         for count in (0, -3):
             with pytest.raises(DomainError):
                 summatory_scan("A", 2, 1000, checkpoint_count=count)
-        # one block sum per checkpoint, _BLOCK_SUM_STEPS = 75 steps each
-        summatory_scan("A", 2, 1000, checkpoint_count=133333)
-        with pytest.raises(ResourceError, match="10000050 loop steps"):
-            summatory_scan("A", 2, 1000, checkpoint_count=133334)
+        # 133334 points round to at most 991 distinct checkpoints, so at
+        # most 991 block sums run, plus one piece for the one window
+        report = summatory_scan("A", 2, 1000, checkpoint_count=133334)
+        assert len(report.checkpoints) == 991
+        # (991 + 1) * 75 block steps plus one step per point asked for
+        with pytest.raises(ResourceError, match="10000001 loop steps"):
+            summatory_scan("A", 2, 1000, checkpoint_count=9925601)
+
+    def test_guard_counts_distinct_blocks_and_windows(self, monkeypatch):
+        # at 1e4 there are at most 9991 distinct checkpoints and 1 window;
+        # at 3 WINDOW + 7 at most 3 WINDOW + 7 - 786 + 1 and 4 windows
+        for x_max, count, blocks in (
+            (10**4, 500, 501),
+            (10**4, 20000, 9992),
+            (3 * WINDOW + 7, 300, 304),
+        ):
+            edge = blocks * 75 + count
+            monkeypatch.setattr(arith, "LOOP_GUARD", edge)
+            summatory_scan("tau", 2, x_max, checkpoint_count=count)
+            monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
+            with pytest.raises(ResourceError, match=f"needs {edge} loop"):
+                summatory_scan("tau", 2, x_max, checkpoint_count=count)
+
+    def test_huge_checkpoint_count_refused_before_any_point(
+        self, monkeypatch
+    ):
+        def unreachable(*args):
+            raise AssertionError("checkpoints built past the guard")
+
+        monkeypatch.setattr(analytic, "_geometric_checkpoints", unreachable)
+        monkeypatch.setattr(analytic, "_value_windows", unreachable)
+        with pytest.raises(ResourceError, match="1000074400 loop steps"):
+            summatory_scan("A", 2, 1000, checkpoint_count=10**9)
+        # 5e6 blocks and 39 window pieces at 1e7
+        with pytest.raises(ResourceError, match="380002925 loop steps"):
+            summatory_scan("A", 2, 10**7, checkpoint_count=5 * 10**6)
 
     def test_no_fit_below_two_decades(self):
         report = summatory_scan("tau", 2, 100)
@@ -245,6 +277,22 @@ def grid_units(values) -> int:
                for num, den in map(float.as_integer_ratio, values))
 
 
+def frexp_units(block: np.ndarray) -> int:
+    """The exact sum of float entries that are 0 or >= 1, in units of
+    2^-52: np.frexp makes an entry m 2^e (m in [1/2, 1)) the integer
+    m 2^53 times 2^(e - 1) units; each exponent's integers are summed in
+    26-bit halves, so the int64 sums stay exact."""
+    mant, exp = np.frexp(block)
+    mant = (mant * 2.0**53).astype(np.int64)
+    total = 0
+    for e in np.unique(exp).tolist():
+        part = mant[exp == e]
+        high = int((part >> 26).sum())
+        low = int((part & (2**26 - 1)).sum())
+        total += ((high << 26) + low) << (e - 1) if e else 0
+    return total
+
+
 CHUNK = analytic._CHUNK
 WINDOW = analytic._WINDOW
 ULP_1 = 2.0**-52
@@ -284,7 +332,7 @@ class TestExactSum:
     @given(spread_blocks())
     def test_equals_fsum_bit_for_bit(self, block):
         total = analytic._grid_total(block)
-        assert total == grid_units(block.tolist())
+        assert total == grid_units(block.tolist()) == frexp_units(block)
         assert float_bits([total / 2**52]) == float_bits([math.fsum(block)])
 
     @given(
@@ -344,21 +392,39 @@ class TestExactSum:
         with pytest.raises(NumericalError, match="at least 1"):
             analytic._grid_total(block)
 
-    def test_checkpoint_at_a_tie_rounds_half_even(self, monkeypatch):
-        # S(x) = 2^53 + x - 1 exactly; at even x it lies halfway between
-        # two floats and rounds to the one with an even mantissa.  Adding
-        # rounded block sums drifts: S(10) = 2^53 + 9 rounds to 2^53 + 8,
-        # and the next block's 2 gives 2^53 + 10 at x = 12, where the
-        # exact 2^53 + 11 rounds to 2^53 + 12.
-        vals = np.ones(10**4 + 1)
+    @pytest.mark.parametrize(
+        "x_max, first", [(10**4, 2**53), (3 * WINDOW + 7, 2**53 - 1)]
+    )
+    def test_checkpoint_at_a_tie_rounds_half_even(
+        self, monkeypatch, x_max, first
+    ):
+        # S(x) = first + x - 1 exactly; where that is odd and above 2^53 it
+        # lies halfway between two floats and rounds to the one with an
+        # even mantissa.  Adding rounded block sums drifts: with first =
+        # 2^53, S(10) = 2^53 + 9 rounds to 2^53 + 8, and the next block's
+        # 2 gives 2^53 + 10 at x = 12, where the exact 2^53 + 11 rounds to
+        # 2^53 + 12.  With first = 2^53 - 1 the sum up to each window's
+        # end, 2^53 + k WINDOW - 3, is a tie too, and blocks straddle the
+        # window edges, so rounding a window's piece would drift as well.
+        vals = np.ones(x_max + 1)
         vals[0] = 0.0
-        vals[1] = 2.0**53
-        monkeypatch.setattr(analytic, "_value_table", lambda local, x: vals)
-        report = summatory_scan("A", 1, 10**4)
-        xs = [x for x, _ in report.checkpoints]
-        assert sum(x % 2 == 0 for x in xs) >= 10
-        for x, s in report.checkpoints:
-            assert s == float(2**53 + x - 1) == math.fsum(vals[1 : x + 1])
+        vals[1] = float(first)
+        monkeypatch.setattr(
+            analytic,
+            "_value_windows",
+            lambda local, x: ((lo, vals[lo : lo + WINDOW])
+                              for lo in range(0, x + 1, WINDOW)),
+        )
+        report = summatory_scan("A", 1, x_max)
+        exact = [first + x - 1 for x, _ in report.checkpoints]
+        assert sum(e % 2 == 1 and e > 2**53 for e in exact) >= 10
+        if x_max > 2 * WINDOW:
+            xs = [x for x, _ in report.checkpoints]
+            edges = range(WINDOW, x_max + 1, WINDOW)
+            assert all(any(a < e <= b for a, b in zip(xs, xs[1:]))
+                       for e in edges)
+        for (x, s), e in zip(report.checkpoints, exact):
+            assert s == float(e) == math.fsum(vals[1 : x + 1])
 
 
 class TestFastPathsAgainstReferences:
@@ -376,7 +442,7 @@ class TestFastPathsAgainstReferences:
          ("tau", 4)],
     )
     def test_value_table_bit_identical(self, kind, param, x_max, primes_between):
-        got = analytic._value_table(analytic._scan_local(kind, param), x_max)
+        got = value_table(analytic._scan_local(kind, param), x_max)
         want = per_prime_value_table(kind, param, x_max, primes_between(0, x_max))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -389,7 +455,7 @@ class TestFastPathsAgainstReferences:
     def test_block_sums_bit_identical(self, kind, param, x_max):
         # each block's grid total is exact, and each checkpoint is the
         # correctly rounded sum of the table up to x: math.fsum's value
-        vals = analytic._value_table(analytic._scan_local(kind, param), x_max)
+        vals = value_table(analytic._scan_local(kind, param), x_max)
         cps = analytic._geometric_checkpoints(x_max, 40)
         bounds = list(zip([0] + cps, cps))
         if x_max == 10**6:
@@ -403,6 +469,58 @@ class TestFastPathsAgainstReferences:
         assert [x for x, _ in report.checkpoints] == cps
         assert float_bits([s for _, s in report.checkpoints]) == float_bits(
             [math.fsum(table[1 : x + 1]) for x in cps]
+        )
+
+    @pytest.mark.parametrize(
+        "x_max", [10, 317**2, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7]
+    )
+    def test_windows_cover_the_table_in_order(self, x_max):
+        local = analytic._scan_local("tau", 2)
+        got = [(lo, window.size)
+               for lo, window in analytic._value_windows(local, x_max)]
+        assert got == [(lo, min(WINDOW, x_max + 1 - lo))
+                       for lo in range(0, x_max + 1, WINDOW)]
+
+    @pytest.mark.parametrize("kind, param", [("A", 2), ("tau", 3)])
+    @pytest.mark.parametrize("cps", [
+        # before, on and after each window edge
+        [10, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1, 3 * WINDOW - 1,
+         3 * WINDOW, 3 * WINDOW + 1, 3 * WINDOW + 7],
+        # one block across two edges, then one across the last
+        [WINDOW + 1, 3 * WINDOW + 7],
+        [3 * WINDOW + 7],
+    ])
+    def test_checkpoints_at_window_edges_equal_fsum(
+        self, monkeypatch, kind, param, cps
+    ):
+        x_max = 3 * WINDOW + 7
+        monkeypatch.setattr(
+            analytic, "_geometric_checkpoints", lambda x, count: cps
+        )
+        report = summatory_scan(kind, param, x_max)
+        table = value_table(analytic._scan_local(kind, param), x_max).tolist()
+        assert [x for x, _ in report.checkpoints] == cps
+        assert float_bits([s for _, s in report.checkpoints]) == float_bits(
+            [math.fsum(table[1 : x + 1]) for x in cps]
+        )
+
+    def test_a2_scan_to_1e7_is_exact_across_windows(self):
+        # the last blocks between the 40 checkpoints span several windows;
+        # the oracle sums whole windows and each checkpoint's prefix of its
+        # window by frexp_units, never the scan's blocks
+        report = summatory_scan("A", 2, 10**7)
+        xs = [x for x, _ in report.checkpoints]
+        assert xs[-1] - xs[-2] > 2 * WINDOW
+        carry, want = 0, []
+        local = analytic._scan_local("A", 2)
+        for lo, window in analytic._value_windows(local, 10**7):
+            for x in xs:
+                if lo <= x < lo + window.size:
+                    units = carry + frexp_units(window[: x + 1 - lo])
+                    want.append(units / 2**52)
+            carry += frexp_units(window)
+        assert float_bits([s for _, s in report.checkpoints]) == float_bits(
+            want
         )
 
     @pytest.mark.parametrize("count", [1, 2, 3, 40, 41, 4471])

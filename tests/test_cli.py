@@ -154,14 +154,21 @@ class TestExitCodes:
         )
         assert result.returncode == 4
         assert "igusa_direct needs 12000006 loop steps" in result.stderr
-        # 5e6 block sums of 75 steps each, refused before any checkpoint
-        # or table entry is made
+        # 5e6 block sums and 39 window pieces of 75 steps each, plus a step
+        # per point, refused before any checkpoint or value is made
         result = run_cli(
-            "scan", "A", "--r", "2", "--xmax", "1000",
+            "scan", "A", "--r", "2", "--xmax", "10000000",
             "--checkpoints", "5000000",
         )
         assert result.returncode == 4
-        assert "summatory_scan needs 375000000 loop steps" in result.stderr
+        assert "summatory_scan needs 380002925 loop steps" in result.stderr
+        # at most 991 blocks at x = 1000, but 1e9 points to build
+        result = run_cli(
+            "scan", "A", "--r", "2", "--xmax", "1000",
+            "--checkpoints", "1000000000",
+        )
+        assert result.returncode == 4
+        assert "summatory_scan needs 1000074400 loop steps" in result.stderr
 
     @pytest.mark.parametrize("argv", [
         ("igusa", "--n", "2", "--s", "2", "--expect", "42"),
@@ -584,6 +591,27 @@ class TestScan:
         a = run_cli("eval", "A", "--n", "720", "--r", "3")
         b = run_cli("eval", "A", "--n", "720", "--r", "3")
         assert a.stdout == b.stdout
+
+    def test_scan_memory_does_not_grow_with_x(self):
+        # one fresh interpreter per scan, so RUSAGE_CHILDREN holds that
+        # scan's peak alone; a table of x float64 entries would be 80 MB
+        def peak_mb(xmax):
+            code = (
+                "import resource, subprocess, sys\n"
+                "subprocess.run(sys.argv[1:], check=True,"
+                " stdout=subprocess.DEVNULL)\n"
+                "print(resource.getrusage("
+                "resource.RUSAGE_CHILDREN).ru_maxrss)"
+            )
+            argv = [sys.executable, "-m", "gcdzeta", "scan", "tau", "--k",
+                    "3", "--xmax", str(xmax)]
+            result = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                capture_output=True, text=True, check=True,
+            )
+            return int(result.stdout) / 1024
+
+        assert peak_mb(10**7) - peak_mb(1000) < 40
 
 
 class TestOutputErrors:
