@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -207,6 +208,13 @@ def summatory_scan(
         raise DomainError(f"unknown scan kind {kind!r}")
     if r_or_k < 1:
         raise DomainError(f"function order must be >= 1, got {r_or_k}")
+    # the leading coefficient divides by degree!, and 171! overflows a float
+    degree = r_or_k if kind == "A" else r_or_k - 1
+    if degree > 170:
+        raise DomainError(
+            f"function order must be <= {170 + (kind == 'tau')} for a float "
+            f"leading coefficient, got {r_or_k}"
+        )
     if x_max < 10:
         raise DomainError(f"x_max must be >= 10, got {x_max}")
     if checkpoint_count < 1:
@@ -231,12 +239,10 @@ def summatory_scan(
         done = 0
 
     if kind == "A":
-        degree = r_or_k
         limit = max(100, min(x_max, 10**6))
         fixed, euler_tail = euler_leading_coefficient(r_or_k, limit)
     else:
-        degree = r_or_k - 1
-        fixed, euler_tail = 1.0 / math.factorial(r_or_k - 1), 0.0
+        fixed, euler_tail = 1.0 / math.factorial(degree), 0.0
 
     report = SummatoryReport(
         kind=kind,
@@ -342,6 +348,10 @@ def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
     omitted log factor lies in [-r(r+1) / (2p(p-1)), 0], and
     sum_{m>P} 1/(m(m-1)) = 1/P puts the full product in
     [value exp(-r(r+1) / (2P)), value].
+
+    A value below the least normal float (from r = 125 at P >= 500)
+    raises NumericalError: a subnormal or zero value has lost the
+    relative accuracy the bound is stated in.
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
@@ -351,7 +361,13 @@ def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
     down = np.log1p(-u)
     up = np.log1p(r * u)
     log_sum = math.fsum((r * down + up).tolist())
-    value = math.exp(log_sum) / math.factorial(r)
+    # past r = 170, r! overflows a float and the value is far below 1e-308
+    value = math.exp(log_sum) / math.factorial(r) if r <= 170 else 0.0
+    if value < sys.float_info.min:
+        raise NumericalError(
+            f"the leading coefficient of A_{r} is below the least normal "
+            f"float, {sys.float_info.min!r}"
+        )
 
     # Rounding, to first order in eps = 2^-53.  Rounding 1/p moves
     # log1p(-u) by at most eps u / (1 - u) <= 2 eps |down| (p >= 2) and

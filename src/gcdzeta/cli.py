@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import analytic, dirichlet, gcdsum, igusa, multfun
-from .arith import factorize
+from .arith import LOOP_GUARD, factorize
 from .errors import DomainError, NumericalError, ResourceError
 
 DEFAULT_SEED = 987654321
@@ -66,8 +66,9 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _check_digits(n: int, r: int) -> None:
-    """Refuse an exact A_r(n) or B_r(n) too long to print.
+def _check_digits(n: int, r: int) -> float:
+    """Refuse an exact A_r(n) or B_r(n) too long to print, else return
+    its digit bound.
 
     Both are at most n^(r+1) (A_r(n) over a denominator dividing n^r), so
     (r+1) log10 n + 1 digits bound either; Python refuses to convert ints
@@ -79,6 +80,25 @@ def _check_digits(n: int, r: int) -> None:
         raise ResourceError(
             f"the result may have {digits:.0f} digits, "
             f"above the int-to-str limit of {limit}"
+        )
+    return digits
+
+
+def _check_fr_size(r: int, k_lo: int, k_hi: int) -> None:
+    """Refuse printing f_r(p^k) for k_lo <= k <= k_hi if it is too long.
+
+    For 1 <= k <= r the polynomial has the r + 2 - k coefficients
+    C(r+1, k+i) (up to sign, c_0 = 0), each below 2^(r+1), so
+    _check_digits(2, r) bounds each one's digits; past r it has none.
+    The text is predicted as the count times that bound, in characters.
+    """
+    lo, hi = max(k_lo, 1), min(k_hi, r)
+    count = (hi - lo + 1) * (2 * r + 4 - lo - hi) // 2 if hi >= lo else 0
+    chars = count * _check_digits(2, r) if count else 0
+    if chars > LOOP_GUARD:
+        raise ResourceError(
+            f"eval fr would print about {chars:.1e} characters, "
+            f"above the guard of {LOOP_GUARD:.0e}"
         )
 
 
@@ -97,10 +117,13 @@ def _cmd_eval(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            rows = []
-            for k in range(1, args.kmax + 1):
-                for i, c in enumerate(dirichlet.f_r_local(args.r, k)):
-                    rows.append((args.r, k, i, c))
+            if args.r < 1:
+                raise DomainError(f"r must be >= 1, got {args.r}")
+            # f_r(p^k) is identically zero past k = r
+            ks = range(1, min(args.kmax, args.r) + 1)
+            _check_fr_size(args.r, 1, args.kmax)
+            rows = [(args.r, k, i, c) for k in ks
+                    for i, c in enumerate(dirichlet.f_r_local(args.r, k))]
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:
                     writer = csv.writer(fh)
@@ -109,6 +132,7 @@ def _cmd_eval(args) -> int:
             lines = [f"r={r} k={k} c_{i}={c}" for r, k, i, c in rows]
             _emit(args, "\n".join(lines) if lines else "all zero")
             return 0
+        _check_fr_size(args.r, args.k, args.k)
         coeffs = dirichlet.f_r_local(args.r, args.k)
         text = dirichlet.format_poly(coeffs)
         payload = {"target": "fr", "r": args.r, "k": args.k,

@@ -1,18 +1,18 @@
 """The correction factor linking A_r to the (r+1)-fold divisor function.
 
 A_r factors as tau_{r+1} * f_r under Dirichlet convolution.  The local
-values f_r(p^k) are polynomials in u = 1/p with integer coefficients; they
-vanish identically for k >= r+1 and have zero constant term for k <= r,
-which is what makes the associated Dirichlet series converge on Re(s) > 0.
+values f_r(p^k) are polynomials in u = 1/p with integer coefficients, in
+closed form sum_{i=1}^{r+1-k} (-1)^(k+i+1) C(r+1, k+i) u^i; they vanish
+identically for k >= r+1 and have zero constant term for k <= r, which
+is what makes the associated Dirichlet series converge on Re(s) > 0.
 Those vanishing statements are exact polynomial identities, so each
 polynomial is kept as its tuple of integer coefficients, ascending in u,
-with trailing zeros trimmed: the zero polynomial is ().
+ending in a nonzero one: the zero polynomial is ().
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -35,32 +35,30 @@ def format_poly(coeffs: tuple[int, ...]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=None)
 def f_r_local(r: int, k: int) -> tuple[int, ...]:
-    """f_r(p^k) as the trimmed coefficient tuple of a polynomial in u = 1/p.
+    """f_r(p^k) as the coefficient tuple of a polynomial in u = 1/p.
 
     With x marking the exponent, sum_k A_r(p^k) x^k is
     1 + x sum_{j=0}^{r} (1-u)^j (1-x)^-(j+1), and tau_{r+1} contributes
     (1-x)^-(r+1), so f_r(p^k) is the x^k coefficient of
     (1-x)^(r+1) + x sum_j (1-u)^j (1-x)^(r-j):
 
-        (-1)^k [C(r+1, k) - sum_{j=0}^{r-k+1} C(r-j, k-1) (1-u)^j].
+        (-1)^k [C(r+1, k) - sum_{j=0}^{r} C(r-j, k-1) (1-u)^j].
 
-    Degree is at most r; the polynomial is identically zero once k > r.
+    Expanding (1-u)^j, u^i collects (-1)^i sum_j C(r-j, k-1) C(j, i),
+    which is (-1)^i C(r+1, k+i) by Vandermonde's identity.  So the
+    constant terms cancel, c_i = (-1)^(k+i+1) C(r+1, k+i) for i >= 1,
+    and the top coefficient, at i = r+1-k, is +-1: the degree is
+    r+1-k <= r, and the polynomial is identically zero once k > r.
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    sign = -1 if k % 2 else 1
-    coeffs = [sign * math.comb(r + 1, k)] + [0] * r
-    for j in range(r - k + 2):
-        c = sign * math.comb(r - j, k - 1)
-        for i in range(j + 1):
-            coeffs[i] -= (-1 if i % 2 else 1) * c * math.comb(j, i)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    if k > r:
+        return ()
+    return (0, *((-1) ** (k + i + 1) * math.comb(r + 1, k + i)
+                 for i in range(1, r + 2 - k)))
 
 
 def verify_fr_structure(r: int, k_max: int) -> list[str]:

@@ -26,6 +26,24 @@ def poly_at(coeffs: tuple[int, ...], u: Fraction) -> Fraction:
     return acc
 
 
+def f_r_local_expanded(r: int, k: int) -> tuple[int, ...]:
+    """f_r(p^k) as the trimmed ascending coefficient tuple in u = 1/p,
+
+        (-1)^k [C(r+1, k) - sum_{j=0}^{r-k+1} C(r-j, k-1) (1-u)^j],
+
+    with every (1-u)^j expanded by binomials and trailing zeros trimmed:
+    the oracle for the closed form of dirichlet.f_r_local."""
+    sign = -1 if k % 2 else 1
+    coeffs = [sign * math.comb(r + 1, k)] + [0] * r
+    for j in range(r - k + 2):
+        c = sign * math.comb(r - j, k - 1)
+        for i in range(j + 1):
+            coeffs[i] -= (-1 if i % 2 else 1) * c * math.comb(j, i)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def a_local(p: int, k: int, r: int) -> Fraction:
     """A_r(p^k) as a Fraction: the local sum at t = 1 - 1/p."""
     # Fraction() keeps the carrier type at r = 0, where the sum is the int 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -152,6 +153,18 @@ class TestSummatoryScan:
         assert report.fitted_poly == []
         assert report.residuals == []
 
+    def test_order_past_the_float_factorials_is_refused_first(
+        self, monkeypatch
+    ):
+        # 1/r! (A_r) and 1/(k-1)! (tau_k) leave float range past 170!
+        def no_sieve(n):
+            raise AssertionError("sieved before the order check")
+
+        monkeypatch.setattr(analytic, "prime_array", no_sieve)
+        for kind, order in (("A", 171), ("tau", 172), ("tau", 10**6)):
+            with pytest.raises(DomainError, match="order must be <="):
+                summatory_scan(kind, order, 100)
+
     def test_euler_limit_follows_x_max(self):
         # the product runs over the primes up to x_max, clamped to [100, 1e6]
         for x_max, limit in ((50, 100), (10**4, 10**4), (10**6 + 10, 10**6)):
@@ -181,6 +194,13 @@ class TestEulerLeadingCoefficient:
         _, t1 = euler_leading_coefficient(1, 1000)
         _, t2 = euler_leading_coefficient(1, 10**4)
         assert t2 < t1
+
+    def test_value_below_the_least_normal_float_is_refused(self):
+        value, bound = euler_leading_coefficient(124, 10**6)
+        assert sys.float_info.min <= value and 0 < bound < value
+        for r in (125, 170, 171, 10**4):
+            with pytest.raises(NumericalError, match="least normal float"):
+                euler_leading_coefficient(r, 10**6)
 
     def test_prime_limit_guard(self):
         with pytest.raises(DomainError):

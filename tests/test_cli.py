@@ -555,6 +555,69 @@ class TestFrTable:
         # zero polynomials contribute no rows
         assert all(int(row["k"]) <= 3 for row in rows)
 
+    def test_table_stops_at_k_equal_r(self):
+        start = time.perf_counter()
+        result = run_cli("eval", "fr", "--r", "1", "--kmax", "1000000000")
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0
+        assert result.stdout == "r=1 k=1 c_0=0\nr=1 k=1 c_1=-1\n"
+        assert elapsed < 1.0
+
+    def test_empty_table_and_bad_order(self):
+        result = run_cli("eval", "fr", "--r", "3", "--kmax", "0")
+        assert (result.returncode, result.stdout) == (0, "all zero\n")
+        result = run_cli("eval", "fr", "--r", "0", "--kmax", "5")
+        assert result.returncode == 3
+        assert result.stderr == "domain error: r must be >= 1, got 0\n"
+
+    def test_large_r_runs_in_closed_form(self):
+        # the expansion of every (1-u)^j took more than 20 s here
+        start = time.perf_counter()
+        result = run_cli("eval", "fr", "--r", "2000", "--k", "3")
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0
+        assert result.stdout.startswith("-665999833500u + 266000333499900u^2")
+        assert result.stdout.endswith(" - 2001u^1997 + u^1998\n")
+        assert elapsed < 5.0
+
+
+# argv refused within a second, with the exit code and stderr start: all
+# but the last two from their arguments alone, before any coefficient,
+# factorial or sieve
+_REFUSED_AT_ONCE = [
+    (("eval", "fr", "--r", "1000", "--kmax", "1000"), 4,
+     "resource guard: eval fr would print about 1.5e+08 characters"),
+    (("eval", "fr", "--r", "14000", "--k", "1"), 4,
+     "resource guard: eval fr would print about 5.9e+07 characters"),
+    (("eval", "fr", "--r", "15000", "--k", "1"), 4,
+     "resource guard: the result may have 4517 digits"),
+    (("scan", "A", "--r", "171", "--xmax", "100"), 3,
+     "domain error: function order must be <= 170"),
+    (("scan", "tau", "--k", "172", "--xmax", "100"), 3,
+     "domain error: function order must be <= 171"),
+    (("scan", "tau", "--k", "1000000", "--xmax", "100"), 3,
+     "domain error: function order must be <= 171"),
+    # 170! is a float, but the Euler product takes the value below 1e-308
+    (("scan", "A", "--r", "132", "--xmax", "100"), 3,
+     "numerical error: the leading coefficient of A_132 is below"),
+    (("scan", "A", "--r", "125", "--xmax", "1000000"), 3,
+     "numerical error: the leading coefficient of A_125 is below"),
+]
+
+
+class TestRefusedAtOnce:
+    @pytest.mark.parametrize("argv, code, says", _REFUSED_AT_ONCE)
+    def test_one_line_and_no_traceback(self, argv, code, says):
+        start = time.perf_counter()
+        result = run_cli(*argv)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == code
+        assert not result.stdout
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(says)
+        assert "Traceback" not in result.stderr
+        assert elapsed < 1.0
+
 
 class TestScan:
     def test_csv_contract_and_rerun_determinism(self, tmp_path):

@@ -2,7 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import a_local, poly_at
+from conftest import a_local, f_r_local_expanded, poly_at
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
@@ -121,6 +123,22 @@ class TestFrLocal:
             closed[i + 1] += r * closed[i]
         closed[0] -= 1
         assert fold == closed + [0] * (r - 1)
+
+    @pytest.mark.parametrize("r", range(1, 61))
+    def test_closed_form_is_the_expansion(self, r):
+        for k in range(1, r + 4):
+            coeffs = f_r_local(r, k)
+            assert coeffs == f_r_local_expanded(r, k), (r, k)
+            assert all(type(c) is int for c in coeffs), (r, k)
+
+    @given(st.integers(0, 80).flatmap(lambda r: st.tuples(
+        st.just(r), st.integers(0, r + 2), st.integers(1, r + 2))))
+    def test_vandermonde(self, rik):
+        # u^i of sum_j C(r-j, k-1) (1-u)^j, up to sign, in closed form
+        r, i, k = rik
+        total = sum(math.comb(j, i) * math.comb(r - j, k - 1)
+                    for j in range(r + 1))
+        assert total == math.comb(r + 1, k + i)
 
     def test_arguments_validated(self):
         with pytest.raises(DomainError):
