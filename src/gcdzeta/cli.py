@@ -20,10 +20,14 @@ import sys
 from fractions import Fraction
 
 from . import analytic, dirichlet, gcdsum, igusa, multfun
-from .arith import LOOP_GUARD, factorize
+from .arith import LOOP_GUARD, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError, ResourceError
 
 DEFAULT_SEED = 987654321
+# One check of verify fr-vanishing at r takes 0.2-0.55 us per (r + 2)^3
+# (r = 1..32; 2-vCPU x86-64, Python 3.11): about this many loop-guard
+# steps of 0.25 us.
+_FR_CHECK_STEPS = 2
 
 
 def _fmt_fraction(v: Fraction) -> str:
@@ -66,16 +70,14 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _check_digits(n: int, r: int) -> float:
-    """Refuse an exact A_r(n) or B_r(n) too long to print, else return
-    its digit bound.
+def _check_digits(digits: float) -> float:
+    """Refuse an exact result whose digit bound passes the limit, else
+    return the bound.
 
-    Both are at most n^(r+1) (A_r(n) over a denominator dividing n^r), so
-    (r+1) log10 n + 1 digits bound either; Python refuses to convert ints
-    longer than sys.get_int_max_str_digits() (0 means no limit).
+    Python refuses to convert ints longer than
+    sys.get_int_max_str_digits() (0 means no limit).
     """
     limit = sys.get_int_max_str_digits()
-    digits = (r + 1) * math.log10(n) + 1 if n > 1 else 1
     if limit and digits > limit:
         raise ResourceError(
             f"the result may have {digits:.0f} digits, "
@@ -89,12 +91,12 @@ def _check_fr_size(r: int, k_lo: int, k_hi: int) -> None:
 
     For 1 <= k <= r the polynomial has the r + 2 - k coefficients
     C(r+1, k+i) (up to sign, c_0 = 0), each below 2^(r+1), so
-    _check_digits(2, r) bounds each one's digits; past r it has none.
+    (r+1) log10 2 + 1 bounds each one's digits; past r it has none.
     The text is predicted as the count times that bound, in characters.
     """
     lo, hi = max(k_lo, 1), min(k_hi, r)
     count = (hi - lo + 1) * (2 * r + 4 - lo - hi) // 2 if hi >= lo else 0
-    chars = count * _check_digits(2, r) if count else 0
+    chars = count * _check_digits((r + 1) * math.log10(2) + 1) if count else 0
     if chars > LOOP_GUARD:
         raise ResourceError(
             f"eval fr would print about {chars:.1e} characters, "
@@ -139,7 +141,9 @@ def _cmd_eval(args) -> int:
                    "coefficients": list(coeffs), "value": text}
         return _finish_value(args, payload, text)
     if target in ("A", "B"):
-        _check_digits(args.n, args.r)
+        # both are at most n^(r+1): A_r(n) over a denominator dividing n^r
+        _check_digits((args.r + 1) * math.log10(args.n) + 1 if args.n > 1
+                      else 1)
     if target == "A":
         param, text = "r", _fmt_fraction(gcdsum.a_eval(args.n, args.r))
     elif target == "B":
@@ -148,8 +152,12 @@ def _cmd_eval(args) -> int:
         (value,) = gcdsum.menon_sum(args.n, [args.a])
         param, text = "a", str(value)
     else:  # tau
-        value = multfun.eval_int(multfun.tau_k(args.k), factorize(args.n))
-        param, text = "k", str(value)
+        tau, fi = multfun.tau_k(args.k), factorize(args.n)
+        # tau_k(p^e) = prod_{i=1}^{e} (k - 1 + i) / i
+        _check_digits(math.fsum(math.log10(args.k - 1 + i) - math.log10(i)
+                                for _, e in fi.factors
+                                for i in range(1, e + 1)) + 1)
+        param, text = "k", str(multfun.eval_int(tau, fi))
     payload = {"target": target, "n": args.n, param: getattr(args, param),
                "value": text}
     return _finish_value(args, payload, text)
@@ -182,11 +190,25 @@ def _verify_threeway(args):
 
 
 def _verify_fr_vanishing(args):
+    # A_r = tau_{r+1} * f_r at p^k, with f_r(p^0) = 1.  Both sides are
+    # integer polynomials in u = 1/p of degree at most D, the larger of r
+    # and every tuple's degree so far, so agreeing at u = 0..D they are
+    # equal.  The guard counts _FR_CHECK_STEPS (r + 2)^3 per (r, k).
+    cubes = ((args.rmax + 2) * (args.rmax + 3) // 2) ** 2 - 9
+    _check_loop_guard(_FR_CHECK_STEPS * cubes * args.kmax,
+                      "verify fr-vanishing")
     for r in range(1, args.rmax + 1):
-        # one audit covers k = 1..kmax, and counts as kmax checks
-        failure = "; ".join(dirichlet.verify_fr_structure(r, args.kmax))
-        for _ in range(args.kmax):
-            yield r, failure
+        fr, degree = {0: (1,)}, r
+        for k in range(1, args.kmax + 1):
+            if coeffs := dirichlet.f_r_local(r, k):
+                fr[k], degree = coeffs, max(degree, len(coeffs) - 1)
+            bad = [u for u in range(degree + 1)
+                   if gcdsum.a_local_sum(1 - u, k, r) != sum(
+                       multfun.binom_multiset(r + 1, k - i)
+                       * sum(c * u**j for j, c in enumerate(t))
+                       for i, t in fr.items())]
+            yield r, (f"(r={r}, k={k}): A_{r}(p^{k}) != (tau_{r + 1} * "
+                      f"f_{r})(p^{k}) at u = {bad[0]}" if bad else None)
 
 
 def _verify_domination(args):

@@ -7,7 +7,8 @@ identically for k >= r+1 and have zero constant term for k <= r, which
 is what makes the associated Dirichlet series converge on Re(s) > 0.
 Those vanishing statements are exact polynomial identities, so each
 polynomial is kept as its tuple of integer coefficients, ascending in u,
-ending in a nonzero one: the zero polynomial is ().
+ending in a nonzero one: the zero polynomial is ().  `verify
+fr-vanishing` checks the convolution itself against gcdsum.a_local_sum.
 """
 
 from __future__ import annotations
@@ -59,24 +60,3 @@ def f_r_local(r: int, k: int) -> tuple[int, ...]:
         return ()
     return (0, *((-1) ** (k + i + 1) * math.comb(r + 1, k + i)
                  for i in range(1, r + 2 - k)))
-
-
-def verify_fr_structure(r: int, k_max: int) -> list[str]:
-    """Audit the vanishing and cancellation structure of f_r up to k_max.
-
-    Checks, per k: identically zero once k >= r+1, zero constant term for
-    k <= r, and degree at most r.  Returns one message per violated
-    (r, k); the empty list means the audit passed.
-    """
-    if r < 1 or k_max < 1:
-        raise DomainError(f"r and k_max must be >= 1, got r={r}, k_max={k_max}")
-    failures = []
-    for k in range(1, k_max + 1):
-        coeffs = f_r_local(r, k)
-        if k >= r + 1 and coeffs:
-            failures.append(f"(r={r}, k={k}): expected zero polynomial")
-        if k <= r and coeffs and coeffs[0] != 0:
-            failures.append(f"(r={r}, k={k}): constant coefficient nonzero")
-        if len(coeffs) - 1 > r:
-            failures.append(f"(r={r}, k={k}): degree {len(coeffs) - 1} > {r}")
-    return failures

@@ -47,8 +47,10 @@ def a_local_sum(t, k: int, r: int):
     """The local sum sum_{j=0}^{r} C(k+j-1, j) t^j, which is A_r(p^k) at
     t = 1 - 1/p.
 
-    t may be a Fraction (exact value), a float or a float array (float64
-    values); every carrier runs the same operations in the same order.
+    t may be a Fraction (exact value), an int (the sum as a polynomial in
+    u = 1 - t, at an integer u, as verify fr-vanishing evaluates it), a
+    float or a float array (float64 values); every carrier runs the same
+    operations in the same order.
     """
     acc = 0
     power = 1

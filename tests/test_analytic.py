@@ -694,6 +694,17 @@ class TestExtremalStatistic:
         with pytest.raises(DomainError):
             extremal_statistic(1, 50)
 
+    def test_guard_counts_passes_before_the_sieve(self, monkeypatch):
+        # r + 1 passes of 24 steps plus one per 50 of the
+        # 1000 * 125506 // int(100000 log 1000) = 181 primes bounded
+        edge = 3 * (24 + 3)
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge)
+        assert extremal_statistic(2, 1000).omega_n_x == 134
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
+        monkeypatch.setattr(analytic, "primes_in_range", None)
+        with pytest.raises(ResourceError, match=f"needs {edge} loop steps"):
+            extremal_statistic(2, 1000)
+
     def test_to_dict_roundtrip(self):
         sample = extremal_statistic(2, 500)
         d = dataclasses.asdict(sample)

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import a_eval_product, menon_sum_loop
-from gcdzeta import dirichlet, gcdsum, multfun
+from gcdzeta import arith, dirichlet, gcdsum, multfun
 from gcdzeta.arith import FactoredInteger, factorize
-from gcdzeta.cli import main
+from gcdzeta.cli import _FR_CHECK_STEPS, main
 
 
 def run_cli(*args):
@@ -394,12 +394,33 @@ class TestVerify:
          ["a-threeway", "--nmax", "10"],
          "FAIL after 14 checks at 5: "
          "A_1(5): brute=9/5 local=9/5 recursion=14/5"),
+        # f_r wrong at a k <= r, at a k > r, with a degree above r and
+        # with a flipped sign; the two middle errors vanish at u = 0..r,
+        # so only the points past r that their degree adds catch them
         (dirichlet, "f_r_local",
          lambda real: lambda r, k: (1, 0, 0, 5) if (r, k) == (2, 3)
          else real(r, k),
          ["fr-vanishing"],
-         "FAIL after 10 checks at 2: (r=2, k=3): expected zero polynomial; "
-         "(r=2, k=3): degree 3 > 2"),
+         "FAIL after 12 checks at 2: (r=2, k=3): "
+         "A_2(p^3) != (tau_3 * f_2)(p^3) at u = 0"),
+        (dirichlet, "f_r_local",  # u(u - 1) as f_1(p^5)
+         lambda real: lambda r, k: (0, -1, 1) if (r, k) == (1, 5)
+         else real(r, k),
+         ["fr-vanishing"],
+         "FAIL after 4 checks at 1: (r=1, k=5): "
+         "A_1(p^5) != (tau_2 * f_1)(p^5) at u = 2"),
+        (dirichlet, "f_r_local",  # 4u - u^2 + u(u - 1)(u - 2)(u - 3)
+         lambda real: lambda r, k: (0, -2, 10, -6, 1) if (r, k) == (3, 2)
+         else real(r, k),
+         ["fr-vanishing"],
+         "FAIL after 21 checks at 3: (r=3, k=2): "
+         "A_3(p^2) != (tau_4 * f_3)(p^2) at u = 4"),
+        (dirichlet, "f_r_local",
+         lambda real: lambda r, k: tuple(-c for c in real(r, k))
+         if (r, k) == (3, 1) else real(r, k),
+         ["fr-vanishing"],
+         "FAIL after 20 checks at 3: (r=3, k=1): "
+         "A_3(p^1) != (tau_4 * f_3)(p^1) at u = 1"),
         # (7629, 4081) is the third coprime pair that seed 5 draws, and
         # tau_3 the fifth function checked on it: 2 * 7 + 4 checks before
         (multfun, "eval_int",
@@ -527,7 +548,29 @@ class TestVerify:
 
     def test_fr_vanishing(self):
         result = run_cli("verify", "fr-vanishing", "--rmax", "5", "--kmax", "12")
-        assert result.returncode == 0
+        assert (result.returncode, result.stdout) == (0, "PASS 60/60\n")
+
+    @pytest.mark.parametrize("rmax, kmax", [(1, 7), (4, 3), (3, 10)])
+    def test_fr_vanishing_runs_at_its_guard(self, monkeypatch, rmax, kmax):
+        # _FR_CHECK_STEPS (r + 2)^3 steps for each (r, k)
+        edge = _FR_CHECK_STEPS * kmax * sum(
+            (r + 2) ** 3 for r in range(1, rmax + 1))
+        argv = ["verify", "fr-vanishing", "--rmax", str(rmax),
+                "--kmax", str(kmax)]
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+        checks = rmax * kmax
+        assert (out.getvalue(), err.getvalue()) == (
+            f"PASS {checks}/{checks}\n", "")
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 4
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            f"resource guard: verify fr-vanishing needs {edge} loop steps")
 
     def test_domination_and_squarefree_and_mult(self):
         for suite in ("domination", "squarefree"):
@@ -583,8 +626,24 @@ class TestFrTable:
 
 # argv refused within a second, with the exit code and stderr start: all
 # but the last two from their arguments alone, before any coefficient,
-# factorial or sieve
+# factorial, sieve or suite loop.  The argv fuzz draws only small values,
+# so the huge ones are listed here.
+_HUGE_K = "1" + "0" * 100  # 10^100
 _REFUSED_AT_ONCE = [
+    # tau_k(2^60) = C(k + 59, 60), about 6000 - log10(60!) digits at
+    # k = 10^100: past the int-to-str limit of 4300
+    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K), 4,
+     "resource guard: the result may have 5919 digits"),
+    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K, "--format", "json"),
+     4, "resource guard: the result may have 5919 digits"),
+    (("eval", "tau", "--n", "6", "--k", "1" + "0" * 4000), 4,
+     "resource guard: the result may have 8001 digits"),
+    (("scan", "extremal", "--r", "10000000", "--x", "1000"), 4,
+     "resource guard: extremal_statistic needs 270000027 loop steps"),
+    (("verify", "fr-vanishing", "--rmax", "1", "--kmax", "1000000000"), 4,
+     "resource guard: verify fr-vanishing needs 54000000000 loop steps"),
+    (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
+     "resource guard: verify fr-vanishing needs"),
     (("eval", "fr", "--r", "1000", "--kmax", "1000"), 4,
      "resource guard: eval fr would print about 1.5e+08 characters"),
     (("eval", "fr", "--r", "14000", "--k", "1"), 4,

@@ -6,9 +6,8 @@ from conftest import a_local, f_r_local_expanded, poly_at
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
-from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
+from gcdzeta.dirichlet import f_r_local, format_poly
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval
 from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau_k
@@ -164,42 +163,6 @@ class TestFrAsConvolution:
                     value = poly_at(poly, Fraction(1, p))
                     assert value == fr_as_convolution(r, p, k)
                     assert value == a_r_mu.local(p, k)
-
-
-class TestVerifyFrStructure:
-    def test_r1_all_pass(self):
-        assert verify_fr_structure(1, 6) == []
-        # f_1(p^k) is the zero polynomial for every k >= 2
-        assert all(f_r_local(1, k) == () for k in range(2, 7))
-
-    def test_r4_kmax10_passes(self):
-        assert verify_fr_structure(4, 10) == []
-
-    def test_r2_constant_terms_zero(self):
-        assert verify_fr_structure(2, 2) == []
-        assert all(f_r_local(2, k)[0] == 0 for k in (1, 2))
-
-    def test_names_every_violation(self, monkeypatch):
-        # a nonzero constant everywhere breaks both the vanishing and
-        # the cancellation statements; a degree-3 term breaks the bound
-        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: (1, 0, 0, 1))
-        assert verify_fr_structure(2, 3) == [
-            "(r=2, k=1): constant coefficient nonzero",
-            "(r=2, k=1): degree 3 > 2",
-            "(r=2, k=2): constant coefficient nonzero",
-            "(r=2, k=2): degree 3 > 2",
-            "(r=2, k=3): expected zero polynomial",
-            "(r=2, k=3): degree 3 > 2",
-        ]
-        # the zero polynomial () has a zero constant term
-        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: ())
-        assert verify_fr_structure(2, 3) == []
-
-    def test_arguments_validated(self):
-        with pytest.raises(DomainError):
-            verify_fr_structure(0, 3)
-        with pytest.raises(DomainError):
-            verify_fr_structure(2, 0)
 
 
 class TestConvolution:
