@@ -24,10 +24,11 @@ from .arith import LOOP_GUARD, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError, ResourceError
 
 DEFAULT_SEED = 987654321
-# One check of verify fr-vanishing at r takes 0.2-0.55 us per (r + 2)^3
-# (r = 1..32; 2-vCPU x86-64, Python 3.11): about this many loop-guard
-# steps of 0.25 us.
-_FR_CHECK_STEPS = 2
+# One check of verify fr-vanishing at r, with f_r's tuples evaluated
+# once per r, takes 0.4-1.7 us per (r + 2)^2 (r = 1..300, the most at
+# large r where the values grow; 2-vCPU x86-64, Python 3.11): about this
+# many loop-guard steps of 0.25 us.
+_FR_CHECK_STEPS = 4
 
 
 def _fmt_fraction(v: Fraction) -> str:
@@ -190,25 +191,15 @@ def _verify_threeway(args):
 
 
 def _verify_fr_vanishing(args):
-    # A_r = tau_{r+1} * f_r at p^k, with f_r(p^0) = 1.  Both sides are
-    # integer polynomials in u = 1/p of degree at most D, the larger of r
-    # and every tuple's degree so far, so agreeing at u = 0..D they are
-    # equal.  The guard counts _FR_CHECK_STEPS (r + 2)^3 per (r, k).
-    cubes = ((args.rmax + 2) * (args.rmax + 3) // 2) ** 2 - 9
-    _check_loop_guard(_FR_CHECK_STEPS * cubes * args.kmax,
+    # _FR_CHECK_STEPS (r + 2)^2 per (r, k), and as much again per r for
+    # evaluating the tuples of f_r once
+    squares = (args.rmax + 2) * (args.rmax + 3) * (2 * args.rmax + 5) // 6 - 5
+    _check_loop_guard(_FR_CHECK_STEPS * squares * (args.kmax + 1),
                       "verify fr-vanishing")
     for r in range(1, args.rmax + 1):
-        fr, degree = {0: (1,)}, r
+        failures = dirichlet.verify_fr_structure(r, args.kmax)
         for k in range(1, args.kmax + 1):
-            if coeffs := dirichlet.f_r_local(r, k):
-                fr[k], degree = coeffs, max(degree, len(coeffs) - 1)
-            bad = [u for u in range(degree + 1)
-                   if gcdsum.a_local_sum(1 - u, k, r) != sum(
-                       multfun.binom_multiset(r + 1, k - i)
-                       * sum(c * u**j for j, c in enumerate(t))
-                       for i, t in fr.items())]
-            yield r, (f"(r={r}, k={k}): A_{r}(p^{k}) != (tau_{r + 1} * "
-                      f"f_{r})(p^{k}) at u = {bad[0]}" if bad else None)
+            yield r, failures.get(k)
 
 
 def _verify_domination(args):

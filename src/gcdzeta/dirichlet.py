@@ -7,8 +7,8 @@ identically for k >= r+1 and have zero constant term for k <= r, which
 is what makes the associated Dirichlet series converge on Re(s) > 0.
 Those vanishing statements are exact polynomial identities, so each
 polynomial is kept as its tuple of integer coefficients, ascending in u,
-ending in a nonzero one: the zero polynomial is ().  `verify
-fr-vanishing` checks the convolution itself against gcdsum.a_local_sum.
+ending in a nonzero one: the zero polynomial is ().  verify_fr_structure
+checks the convolution itself against gcdsum.a_local_sum.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
+from .gcdsum import a_local_sum
+from .multfun import binom_multiset
 
 
 def format_poly(coeffs: tuple[int, ...]) -> str:
@@ -60,3 +62,31 @@ def f_r_local(r: int, k: int) -> tuple[int, ...]:
         return ()
     return (0, *((-1) ** (k + i + 1) * math.comb(r + 1, k + i)
                  for i in range(1, r + 2 - k)))
+
+
+def verify_fr_structure(r: int, k_max: int) -> dict[int, str]:
+    """Check A_r = tau_{r+1} * f_r at p^k for k = 1..k_max.
+
+    With f_r(p^0) = 1, both sides are integer polynomials in u = 1/p:
+    a_local_sum at t = 1 - u, and sum_{i<=k} C(r+k-i, k-i) f_r(p^i).
+    Their degree is at most D, the larger of r and every tuple's degree,
+    so agreeing at u = 0..D, where each tuple is evaluated once, they are
+    equal.  Returns what failed, by k: {} means it passed.
+    """
+    if r < 1 or k_max < 1:
+        raise DomainError(f"r and k_max must be >= 1, got r={r}, k_max={k_max}")
+    fr = {0: (1,)} | {i: c for i in range(1, k_max + 1)
+                      if (c := f_r_local(r, i))}
+    points = range(max(r, *(len(c) - 1 for c in fr.values())) + 1)
+    at = {i: [sum(c * u**j for j, c in enumerate(t)) for u in points]
+          for i, t in fr.items()}
+    failures = {}
+    for k in range(1, k_max + 1):
+        terms = [(binom_multiset(r + 1, k - i), v) for i, v in at.items()
+                 if i <= k]
+        bad = [u for u in points if a_local_sum(1 - u, k, r)
+               != sum(b * v[u] for b, v in terms)]
+        if bad:
+            failures[k] = (f"(r={r}, k={k}): A_{r}(p^{k}) != (tau_{r + 1} * "
+                           f"f_{r})(p^{k}) at u = {bad[0]}")
+    return failures

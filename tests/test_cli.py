@@ -552,9 +552,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("rmax, kmax", [(1, 7), (4, 3), (3, 10)])
     def test_fr_vanishing_runs_at_its_guard(self, monkeypatch, rmax, kmax):
-        # _FR_CHECK_STEPS (r + 2)^3 steps for each (r, k)
-        edge = _FR_CHECK_STEPS * kmax * sum(
-            (r + 2) ** 3 for r in range(1, rmax + 1))
+        # _FR_CHECK_STEPS (r + 2)^2 steps for each (r, k), and once more
+        # for each r
+        edge = _FR_CHECK_STEPS * (kmax + 1) * sum(
+            (r + 2) ** 2 for r in range(1, rmax + 1))
         argv = ["verify", "fr-vanishing", "--rmax", str(rmax),
                 "--kmax", str(kmax)]
         monkeypatch.setattr(arith, "LOOP_GUARD", edge)
@@ -641,7 +642,7 @@ _REFUSED_AT_ONCE = [
     (("scan", "extremal", "--r", "10000000", "--x", "1000"), 4,
      "resource guard: extremal_statistic needs 270000027 loop steps"),
     (("verify", "fr-vanishing", "--rmax", "1", "--kmax", "1000000000"), 4,
-     "resource guard: verify fr-vanishing needs 54000000000 loop steps"),
+     "resource guard: verify fr-vanishing needs 36000000036 loop steps"),
     (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
      "resource guard: verify fr-vanishing needs"),
     (("eval", "fr", "--r", "1000", "--kmax", "1000"), 4,

@@ -6,8 +6,9 @@ from conftest import a_local, f_r_local_expanded, poly_at
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcdzeta import dirichlet
 from gcdzeta.arith import factorize
-from gcdzeta.dirichlet import f_r_local, format_poly
+from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval
 from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau_k
@@ -163,6 +164,50 @@ class TestFrAsConvolution:
                     value = poly_at(poly, Fraction(1, p))
                     assert value == fr_as_convolution(r, p, k)
                     assert value == a_r_mu.local(p, k)
+
+
+class TestVerifyFrStructure:
+    """The check of A_r = tau_{r+1} * f_r at p^k, k = 1..k_max."""
+
+    def test_r1_all_pass(self):
+        assert verify_fr_structure(1, 6) == {}
+        # f_1(p^k) is the zero polynomial for every k >= 2
+        assert all(f_r_local(1, k) == () for k in range(2, 7))
+
+    def test_r4_kmax10_passes(self):
+        assert verify_fr_structure(4, 10) == {}
+
+    def test_r2_constant_terms_zero(self):
+        assert verify_fr_structure(2, 2) == {}
+        assert all(f_r_local(2, k)[0] == 0 for k in (1, 2))
+
+    def test_names_every_violation(self, monkeypatch):
+        line = "(r=2, k={k}): A_2(p^{k}) != (tau_3 * f_2)(p^{k}) at u = {u}"
+        # a nonzero constant is wrong at every k, already at u = 0
+        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: (1, 0, 0, 1))
+        assert verify_fr_structure(2, 3) == {
+            k: line.format(k=k, u=0) for k in (1, 2, 3)}
+        # the zero polynomial everywhere leaves tau_3 alone, which is
+        # A_2(p^k) only at u = 0
+        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: ())
+        assert verify_fr_structure(2, 3) == {
+            k: line.format(k=k, u=1) for k in (1, 2, 3)}
+
+    def test_degree_above_r_is_checked_past_r(self, monkeypatch):
+        # u(u - 1) as f_1(p^5) vanishes at u = 0, 1: only the point its
+        # degree adds catches it
+        real = dirichlet.f_r_local
+        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: (
+            (0, -1, 1) if (r, k) == (1, 5) else real(r, k)))
+        assert verify_fr_structure(1, 7) == {
+            k: f"(r=1, k={k}): A_1(p^{k}) != (tau_2 * f_1)(p^{k}) at u = 2"
+            for k in (5, 6, 7)}
+
+    def test_arguments_validated(self):
+        with pytest.raises(DomainError):
+            verify_fr_structure(0, 3)
+        with pytest.raises(DomainError):
+            verify_fr_structure(2, 0)
 
 
 class TestConvolution:
