@@ -394,15 +394,24 @@ class TestVerify:
          ["a-threeway", "--nmax", "10"],
          "FAIL after 14 checks at 5: "
          "A_1(5): brute=9/5 local=9/5 recursion=14/5"),
-        # f_r wrong at a k <= r, at a k > r, with a degree above r and
-        # with a flipped sign; the two middle errors vanish at u = 0..r,
-        # so only the points past r that their degree adds catch them
+        # f_r wrong at a k <= r here; at a k > r, with a degree above r
+        # and with a flipped sign after the mult case
         (dirichlet, "f_r_local",
          lambda real: lambda r, k: (1, 0, 0, 5) if (r, k) == (2, 3)
          else real(r, k),
          ["fr-vanishing"],
          "FAIL after 12 checks at 2: (r=2, k=3): "
          "A_2(p^3) != (tau_3 * f_2)(p^3) at u = 0"),
+        # (7629, 4081) is the third coprime pair that seed 5 draws, and
+        # tau_3 the fifth function checked on it: 2 * 7 + 4 checks before
+        (multfun, "eval_int",
+         lambda real: lambda f, n: real(f, n) + (
+             f.name == "tau_3" and n == 7629 * 4081),
+         ["mult", "--seed", "5"],
+         "FAIL after 18 checks at 7629: tau_3 not multiplicative at "
+         "(7629, 4081)"),
+        # the next two vanish at u = 0..r, so only the points past r
+        # that their degree adds catch them
         (dirichlet, "f_r_local",  # u(u - 1) as f_1(p^5)
          lambda real: lambda r, k: (0, -1, 1) if (r, k) == (1, 5)
          else real(r, k),
@@ -421,14 +430,6 @@ class TestVerify:
          ["fr-vanishing"],
          "FAIL after 20 checks at 3: (r=3, k=1): "
          "A_3(p^1) != (tau_4 * f_3)(p^1) at u = 1"),
-        # (7629, 4081) is the third coprime pair that seed 5 draws, and
-        # tau_3 the fifth function checked on it: 2 * 7 + 4 checks before
-        (multfun, "eval_int",
-         lambda real: lambda f, n: real(f, n) + (
-             f.name == "tau_3" and n == 7629 * 4081),
-         ["mult", "--seed", "5"],
-         "FAIL after 18 checks at 7629: tau_3 not multiplicative at "
-         "(7629, 4081)"),
     ])
     def test_failure_lines(self, monkeypatch, module, name, wrong, argv,
                            line):
@@ -626,25 +627,11 @@ class TestFrTable:
 
 
 # argv refused within a second, with the exit code and stderr start: all
-# but the last two from their arguments alone, before any coefficient,
-# factorial, sieve or suite loop.  The argv fuzz draws only small values,
-# so the huge ones are listed here.
+# but the two leading-coefficient cases from their arguments alone, before
+# any coefficient, factorial, sieve or suite loop.  The argv fuzz draws
+# only small values, so the huge ones are listed here.
 _HUGE_K = "1" + "0" * 100  # 10^100
 _REFUSED_AT_ONCE = [
-    # tau_k(2^60) = C(k + 59, 60), about 6000 - log10(60!) digits at
-    # k = 10^100: past the int-to-str limit of 4300
-    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K), 4,
-     "resource guard: the result may have 5919 digits"),
-    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K, "--format", "json"),
-     4, "resource guard: the result may have 5919 digits"),
-    (("eval", "tau", "--n", "6", "--k", "1" + "0" * 4000), 4,
-     "resource guard: the result may have 8001 digits"),
-    (("scan", "extremal", "--r", "10000000", "--x", "1000"), 4,
-     "resource guard: extremal_statistic needs 270000027 loop steps"),
-    (("verify", "fr-vanishing", "--rmax", "1", "--kmax", "1000000000"), 4,
-     "resource guard: verify fr-vanishing needs 36000000036 loop steps"),
-    (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
-     "resource guard: verify fr-vanishing needs"),
     (("eval", "fr", "--r", "1000", "--kmax", "1000"), 4,
      "resource guard: eval fr would print about 1.5e+08 characters"),
     (("eval", "fr", "--r", "14000", "--k", "1"), 4,
@@ -662,6 +649,20 @@ _REFUSED_AT_ONCE = [
      "numerical error: the leading coefficient of A_132 is below"),
     (("scan", "A", "--r", "125", "--xmax", "1000000"), 3,
      "numerical error: the leading coefficient of A_125 is below"),
+    # tau_k(2^60) = C(k + 59, 60), about 6000 - log10(60!) digits at
+    # k = 10^100: past the int-to-str limit of 4300
+    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K), 4,
+     "resource guard: the result may have 5919 digits"),
+    (("eval", "tau", "--n", str(2**60), "--k", _HUGE_K, "--format", "json"),
+     4, "resource guard: the result may have 5919 digits"),
+    (("eval", "tau", "--n", "6", "--k", "1" + "0" * 4000), 4,
+     "resource guard: the result may have 8001 digits"),
+    (("scan", "extremal", "--r", "10000000", "--x", "1000"), 4,
+     "resource guard: extremal_statistic needs 270000027 loop steps"),
+    (("verify", "fr-vanishing", "--rmax", "1", "--kmax", "1000000000"), 4,
+     "resource guard: verify fr-vanishing needs 36000000036 loop steps"),
+    (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
+     "resource guard: verify fr-vanishing needs"),
 ]
 
 

@@ -193,16 +193,6 @@ class TestVerifyFrStructure:
         assert verify_fr_structure(2, 3) == {
             k: line.format(k=k, u=1) for k in (1, 2, 3)}
 
-    def test_degree_above_r_is_checked_past_r(self, monkeypatch):
-        # u(u - 1) as f_1(p^5) vanishes at u = 0, 1: only the point its
-        # degree adds catches it
-        real = dirichlet.f_r_local
-        monkeypatch.setattr(dirichlet, "f_r_local", lambda r, k: (
-            (0, -1, 1) if (r, k) == (1, 5) else real(r, k)))
-        assert verify_fr_structure(1, 7) == {
-            k: f"(r=1, k={k}): A_1(p^{k}) != (tau_2 * f_1)(p^{k}) at u = 2"
-            for k in (5, 6, 7)}
-
     def test_arguments_validated(self):
         with pytest.raises(DomainError):
             verify_fr_structure(0, 3)
