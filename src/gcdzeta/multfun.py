@@ -2,7 +2,9 @@
 
 A multiplicative function is pinned down by its values at prime powers:
 f(1) = 1 and f(n) is the product of f(p^k) over the factorization of n.
-The functions defined here take integer values, so their local
+Two are defined here, the ones the paper's identities compute with:
+Euler's phi (B_r = phi^r tau, Menon) and the Piltz tau_k
+(A_r = tau_{r+1} * f_r).  Both take integer values, so their local
 evaluators return plain ints; eval_int multiplies whatever the local
 values are, so a function with rational local values gives a Fraction.
 """
@@ -57,15 +59,6 @@ def phi() -> MultiplicativeFunction:
     return MultiplicativeFunction("phi", lambda p, k: p**k - p ** (k - 1))
 
 
-def jordan(m: int) -> MultiplicativeFunction:
-    """Jordan totient of order m: value n^m prod (1 - p^-m)."""
-    if m < 1:
-        raise DomainError(f"jordan order must be >= 1, got {m}")
-    return MultiplicativeFunction(
-        f"jordan_{m}", lambda p, k: p ** (m * k) - p ** (m * (k - 1))
-    )
-
-
 def tau_k(m: int) -> MultiplicativeFunction:
     """Piltz divisor function: ordered factorizations into m parts.
 
@@ -76,34 +69,4 @@ def tau_k(m: int) -> MultiplicativeFunction:
     if m < 1:
         raise DomainError(f"tau_k order must be >= 1, got {m}")
     return MultiplicativeFunction(f"tau_{m}", lambda p, k: binom_multiset(m, k))
-
-
-def mu() -> MultiplicativeFunction:
-    """Moebius function: -1 at primes, 0 at higher prime powers."""
-    return MultiplicativeFunction("mu", lambda p, k: -1 if k == 1 else 0)
-
-
-def mu_iter(j: int) -> MultiplicativeFunction:
-    """j-fold Dirichlet self-convolution of mu: local value (-1)^k C(j, k)."""
-    if j < 1:
-        raise DomainError(f"mu_iter order must be >= 1, got {j}")
-    return MultiplicativeFunction(
-        f"mu_iter_{j}",
-        lambda p, k: (-1 if k % 2 else 1) * math.comb(j, k),
-    )
-
-
-def psi(m: int) -> MultiplicativeFunction:
-    """Jordan-totient analog of the gcd-sum (Pillai) function.
-
-    psi_m(n) = sum over d | n of d^m phi_m(n/d), with local value
-    p^(mk) (1 + k (1 - p^-m)) = p^(mk) + k (p^(mk) - p^(m(k-1))).  In
-    particular psi_1(n)/n equals the mean of gcd(k, n) over k <= n.
-    """
-    if m < 1:
-        raise DomainError(f"psi order must be >= 1, got {m}")
-    return MultiplicativeFunction(
-        f"psi_{m}",
-        lambda p, k: p ** (m * k) + k * (p ** (m * k) - p ** (m * (k - 1))),
-    )
 

@@ -44,6 +44,20 @@ def f_r_local_expanded(r: int, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def mu() -> MultiplicativeFunction:
+    """Moebius function: -1 at primes, 0 at higher prime powers."""
+    return MultiplicativeFunction("mu", lambda p, k: -1 if k == 1 else 0)
+
+
+def mu_iter(j: int) -> MultiplicativeFunction:
+    """j-fold Dirichlet self-convolution of mu, with local value
+    (-1)^k C(j, k): the oracle for A_r * mu^(*(r+1)) = f_r."""
+    return MultiplicativeFunction(
+        f"mu_iter_{j}",
+        lambda p, k: (-1 if k % 2 else 1) * math.comb(j, k),
+    )
+
+
 def a_local(p: int, k: int, r: int) -> Fraction:
     """A_r(p^k) as a Fraction: the local sum at t = 1 - 1/p."""
     # Fraction() keeps the carrier type at r = 0, where the sum is the int 1

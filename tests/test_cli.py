@@ -403,12 +403,12 @@ class TestVerify:
          "FAIL after 12 checks at 2: (r=2, k=3): "
          "A_2(p^3) != (tau_3 * f_2)(p^3) at u = 0"),
         # (7629, 4081) is the third coprime pair that seed 5 draws, and
-        # tau_3 the fifth function checked on it: 2 * 7 + 4 checks before
+        # tau_3 the third function checked on it: 2 * 3 + 2 checks before
         (multfun, "eval_int",
          lambda real: lambda f, n: real(f, n) + (
              f.name == "tau_3" and n == 7629 * 4081),
          ["mult", "--seed", "5"],
-         "FAIL after 18 checks at 7629: tau_3 not multiplicative at "
+         "FAIL after 8 checks at 7629: tau_3 not multiplicative at "
          "(7629, 4081)"),
         # the next two vanish at u = 0..r, so only the points past r
         # that their degree adds catch them
@@ -514,7 +514,7 @@ class TestVerify:
         (("domination", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 3/3"),
         (("squarefree", "--nmax", "1"), "--nmax", 1, "PASS 4/4"),
         (("squarefree", "--nmax", "3", "--rmax", "0"), "--rmax", 0, "PASS 3/3"),
-        (("mult", "--samples", "1", "--seed", "2"), "--samples", 1, "PASS 7/7"),
+        (("mult", "--samples", "1", "--seed", "2"), "--samples", 1, "PASS 3/3"),
     ])
     def test_bounds_below_the_least_are_domain_errors(self, argv, flag, least,
                                                       line):
@@ -573,6 +573,36 @@ class TestVerify:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(
             f"resource guard: verify fr-vanishing needs {edge} loop steps")
+
+    # the steps each suite is certain to take at its default flags:
+    # nmax (rmax + 1), nmax + rmax for squarefree and samples for mult
+    # (fr-vanishing's count has the test above)
+    @pytest.mark.parametrize("suite, steps", [
+        ("menon", 400), ("a-threeway", 400), ("domination", 400),
+        ("squarefree", 103), ("mult", 200),
+    ])
+    def test_runs_at_its_suite_guard(self, monkeypatch, suite, steps):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", suite]) == 0
+        line = out.getvalue()
+        # the Menon sums and brute forces guard their own calls, some
+        # with more steps than the suite's count, so only the suite's
+        # guard is left to read the lowered LOOP_GUARD
+        monkeypatch.setattr(gcdsum, "_check_loop_guard", lambda *_: None)
+        monkeypatch.setattr(arith, "LOOP_GUARD", steps)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["verify", suite]) == 0
+        assert (out.getvalue(), err.getvalue()) == (line, "")
+        monkeypatch.setattr(arith, "LOOP_GUARD", steps - 1)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["verify", suite]) == 4
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            f"resource guard: verify {suite} needs {steps} loop steps")
+        assert err.getvalue().count("\n") == 1
 
     def test_domination_and_squarefree_and_mult(self):
         for suite in ("domination", "squarefree"):
@@ -663,6 +693,18 @@ _REFUSED_AT_ONCE = [
      "resource guard: verify fr-vanishing needs 36000000036 loop steps"),
     (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
      "resource guard: verify fr-vanishing needs"),
+    # the other suites count nmax (rmax + 1) steps, nmax + rmax for
+    # squarefree and samples for mult, before their loops
+    (("verify", "domination", "--nmax", "5", "--rmax", _HUGE_K), 4,
+     "resource guard: verify domination needs about 1e101 loop steps"),
+    (("verify", "a-threeway", "--nmax", "5", "--rmax", _HUGE_K), 4,
+     "resource guard: verify a-threeway needs about 1e101 loop steps"),
+    (("verify", "squarefree", "--nmax", "5", "--rmax", _HUGE_K), 4,
+     "resource guard: verify squarefree needs about 1e100 loop steps"),
+    (("verify", "menon", "--nmax", "5", "--rmax", _HUGE_K), 4,
+     "resource guard: verify menon needs about 1e101 loop steps"),
+    (("verify", "mult", "--samples", str(10**17)), 4,
+     "resource guard: verify mult needs 100000000000000000 loop steps"),
 ]
 
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import a_local, f_r_local_expanded, poly_at
+from conftest import a_local, f_r_local_expanded, mu, mu_iter, poly_at
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +11,7 @@ from gcdzeta.arith import factorize
 from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval
-from gcdzeta.multfun import MultiplicativeFunction, mu, mu_iter, tau_k
+from gcdzeta.multfun import MultiplicativeFunction, tau_k
 
 
 def f_r(r: int) -> MultiplicativeFunction:
