@@ -7,14 +7,19 @@ coefficients here are fitted, never derived, and the reports keep the two
 provenances separate.  The values f(n), all >= 1 and so multiples of
 2^-52, are sieved and summed one 2 MB window at a time, never all held:
 each block between checkpoints and window edges is summed exactly as a
-count of 2^-52 (_grid_total), one int total runs across them, and each
-checkpoint rounds it once, to math.fsum(f(1..x)), byte-identical on rerun.
+count of 2^-52 (_grid_total).  The windows are split into one contiguous
+run per usable CPU, each run in its own process (forked, and so only
+where os.fork exists), and the runs' exact int totals are merged in
+window order.  Each checkpoint rounds the merged total once, to
+math.fsum(f(1..x)), byte-identical on rerun and on any CPU count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import _check_loop_guard, prime_array, primes_in_range
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
 from .multfun import tau_k
 
@@ -104,21 +109,12 @@ def _scan_local(kind: str, order: int):
     return lambda p, k: float(tau.local(p, k))
 
 
-def _value_windows(local, x_max: int):
-    """Yield (lo, window) with window[i] = f(lo + i) (f(0) = 0), one final
-    _WINDOW of 0..x_max at a time, all in one reused float64 buffer.
-
-    local(p, k) is f(p^k); p may be an int or an int64 array of primes.
-    Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
-    into the entries divisible by p^k, leaving local(p, v_p(n)) in each
-    n.  A larger prime p divides n at most once, and m = n / p <
-    sqrt(x_max) then has n's small-prime valuations, so f(n) =
-    f(m) local(p, 1), with f(m) read from window 0: scatters of a quarter
-    window each (small index arrays) write it without reading the entry.
-    Each entry takes its factors in ascending prime order, so the values
-    are bit-identical to a pass per prime.
-    """
-    primes = prime_array(x_max)
+def _window_plan(local, x_max: int, primes: np.ndarray):
+    """What every window of f(0..x_max) reads, from the ascending primes
+    up to x_max (any past it go unused): the small-prime ratios, the
+    large primes with local(p, 1), their cofactors ms and head =
+    f(0..ms[-1]).  head takes the ratios in window 0's order, so it is
+    bit-identical to window 0's entries there."""
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
     ratios = []
     for p in primes[:split].tolist():
@@ -130,18 +126,46 @@ def _value_windows(local, x_max: int):
     big = primes[split:]
     loc = np.broadcast_to(local(big, 1), big.shape)
     ms = np.arange(1, x_max // int(big[0]) + 1)
-    b = np.zeros_like(ms)  # each slice starts where the last one ended
+    head = np.ones(ms.size + 1)
+    head[0] = 0.0
+    for pk, ratio in ratios:
+        head[::pk] *= ratio
+    return ratios, big, loc, ms, head
+
+
+def _value_windows(local, x_max: int, start: int = 0, stop: int | None = None,
+                   plan=None):
+    """Yield (lo, window) with window[i] = f(lo + i) (f(0) = 0), one final
+    _WINDOW of 0..x_max at a time, all in one reused float64 buffer, for
+    the windows with start <= lo < stop (all of them by default).
+
+    local(p, k) is f(p^k); p may be an int or an int64 array of primes.
+    plan is _window_plan's, made here from a new sieve when not given.
+    Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
+    into the entries divisible by p^k, leaving local(p, v_p(n)) in each
+    n.  A larger prime p divides n at most once, and m = n / p <
+    sqrt(x_max) then has n's small-prime valuations, so f(n) =
+    f(m) local(p, 1), with f(m) read from head: scatters of a quarter
+    window each (small index arrays) write it without reading the entry.
+    Each entry takes its factors in ascending prime order, so the values
+    are bit-identical to a pass per prime, and a window depends on no
+    other window.
+    """
+    if plan is None:
+        plan = _window_plan(local, x_max, prime_array(x_max))
+    ratios, big, loc, ms, head = plan
+    stop = x_max + 1 if stop is None else stop
     buf = np.empty(min(_WINDOW, x_max + 1))
-    for lo in range(0, x_max + 1, _WINDOW):
+    for lo in range(start, stop, _WINDOW):
         window = buf[: min(_WINDOW, x_max + 1 - lo)]
         window.fill(1.0)
         window[0] = 1.0 if lo else 0.0  # f(0) = 0: from 1 it would overflow
         for pk, ratio in ratios:
             window[-lo % pk :: pk] *= ratio
-        head = head if lo else window[: ms.size + 1].copy()  # f(0..ms[-1])
-        # big[a[j]:b[j]] are the large primes p with start <= ms[j] p < end
-        for start in range(lo, lo + window.size, _WINDOW // 4):
-            end = min(start + _WINDOW // 4, lo + window.size)
+        # big[a[j]:b[j]] are the large primes p with begin <= ms[j] p < end
+        b = np.searchsorted(big, (lo - 1) // ms, side="right")
+        for begin in range(lo, lo + window.size, _WINDOW // 4):
+            end = min(begin + _WINDOW // 4, lo + window.size)
             a, b = b, np.searchsorted(big, (end - 1) // ms, side="right")
             m = np.repeat(ms, b - a)
             idx = np.repeat(b - np.cumsum(b - a), b - a) + np.arange(m.size)
@@ -184,6 +208,109 @@ def _grid_total(block: np.ndarray) -> int:
     for t in totals:
         total = (total << _LIMB_BITS) + t
     return total
+
+
+def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
+                     cps: list[int]) -> list[tuple[int, float]]:
+    """[(x, math.fsum(f(1..x))) for x in cps], f given by local as in
+    _value_windows and primes its sieve through x_max.
+
+    The windows are split into one contiguous run per usable CPU, each
+    run summed in its own process (_in_processes).  The runs' exact int
+    sums are merged in window order and each checkpoint is rounded once,
+    so the result does not depend on the split.  The plan's arrays are
+    freed when this returns, before the Euler product runs.
+    """
+    plan = _window_plan(local, x_max, primes)
+    windows = x_max // _WINDOW + 1
+    procs = min(_usable_cpus(), windows)
+    bounds = [j * windows // procs * _WINDOW for j in range(procs + 1)]
+    runs = _in_processes(
+        lambda start, stop: _sum_run(
+            _value_windows(local, x_max, start, stop, plan), cps),
+        list(zip(bounds, bounds[1:])),
+    )
+    checkpoints, base = [], 0  # base: the exact sum of the runs before
+    for points, total in runs:
+        # int / int division is correctly rounded, half to even
+        checkpoints += [(x, (base + t) / (1 << _GRID_BITS)) for x, t in points]
+        base += total
+    return checkpoints
+
+
+def _sum_run(windows, cps: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The exact sums, in 2^-52, of f over a run of consecutive windows:
+    [(x, the sum from the run's first entry to x)] for the checkpoints x
+    in the run, and the sum over the whole run.  Each block between
+    checkpoints and window edges is one _grid_total; f(0) = 0, off the
+    grid, is left out."""
+    points, total = [], 0
+    for lo, window in windows:
+        done = 0 if lo else 1
+        for x in cps[bisect_left(cps, lo) : bisect_left(cps, lo + window.size)]:
+            total += _grid_total(window[done : x + 1 - lo])
+            points.append((x, total))
+            done = x + 1 - lo
+        total += _grid_total(window[done:]) if done < window.size else 0
+    return points, total
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_processes(fn, calls: list[tuple]) -> list:
+    """[fn(*args) for args in calls], each of calls[1:] in a forked child
+    while this process runs calls[0].
+
+    A child pickles (True, result) or (False, exception) into a pipe and
+    leaves by os._exit, so it never flushes this process's inherited
+    stdout buffer or runs its exit handlers; a child's exception is
+    raised here.  Every child is reaped before this returns or raises,
+    and killed first if this is unwinding.  fn runs numpy's own loops,
+    no BLAS, so no lock that another thread held at the fork is taken.
+    """
+    children = []  # (pid, read end of its pipe)
+    try:
+        for args in calls[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    try:
+                        data = pickle.dumps((True, fn(*args)))
+                    except BaseException as exc:
+                        data = pickle.dumps((False, exc))
+                    with open(write, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [fn(*calls[0])]
+        for pid, fh in children:
+            data = fh.read()
+            if not data:
+                raise ResourceError(f"scan worker {pid} ended with no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        from signal import SIGKILL  # imported on this path alone
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)  # not yet reaped: pid is still this child
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
 
 
 def _geometric_checkpoints(x_max: int, count: int) -> list[int]:
@@ -233,20 +360,12 @@ def summatory_scan(
     _check_loop_guard(steps, "summatory_scan")
 
     cps = _geometric_checkpoints(x_max, checkpoint_count)
-    checkpoints: list[tuple[int, float]] = []
-    total, done = 0, 1  # the exact sum of f(1..lo+done-1), in 2^-52
-    for lo, window in _value_windows(_scan_local(kind, r_or_k), x_max):
-        for x in cps[len(checkpoints) : bisect_left(cps, lo + window.size)]:
-            total += _grid_total(window[done : x + 1 - lo])
-            # int / int division is correctly rounded, half to even
-            checkpoints.append((x, total / (1 << _GRID_BITS)))
-            done = x + 1 - lo
-        total += _grid_total(window[done:]) if done < window.size else 0
-        done = 0
-
+    primes = prime_array(max(x_max, 100))  # the Euler product reads to 100
+    checkpoints = _checkpoint_sums(_scan_local(kind, r_or_k), x_max, primes,
+                                   cps)
     if kind == "A":
         limit = max(100, min(x_max, 10**6))
-        fixed, euler_tail = euler_leading_coefficient(r_or_k, limit)
+        fixed, euler_tail = euler_leading_coefficient(r_or_k, limit, primes)
     else:
         fixed, euler_tail = 1.0 / math.factorial(degree), 0.0
 
@@ -338,14 +457,17 @@ def fit_main_term(
     return [float(c) for c in out]
 
 
-def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
+def euler_leading_coefficient(
+    r: int, limit: int, primes: np.ndarray | None = None
+) -> tuple[float, float]:
     """Leading coefficient of the A_r main-term polynomial:
 
         (1/r!) prod_p (1 - 1/p)^r (1 + r/p),
 
-    over the primes up to limit.  That factor is the local factor
-    1 + sum_{k=1}^{r} f_r(p^k) / p^k of sum A_r(n) n^-s / zeta(s)^(r+1)
-    at s = 1, in closed form.  The product is taken as
+    over the primes up to limit, read from primes (ascending, through
+    limit at least) when the caller has sieved them, else sieved here.
+    That factor is the local factor 1 + sum_{k=1}^{r} f_r(p^k) / p^k of
+    sum A_r(n) n^-s / zeta(s)^(r+1) at s = 1, in closed form.  The product is taken as
     exp(fsum(r log1p(-1/p) + log1p(r/p))) at every prime at once.
 
     The returned bound is the truncation tail plus the float rounding.
@@ -363,7 +485,9 @@ def euler_leading_coefficient(r: int, limit: int) -> tuple[float, float]:
         raise DomainError(f"r must be >= 1, got {r}")
     if limit < 100:
         raise DomainError(f"prime limit must be >= 100, got {limit}")
-    u = 1.0 / prime_array(limit)
+    if primes is None:
+        primes = prime_array(limit)
+    u = 1.0 / primes[: np.searchsorted(primes, limit, side="right")]
     down = np.log1p(-u)
     up = np.log1p(r * u)
     log_sum = math.fsum((r * down + up).tolist())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given
 from conftest import geometric_checkpoints_set, poly_at, value_table
 from hypothesis import strategies as st
 
-from gcdzeta import analytic, arith
+from gcdzeta import analytic, arith, cli
 from gcdzeta.analytic import (
     ExtremalSample,
     SummatoryReport,
@@ -141,7 +142,9 @@ class TestSummatoryScan:
             raise AssertionError("checkpoints built past the guard")
 
         monkeypatch.setattr(analytic, "_geometric_checkpoints", unreachable)
+        monkeypatch.setattr(analytic, "prime_array", unreachable)
         monkeypatch.setattr(analytic, "_value_windows", unreachable)
+        monkeypatch.setattr(os, "fork", unreachable)
         with pytest.raises(ResourceError, match="1000074400 loop steps"):
             summatory_scan("A", 2, 1000, checkpoint_count=10**9)
         # 5e6 blocks and 39 window pieces at 1e7
@@ -313,9 +316,27 @@ def frexp_units(block: np.ndarray) -> int:
     return total
 
 
+def scans_on_cpus(monkeypatch, *args):
+    """summatory_scan(*args) with 1, 2, 3 and 4 usable CPUs, so its
+    windows run in as many processes, each scan leaving no child."""
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        report = summatory_scan(*args)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        yield report
+
+
 CHUNK = analytic._CHUNK
 WINDOW = analytic._WINDOW
 ULP_1 = 2.0**-52
+
+
+def windows_of(vals):
+    """A stand-in for analytic._value_windows that yields vals' windows."""
+    return lambda local, x, start, stop, plan: (
+        (lo, vals[lo : lo + WINDOW]) for lo in range(start, stop, WINDOW))
 
 
 @st.composite
@@ -429,22 +450,17 @@ class TestExactSum:
         vals = np.ones(x_max + 1)
         vals[0] = 0.0
         vals[1] = float(first)
-        monkeypatch.setattr(
-            analytic,
-            "_value_windows",
-            lambda local, x: ((lo, vals[lo : lo + WINDOW])
-                              for lo in range(0, x + 1, WINDOW)),
-        )
-        report = summatory_scan("A", 1, x_max)
-        exact = [first + x - 1 for x, _ in report.checkpoints]
-        assert sum(e % 2 == 1 and e > 2**53 for e in exact) >= 10
-        if x_max > 2 * WINDOW:
-            xs = [x for x, _ in report.checkpoints]
-            edges = range(WINDOW, x_max + 1, WINDOW)
-            assert all(any(a < e <= b for a, b in zip(xs, xs[1:]))
-                       for e in edges)
-        for (x, s), e in zip(report.checkpoints, exact):
-            assert s == float(e) == math.fsum(vals[1 : x + 1])
+        monkeypatch.setattr(analytic, "_value_windows", windows_of(vals))
+        for report in scans_on_cpus(monkeypatch, "A", 1, x_max):
+            exact = [first + x - 1 for x, _ in report.checkpoints]
+            assert sum(e % 2 == 1 and e > 2**53 for e in exact) >= 10
+            if x_max > 2 * WINDOW:
+                xs = [x for x, _ in report.checkpoints]
+                edges = range(WINDOW, x_max + 1, WINDOW)
+                assert all(any(a < e <= b for a, b in zip(xs, xs[1:]))
+                           for e in edges)
+            for (x, s), e in zip(report.checkpoints, exact):
+                assert s == float(e) == math.fsum(vals[1 : x + 1])
 
 
 class TestFastPathsAgainstReferences:
@@ -517,19 +533,19 @@ class TestFastPathsAgainstReferences:
         monkeypatch.setattr(
             analytic, "_geometric_checkpoints", lambda x, count: cps
         )
-        report = summatory_scan(kind, param, x_max)
         table = value_table(analytic._scan_local(kind, param), x_max).tolist()
-        assert [x for x, _ in report.checkpoints] == cps
-        assert float_bits([s for _, s in report.checkpoints]) == float_bits(
-            [math.fsum(table[1 : x + 1]) for x in cps]
-        )
+        for report in scans_on_cpus(monkeypatch, kind, param, x_max):
+            assert [x for x, _ in report.checkpoints] == cps
+            assert float_bits([s for _, s in report.checkpoints]) == (
+                float_bits([math.fsum(table[1 : x + 1]) for x in cps])
+            )
 
-    def test_a2_scan_to_1e7_is_exact_across_windows(self):
+    def test_a2_scan_to_1e7_is_exact_across_windows(self, monkeypatch):
         # the last blocks between the 40 checkpoints span several windows;
         # the oracle sums whole windows and each checkpoint's prefix of its
         # window by frexp_units, never the scan's blocks
-        report = summatory_scan("A", 2, 10**7)
-        xs = [x for x, _ in report.checkpoints]
+        reports = list(scans_on_cpus(monkeypatch, "A", 2, 10**7))
+        xs = [x for x, _ in reports[0].checkpoints]
         assert xs[-1] - xs[-2] > 2 * WINDOW
         carry, want = 0, []
         local = analytic._scan_local("A", 2)
@@ -539,9 +555,11 @@ class TestFastPathsAgainstReferences:
                     units = carry + frexp_units(window[: x + 1 - lo])
                     want.append(units / 2**52)
             carry += frexp_units(window)
-        assert float_bits([s for _, s in report.checkpoints]) == float_bits(
-            want
-        )
+        for report in reports:
+            assert [x for x, _ in report.checkpoints] == xs
+            assert float_bits([s for _, s in report.checkpoints]) == (
+                float_bits(want)
+            )
 
     @pytest.mark.parametrize("count", [1, 2, 3, 40, 41, 4471])
     @pytest.mark.parametrize(
@@ -558,6 +576,45 @@ class TestFastPathsAgainstReferences:
         exact = exact_euler_product(r, primes_between(0, 10**4))
         assert abs(value - exact) <= bound
         assert abs(value - exact) <= 1e-12 * exact
+
+
+class TestScanProcesses:
+    """The scan's runs of windows, one per usable CPU: the first in this
+    process, the rest in forked children."""
+
+    # with 2 CPUs, windows 0 and 1 are this process's run and windows 2
+    # and 3 the child's
+    @pytest.mark.parametrize("bad_at", [5, 2 * WINDOW + 5])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_failing_run_exits_three_and_leaves_no_child(
+        self, monkeypatch, capfd, bad, bad_at
+    ):
+        x_max = 3 * WINDOW + 7
+        vals = np.ones(x_max + 1)
+        vals[0] = 0.0
+        vals[bad_at] = bad
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(analytic, "_value_windows", windows_of(vals))
+        code = cli.main(["scan", "tau", "--k", "2", "--xmax", str(x_max)])
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("numerical error: exact block sum needs")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_where_the_platform_cannot_fork(
+        self, monkeypatch, missing
+    ):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.delattr(os, missing)
+        report = summatory_scan("tau", 2, 3 * WINDOW + 7, 5)
+        assert report.checkpoints[-1][0] == 3 * WINDOW + 7
 
 
 class TestFitMainTerm:
