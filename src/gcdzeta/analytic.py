@@ -110,8 +110,9 @@ def _scan_local(kind: str, order: int):
 
 
 def _window_plan(local, x_max: int, primes: np.ndarray):
-    """What every window of f(0..x_max) reads, from the ascending primes
-    up to x_max (any past it go unused): the small-prime ratios, the
+    """What every window of f(0..x_max) reads, from local(p, k) = f(p^k)
+    (p an int or an int64 array of primes) and the ascending primes up
+    to x_max (any past it go unused): the small-prime ratios, the
     large primes with local(p, 1), their cofactors ms and head =
     f(0..ms[-1]).  head takes the ratios in window 0's order, so it is
     bit-identical to window 0's entries there."""
@@ -133,14 +134,11 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
     return ratios, big, loc, ms, head
 
 
-def _value_windows(local, x_max: int, start: int = 0, stop: int | None = None,
-                   plan=None):
+def _value_windows(plan, x_max: int, start: int, stop: int):
     """Yield (lo, window) with window[i] = f(lo + i) (f(0) = 0), one final
     _WINDOW of 0..x_max at a time, all in one reused float64 buffer, for
-    the windows with start <= lo < stop (all of them by default).
+    the windows with start <= lo < stop; plan is _window_plan's for f.
 
-    local(p, k) is f(p^k); p may be an int or an int64 array of primes.
-    plan is _window_plan's, made here from a new sieve when not given.
     Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
     into the entries divisible by p^k, leaving local(p, v_p(n)) in each
     n.  A larger prime p divides n at most once, and m = n / p <
@@ -151,10 +149,7 @@ def _value_windows(local, x_max: int, start: int = 0, stop: int | None = None,
     are bit-identical to a pass per prime, and a window depends on no
     other window.
     """
-    if plan is None:
-        plan = _window_plan(local, x_max, prime_array(x_max))
     ratios, big, loc, ms, head = plan
-    stop = x_max + 1 if stop is None else stop
     buf = np.empty(min(_WINDOW, x_max + 1))
     for lo in range(start, stop, _WINDOW):
         window = buf[: min(_WINDOW, x_max + 1 - lo)]
@@ -213,7 +208,7 @@ def _grid_total(block: np.ndarray) -> int:
 def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
                      cps: list[int]) -> list[tuple[int, float]]:
     """[(x, math.fsum(f(1..x))) for x in cps], f given by local as in
-    _value_windows and primes its sieve through x_max.
+    _window_plan and primes its sieve through x_max.
 
     The windows are split into one contiguous run per usable CPU, each
     run summed in its own process (_in_processes).  The runs' exact int
@@ -227,7 +222,7 @@ def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
     bounds = [j * windows // procs * _WINDOW for j in range(procs + 1)]
     runs = _in_processes(
         lambda start, stop: _sum_run(
-            _value_windows(local, x_max, start, stop, plan), cps),
+            _value_windows(plan, x_max, start, stop), cps),
         list(zip(bounds, bounds[1:])),
     )
     checkpoints, base = [], 0  # base: the exact sum of the runs before
@@ -319,7 +314,7 @@ def _geometric_checkpoints(x_max: int, count: int) -> list[int]:
         return [x_max]
     pts = np.rint(np.geomspace(x_min, x_max, count)).astype(np.int64)
     pts[-1] = x_max
-    return np.unique(pts).tolist()
+    return sorted(set(pts.tolist()))
 
 
 def summatory_scan(

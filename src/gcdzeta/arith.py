@@ -43,22 +43,16 @@ def _residue_convolution(n: int, rows) -> np.ndarray:
     """Entry c sums prod_j rows[j][k_j - 1] over the tuples of k_j in 1..n
     with k_1 ... k_r = c (mod n); the empty product is 1.
 
-    Each row adds the current support c into (c k) mod n, k over the
-    row's nonzero weights, in one np.add.at in index order (c ascending,
-    then k); a row passed several times has its support found once.
-    Float rows keep their carrier.  Boolean rows count tuples, adding
-    the counts without weights: a count is at most the product of the
-    row supports, and a total weighted by gcds up to n at most n times
-    that, so counts are int64 while that stays below 2^63 and Python
-    ints (dtype=object) beyond.
+    Each row adds dist[c] row[k - 1] into (c k) mod n, c over the
+    current support and k over the row's nonzero weights, in one
+    np.add.at in index order (c ascending, then k).  Float rows keep
+    their carrier.  Boolean rows count tuples: a count is at most the
+    product of the row supports, and a total weighted by gcds up to n
+    at most n times that, so counts are int64 while that stays below
+    2^63 and Python ints (dtype=object) beyond.
     """
-    support = {}
-    for row in rows:
-        if id(row) not in support:
-            support[id(row)] = np.flatnonzero(row) + 1
-    ks = [support[id(row)] for row in rows]
-    counting = all(row.dtype == bool for row in rows)
-    if counting:
+    ks = [np.flatnonzero(row) + 1 for row in rows]
+    if all(row.dtype == bool for row in rows):
         dtype = np.int64 if math.prod(map(len, ks)) * n < 2**63 else object
     else:
         dtype = np.result_type(*rows)
@@ -66,12 +60,9 @@ def _residue_convolution(n: int, rows) -> np.ndarray:
     dist[1 % n] = 1
     for row, k in zip(rows, ks):
         c = np.flatnonzero(dist)
-        if counting:
-            weights = np.repeat(dist[c], len(k))
-        else:
-            weights = (dist[c][:, None] * row[k - 1]).ravel()
         nxt = np.zeros(n, dtype=dtype)
-        np.add.at(nxt, (c[:, None] * k % n).ravel(), weights)
+        np.add.at(nxt, (c[:, None] * k % n).ravel(),
+                  (dist[c][:, None] * row[k - 1]).ravel())
         dist = nxt
     return dist
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gcdzeta import analytic
-from gcdzeta.arith import FactoredInteger, divisors, factorize
+from gcdzeta.arith import FactoredInteger, divisors, factorize, prime_array
 from gcdzeta.gcdsum import a_local_sum
 from gcdzeta.multfun import MultiplicativeFunction, eval_int, phi
 
@@ -136,10 +136,11 @@ def geometric_checkpoints_set(x_max: int, count: int) -> list[int]:
 
 def value_table(local, x_max: int) -> np.ndarray:
     """f(0..x_max) as one array: copies of analytic._value_windows'
-    windows, which reuse one buffer, joined in order."""
-    return np.concatenate(
-        [window.copy() for _, window in analytic._value_windows(local, x_max)]
-    )
+    windows, which reuse one buffer, joined in order, from a plan on a
+    new sieve as analytic._checkpoint_sums builds it."""
+    plan = analytic._window_plan(local, x_max, prime_array(x_max))
+    windows = analytic._value_windows(plan, x_max, 0, x_max + 1)
+    return np.concatenate([window.copy() for _, window in windows])
 
 
 @pytest.fixture(scope="session")

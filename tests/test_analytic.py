@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -335,7 +336,7 @@ ULP_1 = 2.0**-52
 
 def windows_of(vals):
     """A stand-in for analytic._value_windows that yields vals' windows."""
-    return lambda local, x, start, stop, plan: (
+    return lambda plan, x, start, stop: (
         (lo, vals[lo : lo + WINDOW]) for lo in range(start, stop, WINDOW))
 
 
@@ -511,9 +512,10 @@ class TestFastPathsAgainstReferences:
         "x_max", [10, 317**2, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7]
     )
     def test_windows_cover_the_table_in_order(self, x_max):
-        local = analytic._scan_local("tau", 2)
-        got = [(lo, window.size)
-               for lo, window in analytic._value_windows(local, x_max)]
+        plan = analytic._window_plan(analytic._scan_local("tau", 2), x_max,
+                                     arith.prime_array(x_max))
+        got = [(lo, window.size) for lo, window
+               in analytic._value_windows(plan, x_max, 0, x_max + 1)]
         assert got == [(lo, min(WINDOW, x_max + 1 - lo))
                        for lo in range(0, x_max + 1, WINDOW)]
 
@@ -548,8 +550,9 @@ class TestFastPathsAgainstReferences:
         xs = [x for x, _ in reports[0].checkpoints]
         assert xs[-1] - xs[-2] > 2 * WINDOW
         carry, want = 0, []
-        local = analytic._scan_local("A", 2)
-        for lo, window in analytic._value_windows(local, 10**7):
+        plan = analytic._window_plan(analytic._scan_local("A", 2), 10**7,
+                                     arith.prime_array(10**7))
+        for lo, window in analytic._value_windows(plan, 10**7, 0, 10**7 + 1):
             for x in xs:
                 if lo <= x < lo + window.size:
                     units = carry + frexp_units(window[: x + 1 - lo])
@@ -601,6 +604,25 @@ class TestScanProcesses:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("numerical error: exact block sum needs")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_run_with_no_result_exits_four_and_leaves_no_child(
+        self, monkeypatch, capfd
+    ):
+        # the child leaves before it writes; this process never pickles
+        parent, dumps = os.getpid(), analytic.pickle.dumps
+        monkeypatch.setattr(
+            analytic.pickle, "dumps",
+            lambda obj: dumps(obj) if os.getpid() == parent else os._exit(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = cli.main(["scan", "tau", "--k", "2", "--xmax",
+                         str(3 * WINDOW + 7)])
+        out, err = capfd.readouterr()
+        assert code == 4
+        assert out == ""
+        assert re.fullmatch(
+            r"resource guard: scan worker \d+ ended with no result\n", err)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

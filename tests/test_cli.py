@@ -542,6 +542,19 @@ class TestVerify:
         assert (out.getvalue(), err.getvalue()) == (
             "", "domain error: verify mult found nothing to check\n")
 
+    # both runs cross the convolution's count switch: their small n and r
+    # count in int64, and their large ones (phi(n)^r n or n^r n past
+    # 2^63) in Python ints
+    @pytest.mark.parametrize("argv, line", [
+        (["menon", "--nmax", "60", "--rmax", "12"], "PASS 1822/1822\n"),
+        (["a-threeway", "--nmax", "30", "--rmax", "12"], "PASS 390/390\n"),
+    ])
+    def test_brute_forces_across_the_python_int_switch(self, argv, line):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["verify", *argv]) == 0
+        assert (out.getvalue(), err.getvalue()) == (line, "")
+
     def test_threeway(self):
         result = run_cli("verify", "a-threeway", "--nmax", "30", "--rmax", "3")
         assert result.returncode == 0
@@ -745,6 +758,23 @@ class TestScan:
         for row, (x, s) in zip(rows, report["checkpoints"]):
             assert int(row["x"]) == x
             assert float(row["sum"]) == s
+
+    def test_scan_leaves_numpy_ma_unimported(self):
+        # numpy.ma takes about 10 ms to import; nothing a scan calls needs it
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from gcdzeta.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "scan", "tau", "--k", "3", "--xmax",
+             "100000"],
+            capture_output=True, text=True,
+        )
+        assert (result.stdout, result.stderr) == ("0 False\n", "")
 
     def test_extremal_record(self):
         result = run_cli("scan", "extremal", "--r", "1", "--x", "1000")
