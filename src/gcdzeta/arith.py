@@ -6,6 +6,7 @@ Everything here is pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,33 +155,27 @@ def _brent_rho(n: int) -> int:
     raise ResourceError(f"rho factorization failed for {n}")  # pragma: no cover
 
 
-# Trial-division prime cache, grown geometrically up to 10**6.
-_TRIAL_LIMIT_MAX = 10**6
-_trial_primes: list[int] = []
-_trial_limit = 0
+@functools.lru_cache(maxsize=None)
+def _trial_primes(bits: int) -> list[int]:
+    """The primes up to min(2^bits, 10^6), as Python ints so that n % p
+    stays exact for any size of n."""
+    return primes_upto(min(2**bits, 10**6))
 
 
-def _trial_primes_upto(limit: int) -> list[int]:
-    global _trial_primes, _trial_limit
-    limit = min(limit, _TRIAL_LIMIT_MAX)
-    if limit > _trial_limit:
-        new_limit = min(max(limit, 2 * _trial_limit, 1000), _TRIAL_LIMIT_MAX)
-        # Python ints, not int64: n % p must stay exact for any size of n
-        _trial_primes = primes_upto(new_limit)
-        _trial_limit = new_limit
-    return _trial_primes
+def factorize(n: int | FactoredInteger) -> FactoredInteger:
+    """Canonical prime factorization of n >= 1; a FactoredInteger, which
+    was validated when it was built, is returned as it is.
 
-
-def factorize(n: int) -> FactoredInteger:
-    """Canonical prime factorization of n >= 1.
-
-    Trial division by sieved primes up to 10**6, then Brent's rho with a
-    deterministic primality test for any remaining cofactor.  Rho finds a
-    prime factor q in about sqrt(q) <= m^(1/4) steps of a composite
-    cofactor m, so a cofactor with m^(1/4) above the loop guard is refused
-    before rho starts; below it, rho keeps splitting until every factor
-    passes the primality test.
+    Trial division by the primes up to 2^b, b being the bit length of
+    isqrt(n) + 1 held to [10, 20] (one cached sieve per size class, never
+    past 10^6), then Brent's rho with a deterministic primality test for
+    any remaining cofactor.  Rho finds a prime factor q in about
+    sqrt(q) <= m^(1/4) steps of a composite cofactor m, so a cofactor with
+    m^(1/4) above the loop guard is refused before rho starts; below it,
+    rho keeps splitting until every factor passes the primality test.
     """
+    if isinstance(n, FactoredInteger):
+        return n
     if not isinstance(n, int):
         raise DomainError(f"factorize expects an integer, got {type(n).__name__}")
     if n < 1:
@@ -188,7 +183,7 @@ def factorize(n: int) -> FactoredInteger:
     value = n
     factors: dict[int, int] = {}
     m = n
-    trial = _trial_primes_upto(math.isqrt(n) + 1)
+    trial = _trial_primes(min(max((math.isqrt(n) + 1).bit_length(), 10), 20))
     exhausted = True
     for p in trial:
         if p * p > m:
@@ -220,9 +215,8 @@ def factorize(n: int) -> FactoredInteger:
 
 def divisors(n: int | FactoredInteger) -> list[int]:
     """All positive divisors, ascending."""
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
     divs = [1]
-    for p, k in fi.factors:
+    for p, k in factorize(n).factors:
         divs = [d * p**e for d in divs for e in range(k + 1)]
     return sorted(divs)
 

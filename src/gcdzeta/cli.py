@@ -1,7 +1,8 @@
 """Command-line surface: evaluation, verification suites, scans, exports.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (output
-that cannot be written included), 3 domain error, 4 resource guard.
+that cannot be written included), 3 domain error, 4 resource guard; a
+stderr line that cannot be written does not change them.
 Exact rationals are always printed as p/q and serialized as strings in
 JSON; floats go through repr, so identical configurations reproduce
 byte-identical output.
@@ -10,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -31,20 +33,32 @@ DEFAULT_SEED = 987654321
 _FR_CHECK_STEPS = 4
 
 
+def _write_line(text: str, stream) -> None:
+    """Print text as one line to stream and flush it.  If the stream is
+    closed or full, what stays buffered goes to devnull, so the flush at
+    interpreter exit does not fail a second time; the OSError is raised."""
+    try:
+        print(text, file=stream, flush=True)
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
+
+
+def _diagnose(line: str) -> None:
+    """Write one line to stderr.  A line that cannot be written is
+    dropped, so it does not change the exit code."""
+    with contextlib.suppress(OSError):
+        _write_line(line, sys.stderr)
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         return
-    try:
-        print(text, flush=True)
-    except OSError:
-        # stdout is closed or full: what stays buffered goes to devnull,
-        # so the flush at interpreter exit does not fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise
+    _write_line(text, sys.stdout)
 
 
 def _finish_value(args, payload: dict, text_value: str) -> int:
@@ -54,10 +68,7 @@ def _finish_value(args, payload: dict, text_value: str) -> int:
     else:
         _emit(args, text_value)
     if args.expect is not None and args.expect != text_value:
-        print(
-            f"verification failure: computed {text_value}, expected {args.expect}",
-            file=sys.stderr,
-        )
+        _diagnose(f"verification failure: computed {text_value}, expected {args.expect}")
         return 1
     return 0
 
@@ -103,16 +114,12 @@ def _cmd_eval(args) -> int:
     target = args.target
     if target == "fr":
         if args.kmax is None and args.csv:
-            print("usage error: eval fr --csv writes the --kmax table",
-                  file=sys.stderr)
+            _diagnose("usage error: eval fr --csv writes the --kmax table")
             return 2
         if args.kmax is not None:
             if args.format is not None or args.expect is not None:
-                print(
-                    "usage error: eval fr --kmax prints a table and takes "
-                    "neither --format nor --expect",
-                    file=sys.stderr,
-                )
+                _diagnose("usage error: eval fr --kmax prints a table and "
+                          "takes neither --format nor --expect")
                 return 2
             if args.r < 1:
                 raise DomainError(f"r must be >= 1, got {args.r}")
@@ -336,15 +343,13 @@ def _cmd_scan(args) -> int:
 
 def _cmd_igusa(args) -> int:
     if args.trunc is not None and args.method != "direct":
-        print("usage error: --trunc applies only to --method direct",
-              file=sys.stderr)
+        _diagnose("usage error: --trunc applies only to --method direct")
         return 2
     try:
         s = tuple(float(part) for part in args.s.split(","))
     except ValueError:
-        print(
-            f"usage error: --s expects comma-separated numbers, got {args.s!r}",
-            file=sys.stderr,
+        _diagnose(
+            f"usage error: --s expects comma-separated numbers, got {args.s!r}"
         )
         return 2
     record = igusa.evaluate(
@@ -446,6 +451,16 @@ def _scan_common(p: argparse.ArgumentParser) -> None:
     _common_output(p)
 
 
+# each error class main reports, its stderr label and exit code; OSError is
+# output that cannot be written, like argparse's refusal of an unopenable path
+_ERRORS = {
+    DomainError: ("domain error", 3),
+    NumericalError: ("numerical error", 3),
+    ResourceError: ("resource guard", 4),
+    OSError: ("output error", 2),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
@@ -453,19 +468,10 @@ def main(argv=None) -> int:
            "igusa": _cmd_igusa}[args.command]
     try:
         return run(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        # like argparse's refusal of an unopenable path, a usage error
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_ERRORS) as exc:
+        label, code = next(v for c, v in _ERRORS.items() if isinstance(exc, c))
+        _diagnose(f"{label}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

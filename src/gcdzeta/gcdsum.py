@@ -77,15 +77,15 @@ def a_numerator(n: int | FactoredInteger, r: int) -> int:
     the product of the local numerators over p^k || n."""
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    return math.prod(a_local_numerator(p, k, r) for p, k in fi.factors)
+    return math.prod(a_local_numerator(p, k, r) for p, k in factorize(n).factors)
 
 
 def a_eval(n: int | FactoredInteger, r: int) -> Fraction:
     """A_r(n) via multiplicativity, reduced once: a_numerator over n^r."""
-    total = a_numerator(n, r)
-    value = n.value if isinstance(n, FactoredInteger) else n
-    return Fraction(total, value**r)
+    if r < 0:  # before factorize, which may refuse a hard n
+        raise DomainError(f"r must be >= 0, got {r}")
+    fi = factorize(n)
+    return Fraction(a_numerator(fi, r), fi.value**r)
 
 
 def a_recursion(n: int, r: int) -> Fraction:

@@ -217,8 +217,8 @@ def igusa_euler(
     value or bound that overflows, as prod_j zeta(s_j) does for many s_j
     near 1, is a NumericalError.
     """
-    s = _checked_exponents(n.value if isinstance(n, FactoredInteger) else n, s)
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
+    s = _checked_exponents(1, s)  # s first; factorize checks n and may refuse it
+    fi = factorize(n)
     r = len(s)
     steps = _euler_steps(fi, r)
     _check_loop_guard(steps, "igusa_euler")

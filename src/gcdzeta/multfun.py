@@ -50,8 +50,7 @@ def eval_int(f: MultiplicativeFunction, n: int | FactoredInteger) -> int:
 
     The product starts from the int 1 and takes the local values' type.
     """
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
-    return math.prod(f.local(p, k) for p, k in fi.factors)
+    return math.prod(f.local(p, k) for p, k in factorize(n).factors)
 
 
 def phi() -> MultiplicativeFunction:

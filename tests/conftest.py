@@ -67,9 +67,8 @@ def a_local(p: int, k: int, r: int) -> Fraction:
 def a_eval_product(n: int | FactoredInteger, r: int) -> Fraction:
     """A_r(n) as a product of Fraction local values, one reduction per
     prime: the oracle for gcdsum.a_numerator and gcdsum.a_eval."""
-    fi = n if isinstance(n, FactoredInteger) else factorize(n)
     out = Fraction(1)
-    for p, k in fi.factors:
+    for p, k in factorize(n).factors:
         out *= a_local(p, k, r)
     return out
 

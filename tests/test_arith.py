@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import gcd_row
+from gcdzeta import arith, gcdsum, multfun
 from gcdzeta.arith import (
     SIEVE_LIMIT,
     FactoredInteger,
@@ -20,6 +21,7 @@ from gcdzeta.arith import (
     primes_upto,
 )
 from gcdzeta.errors import DomainError, ResourceError
+from gcdzeta.igusa import igusa_euler
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -115,6 +117,39 @@ class TestFactorize:
         with pytest.raises(ResourceError, match="6324555320 loop steps"):
             factorize(p * q)
         assert time.perf_counter() - start < 0.1
+
+    def test_factored_integer_passes_through(self):
+        fi = factorize(2**20 * 3**10)
+        assert factorize(fi) is fi
+
+    @pytest.mark.parametrize("n", [1, 12, 2**20 * 3**10, 367463304676036369])
+    def test_callers_take_n_or_its_factorization(self, n):
+        fi = factorize(n)
+        for r in (0, 1, 3):
+            assert gcdsum.a_numerator(fi, r) == gcdsum.a_numerator(n, r)
+            assert gcdsum.a_eval(fi, r) == gcdsum.a_eval(n, r)
+        for f in (multfun.phi(), multfun.tau_k(3)):
+            assert multfun.eval_int(f, fi) == multfun.eval_int(f, n)
+        assert divisors(fi) == divisors(n)
+        assert igusa_euler(fi, (2.0, 3.5)) == igusa_euler(n, (2.0, 3.5))
+
+    def test_trial_primes_sieve_once_per_size_class(self, monkeypatch):
+        sieved = []
+
+        def counted(n):
+            primes = primes_upto(n)
+            sieved.append((n, len(primes)))
+            return primes
+
+        monkeypatch.setattr(arith, "primes_upto", counted)
+        arith._trial_primes.cache_clear()
+        for _ in range(2):
+            for n in range(1, 5001):
+                factorize(n)
+            assert sieved == [(1024, 172)]
+        for _ in range(2):
+            factorize(367463304676036369)
+            assert sieved == [(1024, 172), (10**6, 78498)]
 
 
 class TestIsPrime:

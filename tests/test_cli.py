@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import a_eval_product, menon_sum_loop
 from gcdzeta import arith, dirichlet, gcdsum, multfun
-from gcdzeta.arith import FactoredInteger, factorize
+from gcdzeta.arith import factorize
 from gcdzeta.cli import _FR_CHECK_STEPS, main
 
 
@@ -491,8 +491,7 @@ class TestVerify:
         real = gcdsum.a_numerator
 
         def off(n, r):
-            value = n.value if isinstance(n, FactoredInteger) else n
-            return real(n, r) + wrong(value, r)
+            return real(n, r) + wrong(factorize(n).value, r)
 
         monkeypatch.setattr(gcdsum, "a_numerator", off)
         out = io.StringIO()
@@ -857,6 +856,43 @@ class TestOutputErrors:
             os.close(write_end)
         self.check(result)
         assert "Broken pipe" in result.stderr
+
+    # argv and its exit code when neither stream can be written: the
+    # code of the error, not the 1 of a traceback from the failed line
+    UNWRITABLE = (
+        (("eval", "A", "--n", "0", "--r", "1"), 3),
+        (("verify", "fr-vanishing", "--kmax", "1000000000"), 4),
+        (("igusa", "--n", "2", "--s", "x"), 2),
+        (("eval", "A", "--n", "12", "--r", "1"), 2),
+        (("eval", "A", "--n", "12", "--r", "1", "--expect", "3"), 2),
+    )
+
+    def run_streams(self, argv, stdout, stderr):
+        """argv with both streams block-buffered, as in run_to."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-m", "gcdzeta", *argv],
+                              stdout=stdout, stderr=stderr, env=env)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stderr_keeps_the_exit_code(self):
+        with open("/dev/full", "w") as full:
+            for argv, code in self.UNWRITABLE:
+                result = self.run_streams(argv, full, full)
+                assert result.returncode == code, argv
+            # a result that is written, with its stderr line lost
+            result = self.run_streams(self.UNWRITABLE[-1][0],
+                                      subprocess.PIPE, full)
+        assert (result.returncode, result.stdout) == (1, b"10/3\n")
+
+    def test_one_closed_pipe_keeps_the_exit_code(self):
+        for argv, code in self.UNWRITABLE:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = self.run_streams(argv, write_end, write_end)
+            finally:
+                os.close(write_end)
+            assert result.returncode == code, argv
 
 
 # Argv fuzzing in process: small ints, awkward floats, and --output only

@@ -207,6 +207,14 @@ class TestALocal:
             a_numerator(12, -1)
         with pytest.raises(DomainError):
             a_numerator(0, 1)
+        # r is checked before n is factorized: rho on this 150-bit
+        # semiprime is past the loop guard
+        hard = (2**61 - 1) * (2**89 - 1)
+        for f in (a_numerator, a_eval):
+            with pytest.raises(DomainError, match="r must be"):
+                f(hard, -1)
+            with pytest.raises(ResourceError, match="rho"):
+                f(hard, 1)
 
     def test_float_sum_bit_identical_to_float64_loop(self):
         # the scan feeds a_local_sum floats at small primes and one array

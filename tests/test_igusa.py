@@ -467,6 +467,13 @@ class TestIgusaHurwitz:
             igusa_euler(2, ())
         with pytest.raises(DomainError, match="s_2 = inf"):
             igusa_euler(2, (2.0, math.inf))
+        # the exponents are checked before n is factorized: rho on this
+        # 150-bit semiprime is past the loop guard
+        hard = (2**61 - 1) * (2**89 - 1)
+        with pytest.raises(DomainError, match="exponent"):
+            igusa_euler(hard, (0.5,))
+        with pytest.raises(ResourceError, match="rho"):
+            igusa_euler(hard, (2.0,))
 
 
 class TestQueryRecord:
