@@ -10,7 +10,7 @@ by an independent brute-force oracle in the test suite.
 
 from .arith import FactoredInteger, factorize
 from .errors import DomainError, NumericalError, ResourceError
-from .gcdsum import a_eval, a_recursion, b_closed, menon_sum
+from .gcdsum import a_eval, a_recursion, b_bruteforce, b_closed, menon_sum
 from .multfun import MultiplicativeFunction
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "ResourceError",
     "a_eval",
     "a_recursion",
+    "b_bruteforce",
     "b_closed",
     "menon_sum",
     "MultiplicativeFunction",

@@ -35,8 +35,9 @@ def _check_loop_guard(steps: int, what: str) -> None:
 
 
 def _convolution_steps(size: int, r: int) -> int:
-    """Steps of _residue_convolution over r rows of size nonzero weights:
-    size for the first row (or the tables at r = 0), size^2 per later row."""
+    """Steps of _residue_convolution over r rows of size nonzero weights,
+    or of the B_r brute force carried to r over size units: size for the
+    first row (or the tables at r = 0), size^2 per later row."""
     return size + max(r - 1, 0) * size * size
 
 
@@ -156,23 +157,47 @@ def _brent_rho(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _trial_primes(bits: int) -> list[int]:
-    """The primes up to min(2^bits, 10^6), as Python ints so that n % p
-    stays exact for any size of n."""
-    return primes_upto(min(2**bits, 10**6))
+def _trial_primes(limit: int) -> list[int]:
+    """The primes up to limit, as Python ints so that n % p stays exact
+    for any size of n."""
+    return primes_upto(limit)
+
+
+def _trial_division(m: int, limit: int, factors: dict[int, int]) -> int:
+    """Divide the primes up to limit out of m into factors, and return
+    what is left of m: 1 once it is settled, else a composite cofactor.
+
+    An early break means every prime up to sqrt(m) was tried, so m is 1
+    or prime; once the list is exhausted the same holds up to the last
+    prime squared, and past it the primality test decides.
+    """
+    trial = _trial_primes(limit)
+    for p in trial:
+        if p * p > m:
+            break
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    else:
+        if m > trial[-1] ** 2 and not is_prime(m):
+            return m
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return 1
 
 
 def factorize(n: int | FactoredInteger) -> FactoredInteger:
     """Canonical prime factorization of n >= 1; a FactoredInteger, which
     was validated when it was built, is returned as it is.
 
-    Trial division by the primes up to 2^b, b being the bit length of
-    isqrt(n) + 1 held to [10, 20] (one cached sieve per size class, never
-    past 10^6), then Brent's rho with a deterministic primality test for
-    any remaining cofactor.  Rho finds a prime factor q in about
-    sqrt(q) <= m^(1/4) steps of a composite cofactor m, so a cofactor with
-    m^(1/4) above the loop guard is refused before rho starts; below it,
-    rho keeps splitting until every factor passes the primality test.
+    Trial division by the primes up to 2^10, then Brent's rho with a
+    deterministic primality test for any remaining composite cofactor.
+    Rho finds a prime factor q in about sqrt(q) <= m^(1/4) steps of a
+    composite cofactor m, so only a cofactor with m^(1/4) above the loop
+    guard goes on to trial division by the primes up to 10^6 (each list
+    one cached sieve); what that leaves is refused before rho starts if
+    it still passes the guard.  Below it, rho keeps splitting until every
+    factor passes the primality test.
     """
     if isinstance(n, FactoredInteger):
         return n
@@ -180,37 +205,23 @@ def factorize(n: int | FactoredInteger) -> FactoredInteger:
         raise DomainError(f"factorize expects an integer, got {type(n).__name__}")
     if n < 1:
         raise DomainError(f"factorize expects n >= 1, got {n}")
-    value = n
     factors: dict[int, int] = {}
-    m = n
-    trial = _trial_primes(min(max((math.isqrt(n) + 1).bit_length(), 10), 20))
-    exhausted = True
-    for p in trial:
-        if p * p > m:
-            exhausted = False
-            break
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-    if m > 1:
-        # an early break means every prime <= sqrt(m) was tried, so m is
-        # prime; after exhaustion the same holds up to the squared bound
-        if not exhausted or m <= trial[-1] ** 2 or is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            _check_loop_guard(
-                math.isqrt(math.isqrt(m)), f"rho on a {m.bit_length()}-bit cofactor"
-            )
-            stack = [m]
-            while stack:
-                c = stack.pop()
-                if is_prime(c):
-                    factors[c] = factors.get(c, 0) + 1
-                    continue
-                d = _brent_rho(c)
-                stack.append(d)
-                stack.append(c // d)
-    return FactoredInteger(value, tuple(sorted(factors.items())))
+    m = _trial_division(n, 2**10, factors)
+    if math.isqrt(math.isqrt(m)) > LOOP_GUARD:
+        m = _trial_division(m, 10**6, factors)
+        _check_loop_guard(
+            math.isqrt(math.isqrt(m)), f"rho on a {m.bit_length()}-bit cofactor"
+        )
+    stack = [m] if m > 1 else []
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            factors[c] = factors.get(c, 0) + 1
+            continue
+        d = _brent_rho(c)
+        stack.append(d)
+        stack.append(c // d)
+    return FactoredInteger(n, tuple(sorted(factors.items())))
 
 
 def divisors(n: int | FactoredInteger) -> list[int]:
@@ -236,21 +247,21 @@ def gcd_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def prime_array(n: int) -> np.ndarray:
     """All primes <= n as an ascending int64 array: Eratosthenes over the
-    odd numbers only, index i standing for 2i + 1, then spread over 0..n
-    so the primes are read off as positions, with no int64 arithmetic."""
+    odd numbers only, index i standing for 2i + 1, read off in place,
+    with index 0 (for 1) read as 2."""
     if n > SIEVE_LIMIT:
         raise ResourceError(f"sieve limit {n} exceeds guard {SIEVE_LIMIT}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     sieve = np.ones((n + 1) // 2, dtype=bool)
-    sieve[0] = False
     for p in range(3, math.isqrt(n) + 1, 2):
         if sieve[p // 2]:
             sieve[p * p // 2 :: p] = False
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[1::2] = sieve
-    flags[2] = True
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def primes_upto(n: int) -> list[int]:

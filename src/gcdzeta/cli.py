@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -169,16 +170,21 @@ def _cmd_eval(args) -> int:
 
 
 def _verify_menon(args):
+    """menon_sum(n, units) and b_bruteforce(n, r) for r = 1..rmax against
+    the closed form, with one gcdsum.UnitTable per modulus: its units,
+    one product table for every Menon sum and B_r step, and B_r carried
+    to B_(r+1) by one more unit row.  n <= nmax is within the suite's
+    guard, and each Menon sum and B_r passes its own."""
     for n in range(1, args.nmax + 1):
         expected = gcdsum.b_closed(n, 1)
-        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
-        for a, got in zip(units, gcdsum.menon_sum(n, units)):
+        table = gcdsum.UnitTable(n)
+        for a, got in zip(table.units.tolist(), table.menon_sums()):
             yield n, (f"menon_sum({n}, {a}) = {got} != {expected}"
                       if got != expected else None)
-        for r in range(1, args.rmax + 1):
+        brute = itertools.islice(table.b_values(), args.rmax)
+        for r, value in enumerate(brute, 1):
             yield n, (f"B_{r}({n}) brute != closed"
-                      if gcdsum.b_bruteforce(n, r) != gcdsum.b_closed(n, r)
-                      else None)
+                      if value != gcdsum.b_closed(n, r) else None)
 
 
 def _verify_threeway(args):

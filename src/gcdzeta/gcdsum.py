@@ -11,9 +11,10 @@ to phi(n)^r tau(n).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,24 +44,26 @@ def a_bruteforce(n: int, r: int) -> Fraction:
     return Fraction(int((dist * divs[idx]).sum()), n**r)
 
 
-def a_local_sum(t, k: int, r: int):
-    """The local sum sum_{j=0}^{r} C(k+j-1, j) t^j, which is A_r(p^k) at
-    t = 1 - 1/p.
+def a_local_sum(t, k: int, r: int, s=1):
+    """The local sum sum_{j=0}^{r} C(k+j-1, j) t^j s^(r-j), which is
+    A_r(p^k) at t = 1 - 1/p and s = 1, and p^r A_r(p^k) at the ints
+    t = p - 1 and s = p.
 
     t may be a Fraction (exact value), an int (the sum as a polynomial in
     u = 1 - t, at an integer u, as verify fr-vanishing evaluates it), a
     float or a float array (float64 values); every carrier runs the same
-    operations in the same order.
+    operations in the same order, and at s = 1 each term is multiplied
+    by the int 1, which leaves a float unchanged.
     """
     acc = 0
     power = 1
     for j in range(r + 1):
-        acc += binom_multiset(k, j) * power
+        acc += binom_multiset(k, j) * power * s ** (r - j)
         power *= t
     return acc
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def a_local_numerator(p: int, k: int, r: int) -> int:
     """p^(kr) A_r(p^k), the total of gcd(k_1 ... k_r, p^k) over the
     p^(kr) tuples, exactly."""
@@ -68,8 +71,7 @@ def a_local_numerator(p: int, k: int, r: int) -> int:
         raise DomainError(f"exponent must be >= 1, got {k}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    # exact: the local sum's denominator divides p^r
-    return int(a_local_sum(Fraction(p - 1, p), k, r) * p ** (k * r))
+    return a_local_sum(p - 1, k, r, p) * p ** ((k - 1) * r)
 
 
 def a_numerator(n: int | FactoredInteger, r: int) -> int:
@@ -117,24 +119,17 @@ def a_recursion(n: int, r: int) -> Fraction:
 
 
 def b_bruteforce(n: int, r: int) -> int:
-    """B_r(n) summed from the definition.
-
-    As for a_bruteforce, over the unit tuples, with residue c weighted by
-    gcd(c - 1, n) (n at c = 1); gcd_table gives the units, row entry k - 1
-    standing for k, and the weights.  The guard counts the n steps that
-    find the units, then the convolution's steps over phi(n) units.
-    """
+    """B_r(n) summed from the definition: the r-th value of
+    UnitTable(n).b_values().  The guard counts the n steps that find the
+    units, then the convolution's steps over phi(n) units."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
-    divs, idx = gcd_table(n)
-    gcds = divs[idx]
-    units = np.concatenate((gcds[1:], gcds[:1])) == 1
-    _check_loop_guard(_convolution_steps(int(units.sum()), r), "b_bruteforce")
-    dist = _residue_convolution(n, [units] * r)
-    return int((dist * np.concatenate((gcds[-1:], gcds[:-1]))).sum())
+    table = UnitTable(n)
+    _check_loop_guard(_convolution_steps(len(table.units), r), "b_bruteforce")
+    return next(itertools.islice(table.b_values(), r - 1, None))
 
 
 def b_closed(n: int, r: int) -> int:
@@ -147,6 +142,64 @@ def b_closed(n: int, r: int) -> int:
     return eval_int(phi(), fi) ** r * eval_int(tau_k(2), fi)
 
 
+def _shifted_gcd(divs: np.ndarray, idx: np.ndarray, c, n: int):
+    """gcd(c - 1, n) for the int64 array c, read off gcd_table(n) as
+    (divs, idx): the weight of residue c in the Menon sums and in B_r."""
+    return divs[idx[(c - 1) % n]]
+
+
+class UnitTable:
+    """What every Menon sum and every B_r brute force at n reads, from one
+    gcd_table(n): the units k in [1, n] ascending (int64, idx 0 at
+    k mod n), the weight gcd(c - 1, n) of each residue c, and, on first
+    use, the products of the units mod n.  Callers guard n; the Menon
+    sums and each B_r guard what they add.
+    """
+
+    def __init__(self, n: int):
+        divs, idx = gcd_table(n)
+        self.n = n
+        self.units = np.flatnonzero(np.concatenate((idx[1:], idx[:1])) == 0) + 1
+        self.weights = _shifted_gcd(divs, idx, np.arange(n), n)
+
+    @functools.cached_property
+    def products(self) -> np.ndarray:
+        """a k mod n, a over the units by row and k by column."""
+        return self.units[:, None] * self.units % self.n
+
+    def menon_sums(self) -> list[int]:
+        """menon_sum(n, units): each row of the product table weighted by
+        gcd(a k - 1, n); guarded as menon_sum is, by len(units) n steps."""
+        _check_loop_guard(len(self.units) * self.n, "menon_sum")
+        return self.weights[self.products].sum(axis=1).tolist()
+
+    def b_values(self):
+        """Yield B_1(n), B_2(n), ... summed over the unit tuples.
+
+        The counts of k_1 ... k_r mod n are carried from r to r + 1 by one
+        more unit row: the count at a adds into every a k of the product
+        table's row, in one np.add.at.  Products of units are units, so
+        the counts live on the units; residue c is weighted by
+        gcd(c - 1, n) (n at c = 1).  A count is at most phi(n)^r, and the
+        weighted total at most n times that, so counts are int64 while
+        that stays below 2^63 and Python ints beyond.  Each r first passes
+        the guard on its _convolution_steps, as b_bruteforce(n, r) does.
+        """
+        size, n = len(self.units), self.n
+        res = self.units % n
+        weights = self.weights[res]
+        counts = np.ones(size, dtype=np.int64)
+        for r in itertools.count(1):
+            _check_loop_guard(_convolution_steps(size, r), "b_bruteforce")
+            if r > 1:
+                if counts.dtype != object and size**r * n >= 2**63:
+                    counts = counts.astype(object)
+                dist = np.zeros(n, dtype=counts.dtype)
+                np.add.at(dist, self.products.ravel(), np.repeat(counts, size))
+                counts = dist[res]
+            yield int((counts * weights).sum())
+
+
 def menon_sum(n: int, a) -> list[int]:
     """sum of gcd(a k - 1, n) over k in [1, n] with gcd(k, n) = 1, for
     each unit a in the sequence a, in its order.
@@ -154,9 +207,9 @@ def menon_sum(n: int, a) -> list[int]:
     Each sum equals phi(n) tau(n) whatever the unit.  Evaluated by direct
     summation over gcd_table(n): the residues k mod n run in blocks of
     about _BLOCK / len(a), so a block holds about _BLOCK entries, and each
-    unit k (idx[k] = 0) adds divs[idx[(a k - 1) mod n]] to each a's row.
-    The guard counts len(a) n steps before the table is built, so n <= 1e7
-    and, with a reduced mod n, a k < 1e14 is exact in int64.
+    unit k (idx[k] = 0) adds gcd(a k - 1, n) to each a's row.  The guard
+    counts len(a) n steps before the table is built, so n <= 1e7 and,
+    with a reduced mod n, a k < 1e14 is exact in int64.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -172,5 +225,5 @@ def menon_sum(n: int, a) -> list[int]:
     step = max(1, _BLOCK // len(units))
     for start in range(0, n, step):
         k = np.flatnonzero(idx[start : start + step] == 0) + start
-        totals += divs[idx[(units[:, None] * k - 1) % n]].sum(axis=1)
+        totals += _shifted_gcd(divs, idx, units[:, None] * k, n).sum(axis=1)
     return totals.tolist()

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import gcd_row
 from gcdzeta import arith, gcdsum, multfun
 from gcdzeta.arith import (
+    LOOP_GUARD,
     SIEVE_LIMIT,
     FactoredInteger,
     divisors,
@@ -22,6 +24,9 @@ from gcdzeta.arith import (
 )
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.igusa import igusa_euler
+
+# past rho's guard even after trial division to 10^6
+SEMIPRIME_150 = (2**61 - 1) * (2**89 - 1)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -143,13 +148,58 @@ class TestFactorize:
 
         monkeypatch.setattr(arith, "primes_upto", counted)
         arith._trial_primes.cache_clear()
+        # an 18-digit modulus goes from the primes up to 2^10 to rho
         for _ in range(2):
             for n in range(1, 5001):
                 factorize(n)
-            assert sieved == [(1024, 172)]
-        for _ in range(2):
             factorize(367463304676036369)
+            assert sieved == [(1024, 172)]
+        # only a composite cofactor past rho's guard reads the list to 10^6
+        for _ in range(2):
+            with pytest.raises(ResourceError, match="rho"):
+                factorize(SEMIPRIME_150)
             assert sieved == [(1024, 172), (10**6, 78498)]
+
+    @pytest.mark.parametrize("n, factors", [
+        # no prime up to 2^10 divides them, and m^(1/4) >= 999983^(5/4)
+        # passes the guard: trial division to 10^6 settles them
+        (999983**5, ((999983, 5),)),
+        (1000003**2 * 999983**3, ((999983, 3), (1000003, 2))),
+    ])
+    def test_cofactor_past_the_guard_goes_on_to_the_longer_list(self, n,
+                                                                 factors):
+        assert math.isqrt(math.isqrt(n)) > LOOP_GUARD
+        assert factorize(n).factors == factors
+
+    @pytest.mark.parametrize("factors", [
+        # one modulus of each kind the benchmark's exact evals factor:
+        # two primes above 3e8 (rho), a 7-smooth part times a prime above
+        # 1e12 (the primality test), and p1^3 p2^2 p3 (rho on p2^2 p3)
+        ((557795879, 1), (707602537, 1)),
+        ((2, 3), (3, 2), (5, 1), (7, 1), (69474717399211, 1)),
+        ((233, 3), (1439, 1), (3313, 2)),
+    ])
+    def test_benchmark_moduli(self, factors):
+        n = math.prod(p**k for p, k in factors)
+        assert 10**17 <= n <= 9 * 10**17
+        assert factorize(n).factors == factors
+
+    def test_rho_guard_refuses_a_150_bit_semiprime_at_once(self):
+        arith._trial_primes.cache_clear()  # the sieve to 10^6 is timed too
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="150-bit cofactor"):
+            factorize(SEMIPRIME_150)
+        assert time.perf_counter() - start < 0.1
+
+    def test_rho_splits_cofactors_of_primes_just_past_2_to_the_10(self):
+        # what trial division to 2^10 leaves rho: products of primes from
+        # 1031 up, prime powers among them
+        ps = primes_in_range(1024, 1200)
+        for p in ps:
+            for q in ps:
+                for e in (1, 2):
+                    fi = factorize(p**e * q)
+                    assert dict(fi.factors) == Counter({p: e}) + Counter({q: 1})
 
 
 class TestIsPrime:
@@ -267,8 +317,9 @@ class TestPrimesInRange:
 class TestPrimeArray:
     # 317 is prime: n = 317^2 puts a square of a prime at the sieve's end,
     # as 9 and 25 do; 4, 8 and 10 end the sieve on an even number
+    # 10^6 + 1 = 101 * 9901 ends the odd-only sieve on a composite
     @pytest.mark.parametrize(
-        "n", [0, 1, 2, 3, 4, 8, 9, 10, 25, 317**2, 10**5]
+        "n", [0, 1, 2, 3, 4, 8, 9, 10, 25, 317**2, 10**5, 10**6, 10**6 + 1]
     )
     def test_matches_bytearray_sieve(self, n, primes_between):
         got = prime_array(n)

@@ -371,9 +371,10 @@ class TestVerify:
                     checked += 1
             return f"PASS {checked}/{checked}"
 
-        real = gcdsum.menon_sum
-        monkeypatch.setattr(gcdsum, "menon_sum", lambda n, a: [
-            v + wrong(n, x) for x, v in zip(a, real(n, a))
+        real = gcdsum.UnitTable.menon_sums
+        monkeypatch.setattr(gcdsum.UnitTable, "menon_sums", lambda self: [
+            v + wrong(self.n, x)
+            for x, v in zip(self.units.tolist(), real(self))
         ])
         out = io.StringIO()
         with redirect_stdout(out):
@@ -385,8 +386,10 @@ class TestVerify:
     # one function wrong at one point: the suite's own failure line, with
     # the checks that passed before it
     @pytest.mark.parametrize("module, name, wrong, argv, line", [
-        (gcdsum, "b_bruteforce",
-         lambda real: lambda n, r: real(n, r) + ((n, r) == (6, 2)),
+        # the B_r that verify menon carries from r to r + 1
+        (gcdsum.UnitTable, "b_values",
+         lambda real: lambda self: (
+             v + ((self.n, r) == (6, 2)) for r, v in enumerate(real(self), 1)),
          ["menon", "--nmax", "10"],
          "FAIL after 28 checks at 6: B_2(6) brute != closed"),
         (gcdsum, "a_recursion",

@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -19,9 +19,10 @@ from conftest import (
     menon_sum_loop,
 )
 from gcdzeta.arith import (LOOP_GUARD, _residue_convolution, factorize,
-                            prime_array)
+                            prime_array, primes_upto)
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
+    UnitTable,
     a_bruteforce,
     a_eval,
     a_local_numerator,
@@ -198,6 +199,14 @@ class TestALocal:
                 want = p**k + k * (p - 1) * p ** (k - 1)
                 assert a_local_numerator(p, k, 1) == want
 
+    def test_integer_numerator_equals_the_fraction_oracle(self):
+        for p in primes_upto(199):
+            for k in range(1, 13):
+                for r in range(13):
+                    got = a_local_numerator(p, k, r)
+                    assert type(got) is int
+                    assert got == a_local(p, k, r) * p ** (k * r)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             a_local_numerator(2, 0, 1)
@@ -357,6 +366,49 @@ class TestB:
             b_bruteforce(4, 0)
         with pytest.raises(DomainError):
             b_closed(4, 0)
+
+
+class TestUnitTable:
+    """The one table per modulus of verify menon against the single calls
+    it replaces."""
+
+    def test_units_are_those_of_math_gcd(self):
+        for n in range(1, 301):
+            assert UnitTable(n).units.tolist() == [
+                a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+
+    def test_menon_sums_equal_menon_sum(self):
+        for n in range(1, 301):
+            table = UnitTable(n)
+            assert table.menon_sums() == menon_sum(n, table.units.tolist())
+
+    def test_carried_chain_equals_single_calls_across_the_int_switch(self):
+        # counts leave int64 once phi(n)^r n >= 2^63: at r = 10 for n = 59,
+        # r = 11 for n = 41 and r = 12 for n = 31, among others
+        switched = 0
+        for n in range(1, 61):
+            table = UnitTable(n)
+            chain = list(islice(table.b_values(), 12))
+            switched += len(table.units) ** 12 * n >= 2**63
+            assert chain == [b_bruteforce(n, r) for r in range(1, 13)]
+            assert chain == [b_closed(n, r) for r in range(1, 13)]
+        assert switched == 12
+
+    def test_guards_run_as_in_the_single_calls(self):
+        # 3163 is prime: 3162 3163 = 3162 + 3162^2 steps pass the guard
+        table = UnitTable(3163)
+        with pytest.raises(ResourceError,
+                           match="menon_sum needs 10001406 loop steps"):
+            table.menon_sums()
+        values = table.b_values()
+        assert next(values) == b_closed(3163, 1)
+        with pytest.raises(ResourceError,
+                           match="b_bruteforce needs 10001406 loop steps"):
+            next(values)
+        with pytest.raises(ResourceError,
+                           match="b_bruteforce needs 10001406 loop steps"):
+            b_bruteforce(3163, 2)
+        assert "products" not in vars(table)  # never built past a guard
 
 
 class TestMenonSum:
