@@ -142,12 +142,6 @@ def b_closed(n: int, r: int) -> int:
     return eval_int(phi(), fi) ** r * eval_int(tau_k(2), fi)
 
 
-def _shifted_gcd(divs: np.ndarray, idx: np.ndarray, c, n: int):
-    """gcd(c - 1, n) for the int64 array c, read off gcd_table(n) as
-    (divs, idx): the weight of residue c in the Menon sums and in B_r."""
-    return divs[idx[(c - 1) % n]]
-
-
 class UnitTable:
     """What every Menon sum and every B_r brute force at n reads, from one
     gcd_table(n): the units k in [1, n] ascending (int64, idx 0 at
@@ -160,7 +154,7 @@ class UnitTable:
         divs, idx = gcd_table(n)
         self.n = n
         self.units = np.flatnonzero(np.concatenate((idx[1:], idx[:1])) == 0) + 1
-        self.weights = _shifted_gcd(divs, idx, np.arange(n), n)
+        self.weights = divs[idx[(np.arange(n) - 1) % n]]
 
     @functools.cached_property
     def products(self) -> np.ndarray:
@@ -207,9 +201,9 @@ def menon_sum(n: int, a) -> list[int]:
     Each sum equals phi(n) tau(n) whatever the unit.  Evaluated by direct
     summation over gcd_table(n): the residues k mod n run in blocks of
     about _BLOCK / len(a), so a block holds about _BLOCK entries, and each
-    unit k (idx[k] = 0) adds gcd(a k - 1, n) to each a's row.  The guard
-    counts len(a) n steps before the table is built, so n <= 1e7 and,
-    with a reduced mod n, a k < 1e14 is exact in int64.
+    unit k (idx[k] = 0) adds divs[idx[(a k - 1) mod n]] to each a's row.
+    The guard counts len(a) n steps before the table is built, so n <= 1e7
+    and, with a reduced mod n, a k < 1e14 is exact in int64.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -225,5 +219,5 @@ def menon_sum(n: int, a) -> list[int]:
     step = max(1, _BLOCK // len(units))
     for start in range(0, n, step):
         k = np.flatnonzero(idx[start : start + step] == 0) + start
-        totals += _shifted_gcd(divs, idx, units[:, None] * k, n).sum(axis=1)
+        totals += divs[idx[(units[:, None] * k - 1) % n]].sum(axis=1)
     return totals.tolist()
