@@ -11,10 +11,10 @@ to phi(n)^r tau(n).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def a_local_sum(t, k: int, r: int, s=1):
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def a_local_numerator(p: int, k: int, r: int) -> int:
     """p^(kr) A_r(p^k), the total of gcd(k_1 ... k_r, p^k) over the
     p^(kr) tuples, exactly."""
@@ -156,7 +156,7 @@ class UnitTable:
         self.units = np.flatnonzero(np.concatenate((idx[1:], idx[:1])) == 0) + 1
         self.weights = divs[idx[(np.arange(n) - 1) % n]]
 
-    @functools.cached_property
+    @cached_property
     def products(self) -> np.ndarray:
         """a k mod n, a over the units by row and k by column."""
         return self.units[:, None] * self.units % self.n
