@@ -1,5 +1,5 @@
 """Integer arithmetic: factorization, the prime sieve, the loop guard,
-and the residue convolution mod n with its step count.
+and the product table mod n of every residue brute force.
 
 Everything here is pure and deterministic.
 """
@@ -35,38 +35,55 @@ def _check_loop_guard(steps: int, what: str) -> None:
 
 
 def _convolution_steps(size: int, r: int) -> int:
-    """Steps of _residue_convolution over r rows of size nonzero weights,
-    or of the B_r brute force carried to r over size units: size for the
-    first row (or the tables at r = 0), size^2 per later row."""
+    """Steps of ProductTable.chain over r rows of size weights: size for
+    the first row (or the tables at r = 0), size^2 per later row."""
     return size + max(r - 1, 0) * size * size
 
 
-def _residue_convolution(n: int, rows) -> np.ndarray:
-    """Entry c sums prod_j rows[j][k_j - 1] over the tuples of k_j in 1..n
-    with k_1 ... k_r = c (mod n); the empty product is 1.
+class ProductTable:
+    """The residue brute force of A_r, B_r and the direct zeta sum, over
+    ks: ascending k in [1, n] whose residues are closed under products
+    mod n (all of 1..n, or the units).  Callers guard each chain."""
 
-    Each row adds dist[c] row[k - 1] into (c k) mod n, c over the
-    current support and k over the row's nonzero weights, in one
-    np.add.at in index order (c ascending, then k).  Float rows keep
-    their carrier.  Boolean rows count tuples: a count is at most the
-    product of the row supports, and a total weighted by gcds up to n
-    at most n times that, so counts are int64 while that stays below
-    2^63 and Python ints (dtype=object) beyond.
-    """
-    ks = [np.flatnonzero(row) + 1 for row in rows]
-    if all(row.dtype == bool for row in rows):
-        dtype = np.int64 if math.prod(map(len, ks)) * n < 2**63 else object
-    else:
-        dtype = np.result_type(*rows)
-    dist = np.zeros(n, dtype=dtype)
-    dist[1 % n] = 1
-    for row, k in zip(rows, ks):
-        c = np.flatnonzero(dist)
-        nxt = np.zeros(n, dtype=dtype)
-        np.add.at(nxt, (c[:, None] * k % n).ravel(),
-                  (dist[c][:, None] * row[k - 1]).ravel())
-        dist = nxt
-    return dist
+    def __init__(self, n: int, ks: np.ndarray):
+        self.n, self.ks, self.residues = n, ks, ks - 1 if ks[-1] == n else ks
+
+    @functools.cached_property
+    def products(self) -> np.ndarray:
+        """c k mod n, c by row over the residues: 0..n-1, or the units."""
+        return self.residues[:, None] * self.ks % self.n
+
+    def chain(self, rows):
+        """Yield after each row j the array whose entry c sums, over the
+        tuples of ks with k_1 ... k_j = c (mod n), the product of the
+        rows' weights (a row weighs ks in order).
+
+        Each row adds dist[c] w[k] into c k mod n in one np.add.at, in
+        index order (c ascending, then k): the first from the empty
+        product, onto k mod n, the later ones through the table.  A row
+        None counts tuples, spread by np.repeat with no multiply: a count
+        is at most len(ks)^j and a gcd-weighted total n times that, so
+        counts are int64 while that is below 2^63 and Python ints beyond.
+        Float rows multiply over their nonzero weights only, so an
+        overflowed inf never meets a zero weight."""
+        n, size = self.n, len(self.ks)
+        for j, row in enumerate(rows, 1):
+            if j == 1:
+                index = self.ks % n
+                values = np.ones(size, dtype=np.int64) if row is None else row
+            elif row is None:
+                values = dist[self.residues]
+                if values.dtype != object and size**j * n >= 2**63:
+                    values = values.astype(object)
+                index, values = self.products, np.repeat(values, size)
+            else:
+                k = np.flatnonzero(row)
+                index = self.products if len(k) == size else self.products[:, k]
+                values = dist[self.residues][:, None] * row[k]
+            dist = np.zeros(n, dtype=values.dtype)
+            np.add.at(dist, index.ravel(), values.ravel())
+            del index, values  # hold no row's temporaries between yields
+            yield dist
 
 
 @dataclass(frozen=True)

@@ -171,12 +171,13 @@ def _cmd_eval(args) -> int:
 
 def _verify_menon(args):
     """menon_sum(n, units) and b_bruteforce(n, r) for r = 1..rmax against
-    the closed form, with one gcdsum.UnitTable per modulus: its units,
-    one product table for every Menon sum and B_r step, and B_r carried
-    to B_(r+1) by one more unit row.  n <= nmax is within the suite's
-    guard, and each Menon sum and B_r passes its own."""
+    the closed form, with one factorization and one gcdsum.UnitTable per
+    modulus: one product table for every Menon sum and B_r step, and B_r
+    carried to B_(r+1) by one more unit row.  n <= nmax is within the
+    suite's guard, and each Menon sum and B_r passes its own."""
     for n in range(1, args.nmax + 1):
-        expected = gcdsum.b_closed(n, 1)
+        fi = factorize(n)
+        expected = gcdsum.b_closed(fi, 1)
         table = gcdsum.UnitTable(n)
         for a, got in zip(table.units.tolist(), table.menon_sums()):
             yield n, (f"menon_sum({n}, {a}) = {got} != {expected}"
@@ -184,7 +185,7 @@ def _verify_menon(args):
         brute = itertools.islice(table.b_values(), args.rmax)
         for r, value in enumerate(brute, 1):
             yield n, (f"B_{r}({n}) brute != closed"
-                      if value != gcdsum.b_closed(n, r) else None)
+                      if value != gcdsum.b_closed(fi, r) else None)
 
 
 def _verify_threeway(args):

@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import (FactoredInteger, _check_loop_guard, _convolution_steps,
-                    _residue_convolution, divisors, factorize, gcd_table)
+from .arith import (FactoredInteger, ProductTable, _check_loop_guard,
+                    _convolution_steps, divisors, factorize, gcd_table)
 from .errors import DomainError
 from .multfun import binom_multiset, eval_int, phi, tau_k
 
@@ -31,7 +31,7 @@ def a_bruteforce(n: int, r: int) -> Fraction:
 
     gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
     walking all n^r tuples it weights each residue c of the product by
-    gcd(c, n) from gcd_table, counted by _residue_convolution over all
+    gcd(c, n) from gcd_table, counted by the ProductTable chain over all
     of 1..n; the guard counts its _convolution_steps.
     """
     if n < 1:
@@ -39,7 +39,10 @@ def a_bruteforce(n: int, r: int) -> Fraction:
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     _check_loop_guard(_convolution_steps(n, r), "a_bruteforce")
-    dist = _residue_convolution(n, [np.ones(n, dtype=bool)] * r)
+    if r == 0:  # the empty product 1, and gcd(1, n) = 1
+        return Fraction(1)
+    table = ProductTable(n, np.arange(1, n + 1))
+    dist = next(itertools.islice(table.chain([None] * r), r - 1, None))
     divs, idx = gcd_table(n)
     return Fraction(int((dist * divs[idx]).sum()), n**r)
 
@@ -121,7 +124,7 @@ def a_recursion(n: int, r: int) -> Fraction:
 def b_bruteforce(n: int, r: int) -> int:
     """B_r(n) summed from the definition: the r-th value of
     UnitTable(n).b_values().  The guard counts the n steps that find the
-    units, then the convolution's steps over phi(n) units."""
+    units, then the chain's steps over phi(n) units."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
@@ -132,34 +135,27 @@ def b_bruteforce(n: int, r: int) -> int:
     return next(itertools.islice(table.b_values(), r - 1, None))
 
 
-def b_closed(n: int, r: int) -> int:
+def b_closed(n: int | FactoredInteger, r: int) -> int:
     """B_r(n) in closed form: phi(n)^r tau(n)."""
-    if n < 1:
+    if isinstance(n, int) and n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if r < 1:
+    if r < 1:  # before factorize, which may refuse a hard n
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     fi = factorize(n)
     return eval_int(phi(), fi) ** r * eval_int(tau_k(2), fi)
 
 
-class UnitTable:
-    """What every Menon sum and every B_r brute force at n reads, from one
-    gcd_table(n): the units k in [1, n] ascending (int64, idx 0 at
-    k mod n), the weight gcd(c - 1, n) of each residue c, and, on first
-    use, the products of the units mod n.  Callers guard n; the Menon
-    sums and each B_r guard what they add.
-    """
+class UnitTable(ProductTable):
+    """The ProductTable over the units k in [1, n] (ascending, int64)
+    that every Menon sum and B_r brute force at n reads, with the weight
+    gcd(c - 1, n) of each residue c, from one gcd_table(n).  Callers
+    guard n; the Menon sums and each B_r guard what they add."""
 
     def __init__(self, n: int):
         divs, idx = gcd_table(n)
-        self.n = n
         self.units = np.flatnonzero(np.concatenate((idx[1:], idx[:1])) == 0) + 1
+        super().__init__(n, self.units)
         self.weights = divs[idx[(np.arange(n) - 1) % n]]
-
-    @cached_property
-    def products(self) -> np.ndarray:
-        """a k mod n, a over the units by row and k by column."""
-        return self.units[:, None] * self.units % self.n
 
     def menon_sums(self) -> list[int]:
         """menon_sum(n, units): each row of the product table weighted by
@@ -168,30 +164,13 @@ class UnitTable:
         return self.weights[self.products].sum(axis=1).tolist()
 
     def b_values(self):
-        """Yield B_1(n), B_2(n), ... summed over the unit tuples.
-
-        The counts of k_1 ... k_r mod n are carried from r to r + 1 by one
-        more unit row: the count at a adds into every a k of the product
-        table's row, in one np.add.at.  Products of units are units, so
-        the counts live on the units; residue c is weighted by
-        gcd(c - 1, n) (n at c = 1).  A count is at most phi(n)^r, and the
-        weighted total at most n times that, so counts are int64 while
-        that stays below 2^63 and Python ints beyond.  Each r first passes
-        the guard on its _convolution_steps, as b_bruteforce(n, r) does.
-        """
-        size, n = len(self.units), self.n
-        res = self.units % n
-        weights = self.weights[res]
-        counts = np.ones(size, dtype=np.int64)
+        """Yield B_1(n), B_2(n), ...: the chain's counts of the unit
+        tuples, residue c weighted by gcd(c - 1, n); each r first passes
+        the guard on its _convolution_steps, as b_bruteforce(n, r) does."""
+        size, chain = len(self.units), self.chain(itertools.repeat(None))
         for r in itertools.count(1):
             _check_loop_guard(_convolution_steps(size, r), "b_bruteforce")
-            if r > 1:
-                if counts.dtype != object and size**r * n >= 2**63:
-                    counts = counts.astype(object)
-                dist = np.zeros(n, dtype=counts.dtype)
-                np.add.at(dist, self.products.ravel(), np.repeat(counts, size))
-                counts = dist[res]
-            yield int((counts * weights).sum())
+            yield int((next(chain) * self.weights).sum())
 
 
 def menon_sum(n: int, a) -> list[int]:

@@ -16,14 +16,15 @@ with it, so the two cross-validate each other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from .arith import (FactoredInteger, _check_loop_guard, _convolution_steps,
-                    _residue_convolution, factorize, gcd_table)
+from .arith import (FactoredInteger, ProductTable, _check_loop_guard,
+                    _convolution_steps, factorize, gcd_table)
 from .errors import DomainError, NumericalError
 
 # Unit roundoff of float64.
@@ -106,7 +107,7 @@ def hurwitz_zeta(s: float) -> float:
 
 def _direct_steps(n: int, r: int, truncation: int) -> int:
     """Steps of igusa_direct with T = truncation: r T powers summed into
-    residue classes, then their convolution mod n (_convolution_steps)."""
+    residue classes, then their ProductTable chain (_convolution_steps)."""
     return r * truncation + _convolution_steps(n, r)
 
 
@@ -118,7 +119,7 @@ def igusa_direct(
     gcd(m_1...m_r, n) depends only on the product mod n.  So each variable
     is summed into its class sums W_j[d] = sum of m^-s_j over m <= T with
     m = d (mod n), the classes are convolved under multiplication mod n
-    (_residue_convolution, in float64), and residue c is weighted by
+    (ProductTable's chain, in float64), and residue c is weighted by
     gcd(c, n), read off gcd_table.  The loop guard checks _direct_steps.
 
     The bound is the truncation tail, from gcd <= n on every omitted
@@ -143,9 +144,10 @@ def igusa_direct(
     trunc = math.prod(math.fsum(row) for row in rows)
     divs, idx = gcd_table(n)
     gcds = divs[idx]
+    chain = ProductTable(n, np.arange(1, n + 1)).chain(rows)
     # an overflow to inf is the NumericalError below, not a warning
     with np.errstate(over="ignore"):
-        value = math.fsum(gcds * _residue_convolution(n, rows))
+        value = math.fsum(gcds * next(itertools.islice(chain, r - 1, None)))
     # Relative rounding of the value: a pow (one ulp, 2 eps) and a class
     # fsum per variable; r - 1 convolution rounds, each bin summing at
     # most sum(gcds) products, the count that lands on residue 0; the

@@ -133,6 +133,8 @@ class TestFactorize:
         for r in (0, 1, 3):
             assert gcdsum.a_numerator(fi, r) == gcdsum.a_numerator(n, r)
             assert gcdsum.a_eval(fi, r) == gcdsum.a_eval(n, r)
+        for r in (1, 3):
+            assert gcdsum.b_closed(fi, r) == gcdsum.b_closed(n, r)
         for f in (multfun.phi(), multfun.tau_k(3)):
             assert multfun.eval_int(f, fi) == multfun.eval_int(f, n)
         assert divisors(fi) == divisors(n)

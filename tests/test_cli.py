@@ -224,6 +224,18 @@ class TestExitCodes:
             assert result.stderr.startswith("numerical error: ")
             assert "is not finite" in result.stderr
 
+    def test_overflowing_direct_sum_with_a_zero_weight_class(self):
+        # at n = 2, m^-1e300 is 0 for every even m, so the last variable's
+        # class 0 weighs 0 after the first 800 variables overflowed to inf;
+        # inf times that 0 would be nan, with a numpy RuntimeWarning
+        s = ",".join(["1.5"] * 800 + ["1e300"])
+        result = run_cli("igusa", "--n", "2", "--s", s, "--method", "direct",
+                         "--trunc", "2000")
+        assert result.returncode == 3
+        assert not result.stdout
+        assert result.stderr == ("numerical error: the direct sum inf or its "
+                                 "bound nan is not finite\n")
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "0"])
     def test_direct_method_checks_the_tolerance(self, tolerance):
         result = run_cli("igusa", "--n", "2", "--s", "2", "--method", "direct",

@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, repeat
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from conftest import (
     menon_sum_gcd_blocks,
     menon_sum_loop,
 )
-from gcdzeta.arith import (LOOP_GUARD, _residue_convolution, factorize,
-                            prime_array, primes_upto)
+from gcdzeta.arith import (LOOP_GUARD, ProductTable, factorize, prime_array,
+                            primes_upto)
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
     UnitTable,
@@ -56,7 +56,7 @@ def b_bruteforce_naive(n: int, r: int) -> int:
 
 
 def product_residues_loop(n: int, residues, r: int) -> list[int]:
-    """The r-fold count of _residue_convolution by Python loops."""
+    """The r-fold count of the ProductTable chain by Python loops."""
     dist = [0] * n
     dist[1 % n] = 1
     for _ in range(r):
@@ -81,17 +81,45 @@ def b_bruteforce_loop(n: int, r: int) -> int:
     return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
 
 
+def chain_counts(n: int, ks, r: int) -> np.ndarray:
+    """The ProductTable chain's counts of the r-fold products of ks mod
+    n; at r = 0 the empty product's, 1 at 1 mod n."""
+    if r == 0:
+        dist = np.zeros(n, dtype=np.int64)
+        dist[1 % n] = 1
+        return dist
+    chain = ProductTable(n, np.asarray(ks)).chain(repeat(None))
+    return next(islice(chain, r - 1, None))
+
+
+def float_chain_loop(n: int, ks, rows) -> list[list[float]]:
+    """The float chain by Python loops from the empty product, every row
+    adding dist[c] w into c k mod n in the order c ascending, then k
+    ascending, zero weights included: its distribution after each row."""
+    dist = [0.0] * n
+    dist[1 % n] = 1.0
+    out = []
+    for row in rows:
+        nxt = [0.0] * n
+        for c in range(n):
+            for k, w in zip(ks, row):
+                nxt[c * k % n] += dist[c] * w
+        dist = nxt
+        out.append(dist)
+    return out
+
+
 def a_bruteforce_gcd(n: int, r: int) -> Fraction:
     """a_bruteforce as it was before arith.gcd_table, weights by np.gcd."""
-    dist = _residue_convolution(n, [np.ones(n, dtype=bool)] * r)
+    dist = chain_counts(n, np.arange(1, n + 1), r)
     return Fraction(int((dist * gcd_row(n, 0, n)).sum()), n**r)
 
 
 def b_bruteforce_gcd(n: int, r: int) -> int:
     """b_bruteforce as it was before arith.gcd_table: units and weights
     gcd(c - 1, n) by np.gcd."""
-    units = gcd_row(n, 1, n + 1) == 1
-    dist = _residue_convolution(n, [units] * r)
+    units = np.flatnonzero(gcd_row(n, 1, n + 1) == 1) + 1
+    dist = chain_counts(n, units, r)
     return int((dist * gcd_row(n, -1, n - 1)).sum())
 
 
@@ -508,19 +536,35 @@ class TestFastPathsMatchTheLoops:
     def test_python_int_counts_past_int64(self):
         # int64 while (row support)^r n < 2^63: 3^39 < 2^63 < 3^40 and
         # 6^23 9 < 2^63 < 6^24 9, phi(9) = 6
-        all3 = np.ones(3, dtype=bool)
-        units9 = np.gcd(np.arange(1, 10), 9) == 1
-        assert _residue_convolution(3, [all3] * 38).dtype == np.int64
-        assert _residue_convolution(3, [all3] * 39).dtype == object
-        assert _residue_convolution(9, [units9] * 23).dtype == np.int64
-        assert _residue_convolution(9, [units9] * 24).dtype == object
+        all3 = np.arange(1, 4)
+        units9 = np.flatnonzero(np.gcd(np.arange(1, 10), 9) == 1) + 1
+        assert chain_counts(3, all3, 38).dtype == np.int64
+        assert chain_counts(3, all3, 39).dtype == object
+        assert chain_counts(9, units9, 23).dtype == np.int64
+        assert chain_counts(9, units9, 24).dtype == object
         for r in (38, 39, 60):
             assert a_bruteforce(3, r) == a_bruteforce_loop(3, r) == a_eval(3, r)
         for r in (23, 24, 40):
             assert b_bruteforce(9, r) == b_bruteforce_loop(9, r) == b_closed(9, r)
-        for counts in (_residue_convolution(3, [all3] * 60),
-                       _residue_convolution(9, [units9] * 40)):
+        for counts in (chain_counts(3, all3, 60), chain_counts(9, units9, 40)):
             assert all(type(c) is int for c in counts)
+
+    def test_float_chain_equals_the_loop_bit_for_bit(self):
+        # weights over 2^-40..2^40, so another add order rounds otherwise;
+        # about a third are 0, which the chain skips and the loop adds
+        rng = random.Random(27)
+        for n in range(1, 31):
+            units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+            for ks in (list(range(1, n + 1)), units):
+                rows = [np.array([
+                    0.0 if rng.random() < 0.3
+                    else rng.random() * 2.0 ** rng.randint(-40, 40)
+                    for _ in ks]) for _ in range(3)]
+                chain = ProductTable(n, np.array(ks)).chain(rows)
+                loop = float_chain_loop(n, ks, rows)
+                for ours, theirs in zip(chain, loop, strict=True):
+                    assert ([x.hex() for x in ours.tolist()]
+                            == [x.hex() for x in theirs])
 
 
 class TestCoprimeProgressionCount:
