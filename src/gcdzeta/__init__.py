@@ -11,7 +11,6 @@ by an independent brute-force oracle in the test suite.
 from .arith import FactoredInteger, factorize
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_eval, a_recursion, b_bruteforce, b_closed, menon_sum
-from .multfun import MultiplicativeFunction
 
 __all__ = [
     "FactoredInteger",
@@ -24,7 +23,6 @@ __all__ = [
     "b_bruteforce",
     "b_closed",
     "menon_sum",
-    "MultiplicativeFunction",
 ]
 
 __version__ = "0.1.0"

@@ -106,7 +106,7 @@ def _scan_local(kind: str, order: int):
     if kind == "A":
         return lambda p, k: a_local_sum(1.0 - 1.0 / p, k, order)
     tau = tau_k(order)
-    return lambda p, k: float(tau.local(p, k))
+    return lambda p, k: float(tau(p, k))
 
 
 def _window_plan(local, x_max: int, primes: np.ndarray):
@@ -453,14 +453,14 @@ def fit_main_term(
 
 
 def euler_leading_coefficient(
-    r: int, limit: int, primes: np.ndarray | None = None
+    r: int, limit: int, primes: np.ndarray
 ) -> tuple[float, float]:
     """Leading coefficient of the A_r main-term polynomial:
 
         (1/r!) prod_p (1 - 1/p)^r (1 + r/p),
 
-    over the primes up to limit, read from primes (ascending, through
-    limit at least) when the caller has sieved them, else sieved here.
+    over the primes up to limit, read from the caller's sieve: primes,
+    ascending, through limit at least.
     That factor is the local factor 1 + sum_{k=1}^{r} f_r(p^k) / p^k of
     sum A_r(n) n^-s / zeta(s)^(r+1) at s = 1, in closed form.  The product is taken as
     exp(fsum(r log1p(-1/p) + log1p(r/p))) at every prime at once.
@@ -480,8 +480,6 @@ def euler_leading_coefficient(
         raise DomainError(f"r must be >= 1, got {r}")
     if limit < 100:
         raise DomainError(f"prime limit must be >= 100, got {limit}")
-    if primes is None:
-        primes = prime_array(limit)
     u = 1.0 / primes[: np.searchsorted(primes, limit, side="right")]
     down = np.log1p(-u)
     up = np.log1p(r * u)

@@ -32,6 +32,11 @@ DEFAULT_SEED = 987654321
 # large r where the values grow; 2-vCPU x86-64, Python 3.11): about this
 # many loop-guard steps of 0.25 us.
 _FR_CHECK_STEPS = 4
+# verify a-threeway's check at (n, r) runs r chain rows of a_bruteforce
+# and r levels of a_recursion; a row and its level take 6-8 us at n <= 4
+# (r = 300..2000, the most at large r where the numerators grow; same
+# box): about this many loop-guard steps.
+_THREEWAY_ROW_STEPS = 32
 
 
 def _write_line(text: str, stream) -> None:
@@ -237,20 +242,28 @@ def _verify_squarefree(args):
 
 def _verify_mult(args):
     rng = random.Random(args.seed)
-    functions = [multfun.phi(), multfun.tau_k(2), multfun.tau_k(3)]
+    functions = (("phi", multfun.phi), ("tau_2", multfun.tau_k(2)),
+                 ("tau_3", multfun.tau_k(3)))
+    value = multfun.eval_int
     for _ in range(args.samples):
         m = rng.randrange(1, 10**4)
         n = rng.randrange(1, 10**4)
         if math.gcd(m, n) != 1:
             continue
-        for f in functions:
-            yield m, (f"{f.name} not multiplicative at ({m}, {n})"
-                      if f(m * n) != f(m) * f(n) else None)
+        for name, f in functions:
+            yield m, (f"{name} not multiplicative at ({m}, {n})"
+                      if value(f, m * n) != value(f, m) * value(f, n) else None)
 
 
 def _grid_steps(args) -> int:
     # one check per (n, r) at least; menon has phi(n) + rmax per n
     return args.nmax * (args.rmax + 1)
+
+
+def _threeway_steps(args) -> int:
+    # the checks, and their nmax rmax (rmax + 1) / 2 rows
+    rows = args.nmax * args.rmax * (args.rmax + 1) // 2
+    return _grid_steps(args) + _THREEWAY_ROW_STEPS * rows
 
 
 def _fr_steps(args) -> int:
@@ -267,7 +280,7 @@ def _fr_steps(args) -> int:
 _VERIFY_SUITES = {
     "menon": (_verify_menon, {"nmax": (100, 1), "rmax": (3, 0)}, _grid_steps),
     "a-threeway": (_verify_threeway, {"nmax": (100, 1), "rmax": (3, 0)},
-                   _grid_steps),
+                   _threeway_steps),
     "fr-vanishing": (_verify_fr_vanishing, {"rmax": (3, 1), "kmax": (10, 1)},
                      _fr_steps),
     "domination": (_verify_domination, {"nmax": (100, 1), "rmax": (3, 0)},

@@ -110,7 +110,7 @@ def a_recursion(n: int, r: int) -> Fraction:
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     divs = divisors(n)
-    phis = {d: eval_int(phi(), d) for d in divs}
+    phis = {d: eval_int(phi, d) for d in divs}
     sub = {d: [e for e in divs if d % e == 0] for d in divs}
     level = dict.fromkeys(divs, 1)
     for j in range(1, r + 1):
@@ -142,7 +142,7 @@ def b_closed(n: int | FactoredInteger, r: int) -> int:
     if r < 1:  # before factorize, which may refuse a hard n
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     fi = factorize(n)
-    return eval_int(phi(), fi) ** r * eval_int(tau_k(2), fi)
+    return eval_int(phi, fi) ** r * eval_int(tau_k(2), fi)
 
 
 class UnitTable(ProductTable):

@@ -1,11 +1,12 @@
-"""Multiplicative arithmetic functions defined by prime-power local values.
+"""Multiplicative arithmetic functions as prime-power local functions.
 
 A multiplicative function is pinned down by its values at prime powers:
 f(1) = 1 and f(n) is the product of f(p^k) over the factorization of n.
-Two are defined here, the ones the paper's identities compute with:
-Euler's phi (B_r = phi^r tau, Menon) and the Piltz tau_k
+So each one here is its local function (p, k) -> f(p^k), and eval_int
+gives f(n).  Two are defined, the ones the paper's identities compute
+with: Euler's phi (B_r = phi^r tau, Menon) and the Piltz tau_k
 (A_r = tau_{r+1} * f_r).  Both take integer values, so their local
-evaluators return plain ints; eval_int multiplies whatever the local
+functions return plain ints; eval_int multiplies whatever the local
 values are, so a function with rational local values gives a Fraction.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .arith import FactoredInteger, factorize
@@ -28,38 +28,23 @@ def binom_multiset(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
-@dataclass(frozen=True)
-class MultiplicativeFunction:
-    """A function given by its local evaluator (p, k) -> value at p^k.
-
-    The implicit value at n = 1 is 1.
-    """
-
-    name: str
-    local: Callable[[int, int], int]
-
-    def __call__(self, n: int | FactoredInteger) -> int:
-        return eval_int(self, n)
-
-    def __repr__(self):
-        return f"MultiplicativeFunction({self.name})"
-
-
-def eval_int(f: MultiplicativeFunction, n: int | FactoredInteger) -> int:
-    """f(n) as the product of local values over the factorization of n.
+def eval_int(local: Callable[[int, int], int], n: int | FactoredInteger) -> int:
+    """f(n) for the multiplicative f with f(p^k) = local(p, k): the
+    product of the local values over the factorization of n.
 
     The product starts from the int 1 and takes the local values' type.
     """
-    return math.prod(f.local(p, k) for p, k in factorize(n).factors)
+    return math.prod(local(p, k) for p, k in factorize(n).factors)
 
 
-def phi() -> MultiplicativeFunction:
-    """Euler's totient: phi(p^k) = p^k - p^(k-1)."""
-    return MultiplicativeFunction("phi", lambda p, k: p**k - p ** (k - 1))
+def phi(p: int, k: int) -> int:
+    """Euler's totient at p^k: p^k - p^(k-1)."""
+    return p**k - p ** (k - 1)
 
 
-def tau_k(m: int) -> MultiplicativeFunction:
-    """Piltz divisor function: ordered factorizations into m parts.
+def tau_k(m: int) -> Callable[[int, int], int]:
+    """The local function of the Piltz divisor function tau_m, which
+    counts ordered factorizations into m parts.
 
     tau_m(p^k) counts the k-multisets of m symbols, C(k + m - 1, k),
     computed directly rather than by repeated convolution so large
@@ -67,5 +52,4 @@ def tau_k(m: int) -> MultiplicativeFunction:
     """
     if m < 1:
         raise DomainError(f"tau_k order must be >= 1, got {m}")
-    return MultiplicativeFunction(f"tau_{m}", lambda p, k: binom_multiset(m, k))
-
+    return lambda p, k: binom_multiset(m, k)

@@ -9,7 +9,7 @@ import pytest
 from gcdzeta import analytic
 from gcdzeta.arith import FactoredInteger, divisors, factorize, prime_array
 from gcdzeta.gcdsum import a_local_sum
-from gcdzeta.multfun import MultiplicativeFunction, eval_int, phi
+from gcdzeta.multfun import eval_int, phi
 
 hypothesis.settings.register_profile(
     "gcdzeta", deadline=None, max_examples=100
@@ -44,18 +44,15 @@ def f_r_local_expanded(r: int, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def mu() -> MultiplicativeFunction:
-    """Moebius function: -1 at primes, 0 at higher prime powers."""
-    return MultiplicativeFunction("mu", lambda p, k: -1 if k == 1 else 0)
+def mu(p: int, k: int) -> int:
+    """Moebius function at p^k: -1 at primes, 0 at higher prime powers."""
+    return -1 if k == 1 else 0
 
 
-def mu_iter(j: int) -> MultiplicativeFunction:
-    """j-fold Dirichlet self-convolution of mu, with local value
-    (-1)^k C(j, k): the oracle for A_r * mu^(*(r+1)) = f_r."""
-    return MultiplicativeFunction(
-        f"mu_iter_{j}",
-        lambda p, k: (-1 if k % 2 else 1) * math.comb(j, k),
-    )
+def mu_iter(j: int):
+    """The local function of the j-fold Dirichlet self-convolution of mu,
+    (p, k) -> (-1)^k C(j, k): the oracle for A_r * mu^(*(r+1)) = f_r."""
+    return lambda p, k: (-1 if k % 2 else 1) * math.comb(j, k)
 
 
 def a_local(p: int, k: int, r: int) -> Fraction:
@@ -80,7 +77,7 @@ def a_recursion_fraction(n: int, r: int) -> Fraction:
 
     the oracle for the integer recursion of gcdsum.a_recursion."""
     divs = divisors(n)
-    phi_over_d = {d: Fraction(eval_int(phi(), d), d) for d in divs}
+    phi_over_d = {d: Fraction(eval_int(phi, d), d) for d in divs}
     sub = {d: [e for e in divs if d % e == 0] for d in divs}
     level = {d: Fraction(1) for d in divs}
     for _ in range(r):
@@ -159,23 +156,24 @@ def primes_between():
 
 @pytest.fixture(scope="session")
 def convolve():
-    """Dirichlet convolution f * g of multiplicative functions.
+    """Dirichlet convolution f * g of multiplicative functions, each
+    given by its local function (p, k) -> value at p^k.
 
     The product is multiplicative, so it is built prime power by prime
     power: (f * g)(p^k) = sum_{l=0}^{k} f(p^l) g(p^(k-l)), with
     f(1) = g(1) = 1.
     """
 
-    def conv(f: MultiplicativeFunction, g: MultiplicativeFunction):
+    def conv(f, g):
         def local(p: int, k: int) -> Fraction:
             acc = Fraction(0)
             for l in range(k + 1):
-                fv = f.local(p, l) if l > 0 else Fraction(1)
-                gv = g.local(p, k - l) if k - l > 0 else Fraction(1)
+                fv = f(p, l) if l > 0 else Fraction(1)
+                gv = g(p, k - l) if k - l > 0 else Fraction(1)
                 acc += fv * gv
             return acc
 
-        return MultiplicativeFunction(f"({f.name}*conv*{g.name})", local)
+        return local
 
     return conv
 

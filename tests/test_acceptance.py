@@ -15,7 +15,7 @@ import pytest
 from conftest import poly_at
 
 from gcdzeta import analytic, dirichlet, gcdsum, igusa, multfun
-from gcdzeta.arith import factorize
+from gcdzeta.arith import factorize, prime_array
 
 GAMMA = 0.5772156649015329
 SIX_OVER_PI2 = 6 / math.pi**2
@@ -87,13 +87,12 @@ def test_criterion_3_correction_factor_structure(convolve):
             if dirichlet.f_r_local(r, k)[0] != 0:
                 ok = False
     for r in (1, 2, 3):
-        fr = multfun.MultiplicativeFunction(
-            f"f_{r}",
-            lambda p, k, r=r: poly_at(dirichlet.f_r_local(r, k), Fraction(1, p)),
-        )
+        def fr(p, k, r=r):
+            return poly_at(dirichlet.f_r_local(r, k), Fraction(1, p))
+
         a_r = convolve(multfun.tau_k(r + 1), fr)
         for n in range(1, 5001):
-            if a_r(n) != gcdsum.a_eval(n, r):
+            if multfun.eval_int(a_r, n) != gcdsum.a_eval(n, r):
                 ok = False
     report(3, "correction-factor structure and factorization", ok,
            f"{time.perf_counter() - t0:.1f}s")
@@ -136,7 +135,7 @@ def test_criterion_5_domination_by_divisor_function():
 
 def test_criterion_6_leading_coefficient_r1(scan_a1):
     t0 = time.perf_counter()
-    value, _tail = analytic.euler_leading_coefficient(1, 10**6)
+    value, _tail = analytic.euler_leading_coefficient(1, 10**6, prime_array(10**6))
     euler_ok = abs(value - SIX_OVER_PI2) < 1e-4
     fit_ok = (
         abs(scan_a1.fitted_leading_free - SIX_OVER_PI2) / SIX_OVER_PI2 < 0.02

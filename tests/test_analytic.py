@@ -24,6 +24,7 @@ from gcdzeta.analytic import (
     residual_exponent_estimate,
     summatory_scan,
 )
+from gcdzeta.arith import prime_array
 from gcdzeta.dirichlet import f_r_local
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
 from gcdzeta.gcdsum import a_eval
@@ -173,49 +174,49 @@ class TestSummatoryScan:
         # the product runs over the primes up to x_max, clamped to [100, 1e6]
         for x_max, limit in ((50, 100), (10**4, 10**4), (10**6 + 10, 10**6)):
             report = summatory_scan("A", 1, x_max)
-            value, bound = euler_leading_coefficient(1, limit)
+            value, bound = euler_leading_coefficient(1, limit, prime_array(limit))
             assert (report.fixed_leading, report.euler_tail_bound) == (value, bound)
 
 
 class TestEulerLeadingCoefficient:
     def test_r1_telescopes_to_basel_value(self):
-        value, tail = euler_leading_coefficient(1, 10**5)
+        value, tail = euler_leading_coefficient(1, 10**5, prime_array(10**5))
         assert abs(value - SIX_OVER_PI2) < 1e-4
         assert abs(value - SIX_OVER_PI2) < tail
 
     def test_r1_truncated_at_100(self):
         # truncation error here is the omitted prime mass times the value,
         # about 1.11e-3; the reported bound must still cover it
-        value, tail = euler_leading_coefficient(1, 100)
+        value, tail = euler_leading_coefficient(1, 100, prime_array(100))
         assert 5e-4 < abs(value - SIX_OVER_PI2) < 2e-3
         assert abs(value - SIX_OVER_PI2) < tail
 
     def test_r2_lands_in_unit_interval_scaled(self):
-        value, _ = euler_leading_coefficient(2, 10**4)
+        value, _ = euler_leading_coefficient(2, 10**4, prime_array(10**4))
         assert 0 < value <= 0.5
 
     def test_tail_bound_shrinks_with_limit(self):
-        _, t1 = euler_leading_coefficient(1, 1000)
-        _, t2 = euler_leading_coefficient(1, 10**4)
+        _, t1 = euler_leading_coefficient(1, 1000, prime_array(1000))
+        _, t2 = euler_leading_coefficient(1, 10**4, prime_array(10**4))
         assert t2 < t1
 
     def test_value_below_the_least_normal_float_is_refused(self):
-        value, bound = euler_leading_coefficient(124, 10**6)
+        value, bound = euler_leading_coefficient(124, 10**6, prime_array(10**6))
         assert sys.float_info.min <= value and 0 < bound < value
         for r in (125, 170, 171, 10**4):
             with pytest.raises(NumericalError, match="least normal float"):
-                euler_leading_coefficient(r, 10**6)
+                euler_leading_coefficient(r, 10**6, prime_array(10**6))
 
     def test_prime_limit_guard(self):
         with pytest.raises(DomainError):
-            euler_leading_coefficient(1, 50)
+            euler_leading_coefficient(1, 50, prime_array(50))
 
     @pytest.mark.parametrize("limit", [10**3, 10**4])
     @pytest.mark.parametrize("r", [1, 2, 4, 10, 17, 18, 30])
     def test_matches_mpmath_product(self, r, limit, primes_between):
         # the same primes at 40 digits; what the bound holds beyond the
         # one-sided tail is the rounding term, and it must cover the error
-        value, bound = euler_leading_coefficient(r, limit)
+        value, bound = euler_leading_coefficient(r, limit, prime_array(limit))
         with mpmath.workdps(40):
             ref = mpmath.mpf(1)
             for p in primes_between(0, limit):
@@ -230,20 +231,20 @@ class TestEulerLeadingCoefficient:
     def test_tail_is_one_sided(self, r):
         # every omitted factor is at most 1, so the product only falls
         # as the limit grows, and by no more than the tail bound
-        v1, b1 = euler_leading_coefficient(r, 10**3)
-        v2, _ = euler_leading_coefficient(r, 10**6)
+        v1, b1 = euler_leading_coefficient(r, 10**3, prime_array(10**3))
+        v2, _ = euler_leading_coefficient(r, 10**6, prime_array(10**6))
         assert 0 <= v1 - v2 <= b1
 
     def test_bound_at_one_million(self):
-        value, bound = euler_leading_coefficient(1, 10**6)
+        value, bound = euler_leading_coefficient(1, 10**6, prime_array(10**6))
         assert bound <= 1.1e-6 * value
         assert abs(value - SIX_OVER_PI2) <= bound
-        value, bound = euler_leading_coefficient(2, 10**6)
+        value, bound = euler_leading_coefficient(2, 10**6, prime_array(10**6))
         assert bound <= 3.1e-6 * value
 
     def test_bound_below_value_up_to_r30(self):
         for r in range(1, 31):
-            value, bound = euler_leading_coefficient(r, 1000)
+            value, bound = euler_leading_coefficient(r, 1000, prime_array(1000))
             assert math.isfinite(value)
             assert 0 < bound < value
 
@@ -575,7 +576,7 @@ class TestFastPathsAgainstReferences:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_euler_product_against_exact_oracle(self, r, primes_between):
-        value, bound = euler_leading_coefficient(r, 10**4)
+        value, bound = euler_leading_coefficient(r, 10**4, prime_array(10**4))
         exact = exact_euler_product(r, primes_between(0, 10**4))
         assert abs(value - exact) <= bound
         assert abs(value - exact) <= 1e-12 * exact

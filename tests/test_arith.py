@@ -135,7 +135,7 @@ class TestFactorize:
             assert gcdsum.a_eval(fi, r) == gcdsum.a_eval(n, r)
         for r in (1, 3):
             assert gcdsum.b_closed(fi, r) == gcdsum.b_closed(n, r)
-        for f in (multfun.phi(), multfun.tau_k(3)):
+        for f in (multfun.phi, multfun.tau_k(3)):
             assert multfun.eval_int(f, fi) == multfun.eval_int(f, n)
         assert divisors(fi) == divisors(n)
         assert igusa_euler(fi, (2.0, 3.5)) == igusa_euler(n, (2.0, 3.5))

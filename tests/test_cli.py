@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import a_eval_product, menon_sum_loop
 from gcdzeta import arith, dirichlet, gcdsum, multfun
 from gcdzeta.arith import factorize
-from gcdzeta.cli import _FR_CHECK_STEPS, main
+from gcdzeta.cli import _FR_CHECK_STEPS, _THREEWAY_ROW_STEPS, main
 
 
 def run_cli(*args):
@@ -421,7 +421,7 @@ class TestVerify:
         # tau_3 the third function checked on it: 2 * 3 + 2 checks before
         (multfun, "eval_int",
          lambda real: lambda f, n: real(f, n) + (
-             f.name == "tau_3" and n == 7629 * 4081),
+             f(2, 1) == 3 and n == 7629 * 4081),
          ["mult", "--seed", "5"],
          "FAIL after 8 checks at 7629: tau_3 not multiplicative at "
          "(7629, 4081)"),
@@ -602,10 +602,12 @@ class TestVerify:
             f"resource guard: verify fr-vanishing needs {edge} loop steps")
 
     # the steps each suite is certain to take at its default flags:
-    # nmax (rmax + 1), nmax + rmax for squarefree and samples for mult
-    # (fr-vanishing's count has the test above)
+    # nmax (rmax + 1), plus a-threeway's nmax rmax (rmax + 1) / 2 rows,
+    # nmax + rmax for squarefree and samples for mult (fr-vanishing's
+    # count has the test above)
     @pytest.mark.parametrize("suite, steps", [
-        ("menon", 400), ("a-threeway", 400), ("domination", 400),
+        ("menon", 400), ("a-threeway", 400 + 600 * _THREEWAY_ROW_STEPS),
+        ("domination", 400),
         ("squarefree", 103), ("mult", 200),
     ])
     def test_runs_at_its_suite_guard(self, monkeypatch, suite, steps):
@@ -720,18 +722,27 @@ _REFUSED_AT_ONCE = [
      "resource guard: verify fr-vanishing needs 36000000036 loop steps"),
     (("verify", "fr-vanishing", "--rmax", "300", "--kmax", "300"), 4,
      "resource guard: verify fr-vanishing needs"),
-    # the other suites count nmax (rmax + 1) steps, nmax + rmax for
-    # squarefree and samples for mult, before their loops
+    # the other suites count nmax (rmax + 1) steps, a-threeway also its
+    # rows, nmax + rmax for squarefree and samples for mult, before their
+    # loops
     (("verify", "domination", "--nmax", "5", "--rmax", _HUGE_K), 4,
      "resource guard: verify domination needs about 1e101 loop steps"),
     (("verify", "a-threeway", "--nmax", "5", "--rmax", _HUGE_K), 4,
-     "resource guard: verify a-threeway needs about 1e101 loop steps"),
+     "resource guard: verify a-threeway needs about 1e202 loop steps"),
     (("verify", "squarefree", "--nmax", "5", "--rmax", _HUGE_K), 4,
      "resource guard: verify squarefree needs about 1e100 loop steps"),
     (("verify", "menon", "--nmax", "5", "--rmax", _HUGE_K), 4,
      "resource guard: verify menon needs about 1e101 loop steps"),
     (("verify", "mult", "--samples", str(10**17)), 4,
      "resource guard: verify mult needs 100000000000000000 loop steps"),
+    # a-threeway at n <= 2 with r in the thousands, where each (n, r)
+    # passes its own guards: only the suite's count of rows refuses them
+    (("verify", "a-threeway", "--nmax", "2", "--rmax", "3000"), 4,
+     "resource guard: verify a-threeway needs 288102002 loop steps"),
+    (("verify", "a-threeway", "--nmax", "1", "--rmax", "4000"), 4,
+     "resource guard: verify a-threeway needs 256068001 loop steps"),
+    (("verify", "a-threeway", "--nmax", "1", "--rmax", "1000000"), 4,
+     "resource guard: verify a-threeway needs 16000017000001 loop steps"),
 ]
 
 

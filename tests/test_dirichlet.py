@@ -11,14 +11,13 @@ from gcdzeta.arith import factorize
 from gcdzeta.dirichlet import f_r_local, format_poly, verify_fr_structure
 from gcdzeta.errors import DomainError
 from gcdzeta.gcdsum import a_eval
-from gcdzeta.multfun import MultiplicativeFunction, tau_k
+from gcdzeta.multfun import eval_int, tau_k
 
 
-def f_r(r: int) -> MultiplicativeFunction:
-    """The correction factor with A_r = tau_{r+1} * f_r, as a function."""
-    return MultiplicativeFunction(
-        f"f_{r}", lambda p, k: poly_at(f_r_local(r, k), Fraction(1, p))
-    )
+def f_r(r: int):
+    """The correction factor with A_r = tau_{r+1} * f_r, as its local
+    function (p, k) -> f_r(p^k)."""
+    return lambda p, k: poly_at(f_r_local(r, k), Fraction(1, p))
 
 
 def fr_as_convolution(r: int, p: int, k: int) -> Fraction:
@@ -31,23 +30,21 @@ def fr_as_convolution(r: int, p: int, k: int) -> Fraction:
     return acc
 
 
-def one() -> MultiplicativeFunction:
-    """The constant function 1, the convolution identity's right unit."""
-    return MultiplicativeFunction("one", lambda p, k: Fraction(1))
+def one(p: int, k: int) -> Fraction:
+    """The constant function 1 at p^k, the convolution identity's right
+    unit."""
+    return Fraction(1)
 
 
-def phi_normalized() -> MultiplicativeFunction:
-    """phi(n)/n, with local value (p - 1)/p at every prime power."""
-    return MultiplicativeFunction("phi_over_n", lambda p, k: Fraction(p - 1, p))
+def phi_normalized(p: int, k: int) -> Fraction:
+    """phi(n)/n at p^k: (p - 1)/p at every prime power."""
+    return Fraction(p - 1, p)
 
 
-def pointwise_product(
-    f: MultiplicativeFunction, g: MultiplicativeFunction
-) -> MultiplicativeFunction:
-    """Pointwise product f(n) g(n); multiplicative when both factors are."""
-    return MultiplicativeFunction(
-        f"({f.name}*{g.name})", lambda p, k: f.local(p, k) * g.local(p, k)
-    )
+def pointwise_product(f, g):
+    """The local function of the pointwise product f(n) g(n);
+    multiplicative when both factors are."""
+    return lambda p, k: f(p, k) * g(p, k)
 
 
 class TestLocalPolynomial:
@@ -156,14 +153,16 @@ class TestFrAsConvolution:
 
     def test_matches_symbolic_polynomial(self, convolve):
         for r in range(1, 6):
-            a_r = MultiplicativeFunction(f"A_{r}", lambda p, k: a_local(p, k, r))
+            def a_r(p, k):
+                return a_local(p, k, r)
+
             a_r_mu = convolve(a_r, mu_iter(r + 1))
             for k in range(1, r + 4):
                 poly = f_r_local(r, k)
                 for p in (2, 3, 5, 7):
                     value = poly_at(poly, Fraction(1, p))
                     assert value == fr_as_convolution(r, p, k)
-                    assert value == a_r_mu.local(p, k)
+                    assert value == a_r_mu(p, k)
 
 
 class TestVerifyFrStructure:
@@ -202,37 +201,36 @@ class TestVerifyFrStructure:
 
 class TestConvolution:
     def test_phibar_conv_one_is_a1(self, convolve):
-        phibar_one = convolve(phi_normalized(), one())
-        assert phibar_one(4) == 2
+        phibar_one = convolve(phi_normalized, one)
+        assert eval_int(phibar_one, 4) == 2
         for n in range(1, 200):
-            assert phibar_one(n) == a_eval(n, 1)
+            assert eval_int(phibar_one, n) == a_eval(n, 1)
 
     def test_mu_conv_tau_is_one(self, convolve):
         for n in (1, 12, 360, 1024, 9699690):
-            assert convolve(mu(), tau_k(2))(factorize(n)) == 1
+            assert eval_int(convolve(mu, tau_k(2)), factorize(n)) == 1
 
     def test_tau2_conv_f1_at_primes(self, convolve):
         f1 = f_r(1)
         for p in (2, 3, 5, 101):
-            assert convolve(tau_k(2), f1).local(p, 1) == 2 - Fraction(1, p)
+            assert convolve(tau_k(2), f1)(p, 1) == 2 - Fraction(1, p)
 
     def test_factorization_identity(self, convolve):
         for r in (1, 2, 3):
             a_r = convolve(tau_k(r + 1), f_r(r))
             for n in range(1, 501):
                 fi = factorize(n)
-                assert a_r(fi) == a_eval(fi, r)
+                assert eval_int(a_r, fi) == a_eval(fi, r)
 
     def test_chained_convolution_builds_a_r(self, convolve):
         # r applications of h -> (phibar * h) conv one, starting from one
-        phibar = phi_normalized()
         for r in (1, 2, 3):
-            h: MultiplicativeFunction = one()
+            h = one
             for _ in range(r):
-                h = convolve(pointwise_product(phibar, h), one())
+                h = convolve(pointwise_product(phi_normalized, h), one)
             for n in range(1, 2001):
                 fi = factorize(n)
-                assert h(fi) == a_eval(fi, r)
+                assert eval_int(h, fi) == a_eval(fi, r)
 
 
 class TestPowerSumCancellation:

@@ -10,13 +10,7 @@ from conftest import mu, mu_iter
 from gcdzeta import gcdsum
 from gcdzeta.arith import factorize
 from gcdzeta.errors import DomainError
-from gcdzeta.multfun import (
-    MultiplicativeFunction,
-    binom_multiset,
-    eval_int,
-    phi,
-    tau_k,
-)
+from gcdzeta.multfun import binom_multiset, eval_int, phi, tau_k
 
 
 def ordered_factorization_counts(limit: int, k: int) -> list[int]:
@@ -73,7 +67,7 @@ class TestBinomMultiset:
 
 class TestStandardFunctions:
     def test_phi_and_tau_values(self):
-        assert eval_int(phi(), 12) == 4
+        assert eval_int(phi, 12) == 4
         assert eval_int(tau_k(2), 1) == 1
         assert eval_int(tau_k(2), 12) == 6
 
@@ -98,18 +92,18 @@ class TestStandardFunctions:
 
     def test_mu_iter_examples(self):
         for p in (2, 3, 97):
-            assert mu_iter(2).local(p, 1) == -2
-            assert mu_iter(3).local(p, 4) == 0
+            assert mu_iter(2)(p, 1) == -2
+            assert mu_iter(3)(p, 4) == 0
 
     def test_mu_iter_1_is_mu(self):
         for k in range(1, 11):
-            assert mu_iter(1).local(5, k) == mu().local(5, k)
+            assert mu_iter(1)(5, k) == mu(5, k)
 
     def test_mu_iter_matches_repeated_convolution(self, convolve):
         for j in (2, 3, 4):
-            chain = mu()
+            chain = mu
             for _ in range(j - 1):
-                chain = convolve(chain, mu())
+                chain = convolve(chain, mu)
             f = mu_iter(j)
             for n in range(1, 5001):
                 fi = factorize(n)
@@ -118,30 +112,31 @@ class TestStandardFunctions:
     def test_psi1_over_n_is_mean_gcd(self):
         # Pillai's psi_1(n) = sum_{d | n} d phi(n/d), with local value
         # p^k + k (p^k - p^(k-1)), is n A_1(n)
-        f = MultiplicativeFunction(
-            "psi_1", lambda p, k: p**k + k * (p**k - p ** (k - 1)))
+        def f(p, k):
+            return p**k + k * (p**k - p ** (k - 1))
+
         for n in range(1, 10**4 + 1):
             fi = factorize(n)
             assert Fraction(eval_int(f, fi), n) == gcdsum.a_eval(fi, 1)
 
     def test_eval_at_one_is_one(self):
-        for f in (phi(), tau_k(2), tau_k(4)):
+        for f in (phi, tau_k(2), tau_k(4)):
             assert eval_int(f, 1) == 1
 
     @given(st.integers(1, 10**4), st.integers(1, 10**4))
     def test_multiplicative_on_coprime_pairs(self, m, n):
         if math.gcd(m, n) != 1:
             return
-        for f in (phi(), tau_k(2), tau_k(3)):
+        for f in (phi, tau_k(2), tau_k(3)):
             assert eval_int(f, m * n) == eval_int(f, m) * eval_int(f, n)
 
     def test_values_are_plain_ints(self):
-        # the three functions of `verify mult`; calling one is eval_int
-        functions = (phi(), tau_k(2), tau_k(3))
+        # the three functions of `verify mult`
+        functions = {"phi": phi, "tau_2": tau_k(2), "tau_3": tau_k(3)}
         for n in range(1, 2001):
             fi = factorize(n)
-            for f in functions:
-                value = f(fi)
-                assert type(value) is int, (f.name, n)
+            for name, f in functions.items():
+                value = eval_int(f, fi)
+                assert type(value) is int, (name, n)
                 assert value == eval_int(f, n)
 
