@@ -11,7 +11,8 @@ compares.  A change that moves an output on purpose regenerates the file
 and shows the diff.
 
 The argv are the exact benchmark workload's commands at seeds 1 and 2,
-the eval and verify argv that CI pins, and the a-threeway guard's edges.
+the eval and verify argv that CI pins, the a-threeway guard's edges and
+eval menon's argument checks.
 Scans and igusa values are left out: their floats pass through libm and
 LAPACK, whose last bits may differ between platforms.
 """
@@ -43,6 +44,7 @@ CI_ARGV = [
     "verify a-threeway --nmax 30 --rmax 12",
     "eval menon --n 8648640 --a 17",
     "eval menon --n 999983 --a 2",
+    "eval menon --n 10000000 --a 3",
     "eval fr --r 3 --k 2",
     "verify mult --seed 5",
     "verify fr-vanishing",
@@ -62,6 +64,7 @@ CI_ARGV = [
     f"verify a-threeway --nmax 5 --rmax {K100}",
     f"verify squarefree --nmax 5 --rmax {K100}",
     f"verify menon --nmax 5 --rmax {K100}",
+    "eval menon --n 10000001 --a 2",
     "verify mult --samples 100000000000000000",
     "verify squarefree --nmax 5000 --rmax 4",
     "verify domination --nmax 3000 --rmax 4",
@@ -79,6 +82,14 @@ THREEWAY_ARGV = [
     "verify a-threeway --nmax 300 --rmax 3",
     "verify a-threeway --nmax 60 --rmax 30",
 ]
+# eval menon's edges: the modulus 1, a negative unit, a non-unit (exit 3),
+# and a unit far past int64, which is reduced mod n
+MENON_ARGV = [
+    "eval menon --n 1 --a 0",
+    "eval menon --n 12 --a -1",
+    "eval menon --n 12 --a 2",
+    "eval menon --n 999983 --a 1000000000000000000000000000001",
+]
 
 
 def corpus_argv() -> list[list[str]]:
@@ -87,7 +98,7 @@ def corpus_argv() -> list[list[str]]:
     for seed in (1, 2):
         for cmd in workloads.build("exact", seed):
             seen.setdefault(tuple(cmd.argv), None)
-    for line in CI_ARGV + THREEWAY_ARGV:
+    for line in CI_ARGV + THREEWAY_ARGV + MENON_ARGV:
         seen.setdefault(tuple(line.split()), None)
     return [list(argv) for argv in seen]
 

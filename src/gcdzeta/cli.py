@@ -116,6 +116,10 @@ def _check_fr_size(r: int, k_lo: int, k_hi: int) -> None:
         )
 
 
+# the eval targets of n, each with its second parameter
+_EVAL_PARAMS = {"A": "r", "B": "r", "menon": "a", "tau": "k"}
+
+
 def _cmd_eval(args) -> int:
     target = args.target
     if target == "fr":
@@ -153,19 +157,19 @@ def _cmd_eval(args) -> int:
         _check_digits((args.r + 1) * math.log10(args.n) + 1 if args.n > 1
                       else 1)
     if target == "A":
-        param, text = "r", str(gcdsum.a_eval(args.n, args.r))
+        text = str(gcdsum.a_eval(args.n, args.r))
     elif target == "B":
-        param, text = "r", str(gcdsum.b_closed(args.n, args.r))
+        text = str(gcdsum.b_closed(args.n, args.r))
     elif target == "menon":
-        (value,) = gcdsum.menon_sum(args.n, [args.a])
-        param, text = "a", str(value)
+        text = str(gcdsum.menon_sum(args.n, args.a))
     else:  # tau
         tau, fi = multfun.tau_k(args.k), factorize(args.n)
         # tau_k(p^e) = prod_{i=1}^{e} (k - 1 + i) / i
         _check_digits(math.fsum(math.log10(args.k - 1 + i) - math.log10(i)
                                 for _, e in fi.factors
                                 for i in range(1, e + 1)) + 1)
-        param, text = "k", str(multfun.eval_int(tau, fi))
+        text = str(multfun.eval_int(tau, fi))
+    param = _EVAL_PARAMS[target]
     payload = {"target": target, "n": args.n, param: getattr(args, param),
                "value": text}
     return _finish_value(args, payload, text)
@@ -175,11 +179,12 @@ def _cmd_eval(args) -> int:
 
 
 def _verify_menon(args):
-    """menon_sum(n, units) and b_bruteforce(n, r) for r = 1..rmax against
-    the closed form, with one factorization and one gcdsum.UnitTable per
-    modulus: one product table for every Menon sum and B_r step, and B_r
-    carried to B_(r+1) by one more unit row.  n <= nmax is within the
-    suite's guard, and each Menon sum and B_r passes its own."""
+    """menon_sum(n, a) at every unit a and b_bruteforce(n, r) for
+    r = 1..rmax against the closed form, with one factorization and one
+    gcdsum.UnitTable per modulus: one product table for every Menon sum
+    and B_r step, and B_r carried to B_(r+1) by one more unit row.
+    n <= nmax is within the suite's guard, and each Menon sum and B_r
+    passes its own."""
     for n in range(1, args.nmax + 1):
         fi = factorize(n)
         expected = gcdsum.b_closed(fi, 1)
@@ -400,19 +405,11 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     p_igusa = sub.add_parser("igusa", help="evaluate the cyclic-group zeta")
     if command == "eval":
         ev = p_eval.add_subparsers(dest="target", required=True)
-        for name in ("A", "B"):
+        for name, param in _EVAL_PARAMS.items():
             p = ev.add_parser(name)
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--r", type=int, required=True)
+            p.add_argument(f"--{param}", type=int, required=True)
             _value_output(p)
-        p = ev.add_parser("menon")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        _value_output(p)
-        p = ev.add_parser("tau")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        _value_output(p)
         p = ev.add_parser("fr")
         p.add_argument("--r", type=int, required=True)
         which = p.add_mutually_exclusive_group(required=True)

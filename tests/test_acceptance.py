@@ -6,6 +6,7 @@ Each test prints one PASS/FAIL line so the suite doubles as a report:
 """
 
 import math
+import random
 import subprocess
 import sys
 import time
@@ -68,10 +69,17 @@ def test_criterion_2_menon_identities():
         for r in (1, 2, 3):
             if gcdsum.b_bruteforce(n, r) != gcdsum.b_closed(n, r):
                 ok = False
+    # every unit's sum from the product table, and the single sum at 1,
+    # n - 1 and one seeded unit
+    rng = random.Random(2)
     for n in range(1, 501):
-        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
-        if gcdsum.menon_sum(n, units) != [gcdsum.b_closed(n, 1)] * len(units):
+        table, expected = gcdsum.UnitTable(n), gcdsum.b_closed(n, 1)
+        units = table.units.tolist()
+        if table.menon_sums() != [expected] * len(units):
             ok = False
+        for a in (1, n - 1, rng.choice(units)):
+            if gcdsum.menon_sum(n, a) != expected:
+                ok = False
     report(2, "Menon identities", ok, f"{time.perf_counter() - t0:.1f}s")
     assert ok
 

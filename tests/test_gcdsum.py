@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, product, repeat
 
@@ -199,8 +200,10 @@ class TestABruteforce:
         with pytest.raises(ResourceError):
             b_bruteforce(10**9 + 7, 1)
         with pytest.raises(ResourceError):
-            menon_sum(10**9 + 7, [1])
-        assert menon_sum(10**18, []) == []
+            menon_sum(10**9 + 7, 1)
+        with pytest.raises(ResourceError,
+                           match="1000000000000000000 loop steps"):
+            menon_sum(10**18, 1)
         assert time.perf_counter() - start < 0.1
 
     def test_domain_errors(self):
@@ -408,7 +411,8 @@ class TestUnitTable:
     def test_menon_sums_equal_menon_sum(self):
         for n in range(1, 301):
             table = UnitTable(n)
-            assert table.menon_sums() == menon_sum(n, table.units.tolist())
+            assert table.menon_sums() == [
+                menon_sum(n, a) for a in table.units.tolist()]
 
     def test_carried_chain_equals_single_calls_across_the_int_switch(self):
         # counts leave int64 once phi(n)^r n >= 2^63: at r = 10 for n = 59,
@@ -441,53 +445,71 @@ class TestUnitTable:
 
 class TestMenonSum:
     def test_examples(self):
-        assert menon_sum(4, [1]) == [6]
-        assert menon_sum(5, [2]) == [8]
-        assert menon_sum(1, [1]) == [1]
-        assert menon_sum(5, [1, 2, 3, 4]) == [8] * 4
-        assert menon_sum(5, []) == menon_sum(10**18, []) == []
+        assert menon_sum(4, 1) == 6
+        assert menon_sum(5, 2) == 8
+        assert menon_sum(1, 1) == 1
+        assert [menon_sum(5, a) for a in (1, 2, 3, 4)] == [8] * 4
+        assert type(menon_sum(5, 2)) is int
 
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
-            menon_sum(4, [2])
-        with pytest.raises(DomainError, match="a = 2 is not a unit mod 4"):
-            menon_sum(4, [1, 2])
+            menon_sum(4, 2)
+        with pytest.raises(DomainError, match="a = 6 is not a unit mod 4"):
+            menon_sum(4, 6)  # named as given, not reduced mod n
 
     def test_negative_unit_allowed(self):
-        assert menon_sum(4, [-1]) == [b_closed(4, 1)]
+        assert menon_sum(4, -1) == b_closed(4, 1)
 
     def test_independent_of_the_unit(self):
         for n in range(1, 120):
             units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
-            assert menon_sum(n, units) == [b_closed(n, 1)] * len(units)
+            expected = [b_closed(n, 1)] * len(units)
+            assert [menon_sum(n, a) for a in units] == expected
 
     def test_units_outside_the_residues(self):
         # a is reduced mod n before any int64 product
         huge = 10**30 + 1
         for n in (1, 2, 12, 77, 1000):
             if math.gcd(huge, n) == 1:
-                assert menon_sum(n, [huge, -huge]) == [
+                assert [menon_sum(n, huge), menon_sum(n, -huge)] == [
                     menon_sum_loop(n, huge), menon_sum_loop(n, -huge)
                 ]
-                assert menon_sum(n, [huge]) == [b_closed(n, 1)]
+                assert menon_sum(n, huge) == b_closed(n, 1)
 
-    def test_blocks_split_the_walk(self):
-        # 3 units take blocks of 2^16 // 3 = 21845 k, so 70001 spans four
+    def test_blocks_split_the_walk(self, monkeypatch):
+        # blocks of _BLOCK = 2^13 residues: 70001 spans nine, the last partial
         n = 70001
+        assert 8 * gcdzeta.gcdsum._BLOCK < n < 9 * gcdzeta.gcdsum._BLOCK
         a = [1, n - 1, 12345]
         assert all(math.gcd(x, n) == 1 for x in a)
-        assert menon_sum(n, a) == [menon_sum_loop(n, x) for x in a]
-        assert menon_sum(999733, [867900]) == [6816000]
+        assert [menon_sum(n, x) for x in a] == [menon_sum_loop(n, x) for x in a]
+        assert menon_sum(999733, 867900) == 6816000
+        # at 7 residues per block, n <= 60 walks whole and partial blocks
+        monkeypatch.setattr(gcdzeta.gcdsum, "_BLOCK", 7)
+        for n in range(1, 61):
+            for x in (k for k in range(1, n + 1) if math.gcd(k, n) == 1):
+                assert menon_sum(n, x) == menon_sum_loop(n, x)
 
-    def test_guard_counts_every_unit(self):
-        # len(a) n steps: 4000 units of 10^4 are 4e7 steps
-        units = [a for a in range(1, 10**4 + 1) if math.gcd(a, 10**4) == 1]
-        with pytest.raises(ResourceError, match="40000000 loop steps"):
-            menon_sum(10**4, units)
+    def test_guard_counts_n_steps(self):
+        # n steps, whatever the unit: 10^7 + 1 is refused at once
         start = time.perf_counter()
+        with pytest.raises(ResourceError, match="10000001 loop steps"):
+            menon_sum(10**7 + 1, 2)
         with pytest.raises(ResourceError):
-            menon_sum(10**9 + 7, [2])
+            menon_sum(10**9 + 7, 2)
         assert time.perf_counter() - start < 0.1
+
+    def test_block_temporaries_stay_small(self):
+        # past gcd_table's index of n bytes (tau(n) <= 256 at each n),
+        # one block's arrays at a time: about 0.2 MB
+        for n, a in ((999983, 2), (999001, 2), (10**6, 3)):
+            tracemalloc.start()
+            try:
+                menon_sum(n, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - n < 0.5e6, (n, peak - n)
 
 
 class TestFastPathsMatchTheLoops:
@@ -496,8 +518,9 @@ class TestFastPathsMatchTheLoops:
     def test_against_the_python_loops(self, n, r):
         units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
         expected = b_closed(n, 1)
-        assert menon_sum(n, units) == [menon_sum_loop(n, a) for a in units]
-        assert menon_sum(n, [-1, n + 1]) == [expected, expected]
+        assert [menon_sum(n, a) for a in units] == [
+            menon_sum_loop(n, a) for a in units]
+        assert menon_sum(n, -1) == menon_sum(n, n + 1) == expected
         assert a_bruteforce(n, r) == a_bruteforce_loop(n, r) == a_eval(n, r)
         if r >= 1:
             assert b_bruteforce(n, r) == b_bruteforce_loop(n, r) == b_closed(n, r)
@@ -505,7 +528,8 @@ class TestFastPathsMatchTheLoops:
     def test_menon_sum_equals_the_gcd_blocks(self):
         for n in range(1, 201):
             units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
-            assert menon_sum(n, units) == menon_sum_gcd_blocks(n, units)
+            got = [menon_sum(n, a) for a in units]
+            assert got == menon_sum_gcd_blocks(n, units)
 
     def test_menon_sum_equals_the_gcd_blocks_near_1e6(self):
         rng = random.Random(1)
@@ -516,7 +540,7 @@ class TestFastPathsMatchTheLoops:
                 x = rng.randrange(2, n)
                 if math.gcd(x, n) == 1:
                     a.append(x)
-            assert menon_sum(n, a) == menon_sum_gcd_blocks(n, a)
+            assert [menon_sum(n, x) for x in a] == menon_sum_gcd_blocks(n, a)
 
     def test_brute_forces_equal_the_np_gcd_forms(self):
         for n in range(1, 151):
@@ -527,7 +551,8 @@ class TestFastPathsMatchTheLoops:
 
     def test_smallest_moduli(self):
         for n in (1, 2):
-            assert menon_sum(n, [1, -1, n + 1, 10**30 + 1]) == [n] * 4
+            units = (1, -1, n + 1, 10**30 + 1)
+            assert [menon_sum(n, a) for a in units] == [n] * 4
             for r in range(6):
                 assert a_bruteforce(n, r) == a_bruteforce_loop(n, r) == a_eval(n, r)
                 if r >= 1:
