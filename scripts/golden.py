@@ -69,6 +69,7 @@ CI_ARGV = [
     "verify squarefree --nmax 5000 --rmax 4",
     "verify domination --nmax 3000 --rmax 4",
     "verify a-threeway --nmax 100 --rmax 3",
+    "verify a-threeway --nmax 100 --rmax 20",
     "eval A --n 367463304676036369 --r 2",
     "eval tau --n 999915002889950870417603580143 --k 2",
     "eval A --n 1427247692705959880439315947500961989719490561 --r 2",

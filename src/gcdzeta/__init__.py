@@ -10,7 +10,8 @@ by an independent brute-force oracle in the test suite.
 
 from .arith import FactoredInteger, factorize
 from .errors import DomainError, NumericalError, ResourceError
-from .gcdsum import a_eval, a_recursion, b_bruteforce, b_closed, menon_sum
+from .gcdsum import (a_bruteforce, a_eval, a_recursion, b_bruteforce, b_closed,
+                     menon_sum)
 
 __all__ = [
     "FactoredInteger",
@@ -18,6 +19,7 @@ __all__ = [
     "DomainError",
     "NumericalError",
     "ResourceError",
+    "a_bruteforce",
     "a_eval",
     "a_recursion",
     "b_bruteforce",

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import analytic, dirichlet, gcdsum, igusa, multfun
-from .arith import LOOP_GUARD, _check_loop_guard, factorize
+from .arith import LOOP_GUARD, ProductTable, _check_loop_guard, factorize
 from .errors import DomainError, NumericalError, ResourceError
 
 DEFAULT_SEED = 987654321
@@ -32,10 +32,11 @@ DEFAULT_SEED = 987654321
 # large r where the values grow; 2-vCPU x86-64, Python 3.11): about this
 # many loop-guard steps of 0.25 us.
 _FR_CHECK_STEPS = 4
-# verify a-threeway's check at (n, r) runs r chain rows of a_bruteforce
-# and r levels of a_recursion; a row and its level take 6-8 us at n <= 4
-# (r = 300..2000, the most at large r where the numerators grow; same
-# box): about this many loop-guard steps.
+# verify a-threeway's check at (n, r) runs r levels of a_recursion and
+# a_eval's r + 1 local terms, and one carried chain row; a level with its
+# share of the rest takes 1.0-2.7 us at n <= 4 (r = 300..780, the most at
+# large r where the numerators grow; same box), within this many
+# loop-guard steps.
 _THREEWAY_ROW_STEPS = 32
 
 
@@ -181,27 +182,33 @@ def _cmd_eval(args) -> int:
 def _verify_menon(args):
     """menon_sum(n, a) at every unit a and b_bruteforce(n, r) for
     r = 1..rmax against the closed form, with one factorization and one
-    gcdsum.UnitTable per modulus: one product table for every Menon sum
-    and B_r step, and B_r carried to B_(r+1) by one more unit row.
-    n <= nmax is within the suite's guard, and each Menon sum and B_r
-    passes its own."""
+    units ProductTable per modulus: gcdsum.menon_sums reads its products,
+    and B_r is carried to B_(r+1) by one more row of its totals at
+    shift 1.  n <= nmax is within the suite's guard, and each Menon sum
+    and B_r passes its own."""
     for n in range(1, args.nmax + 1):
         fi = factorize(n)
         expected = gcdsum.b_closed(fi, 1)
-        table = gcdsum.UnitTable(n)
-        for a, got in zip(table.units.tolist(), table.menon_sums()):
+        table = ProductTable(n, units=True)
+        for a, got in zip(table.ks.tolist(), gcdsum.menon_sums(table)):
             yield n, (f"menon_sum({n}, {a}) = {got} != {expected}"
                       if got != expected else None)
-        brute = itertools.islice(table.b_values(), args.rmax)
+        brute = itertools.islice(table.totals(1, "b_bruteforce"), args.rmax)
         for r, value in enumerate(brute, 1):
             yield n, (f"B_{r}({n}) brute != closed"
                       if value != gcdsum.b_closed(fi, r) else None)
 
 
 def _verify_threeway(args):
-    for r in range(0, args.rmax + 1):
-        for n in range(1, args.nmax + 1):
-            brute = gcdsum.a_bruteforce(n, r)
+    """A_r(n) by the brute force, a_eval and a_recursion agree, for each
+    n and r = 0..rmax in turn: the brute force is one ProductTable per
+    modulus, its totals at shift 0 carrying A_r to A_(r+1) by one more
+    row, each passing a_bruteforce's guard."""
+    for n in range(1, args.nmax + 1):
+        # A_0 = 1, the empty product's: no table unless some r >= 1 reads it
+        totals = ProductTable(n).totals(0, "a_bruteforce") if args.rmax else None
+        for r in range(args.rmax + 1):
+            brute = Fraction(next(totals) if r else 1, n**r)
             local = gcdsum.a_eval(n, r)
             rec = gcdsum.a_recursion(n, r)
             yield n, None if brute == local == rec else (
@@ -266,7 +273,7 @@ def _grid_steps(args) -> int:
 
 
 def _threeway_steps(args) -> int:
-    # the checks, and their nmax rmax (rmax + 1) / 2 rows
+    # the checks, and their nmax rmax (rmax + 1) / 2 recursion levels
     rows = args.nmax * args.rmax * (args.rmax + 1) // 2
     return _grid_steps(args) + _THREEWAY_ROW_STEPS * rows
 

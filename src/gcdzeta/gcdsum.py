@@ -31,13 +31,9 @@ _BLOCK = 1 << 13
 
 
 def a_bruteforce(n: int, r: int) -> Fraction:
-    """A_r(n) summed from the definition, exactly.
-
-    gcd(k_1 ... k_r, n) depends only on the product mod n, so rather than
-    walking all n^r tuples it weights each residue c of the product by
-    gcd(c, n) from gcd_table, counted by the ProductTable chain over all
-    of 1..n; the guard counts its _convolution_steps.
-    """
+    """A_r(n) summed from the definition, exactly: the r-th of
+    ProductTable(n).totals at shift 0 over n^r.  The guard counts its
+    _convolution_steps before the table is built."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 0:
@@ -45,10 +41,8 @@ def a_bruteforce(n: int, r: int) -> Fraction:
     _check_loop_guard(_convolution_steps(n, r), "a_bruteforce")
     if r == 0:  # the empty product 1, and gcd(1, n) = 1
         return Fraction(1)
-    table = ProductTable(n, np.arange(1, n + 1))
-    dist = next(itertools.islice(table.chain([None] * r), r - 1, None))
-    divs, idx = gcd_table(n)
-    return Fraction(int((dist * divs[idx]).sum()), n**r)
+    totals = ProductTable(n).totals(0, "a_bruteforce")
+    return Fraction(next(itertools.islice(totals, r - 1, None)), n**r)
 
 
 def a_local_sum(t, k: int, r: int, s=1):
@@ -126,17 +120,17 @@ def a_recursion(n: int, r: int) -> Fraction:
 
 
 def b_bruteforce(n: int, r: int) -> int:
-    """B_r(n) summed from the definition: the r-th value of
-    UnitTable(n).b_values().  The guard counts the n steps that find the
-    units, then the chain's steps over phi(n) units."""
+    """B_r(n) summed from the definition: the r-th of ProductTable(n,
+    units=True).totals at shift 1.  The guard counts the n steps that
+    find the units, then the chain's steps over phi(n) units."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if r < 1:
         raise DomainError(f"B_r is defined for r >= 1, got {r}")
     _check_loop_guard(n, "b_bruteforce")  # one step per residue for the units
-    table = UnitTable(n)
-    _check_loop_guard(_convolution_steps(len(table.units), r), "b_bruteforce")
-    return next(itertools.islice(table.b_values(), r - 1, None))
+    table = ProductTable(n, units=True)
+    _check_loop_guard(_convolution_steps(len(table.ks), r), "b_bruteforce")
+    return next(itertools.islice(table.totals(1, "b_bruteforce"), r - 1, None))
 
 
 def b_closed(n: int | FactoredInteger, r: int) -> int:
@@ -149,33 +143,13 @@ def b_closed(n: int | FactoredInteger, r: int) -> int:
     return eval_int(phi, fi) ** r * eval_int(tau_k(2), fi)
 
 
-class UnitTable(ProductTable):
-    """The ProductTable over the units k in [1, n] (ascending, int64)
-    that every Menon sum and B_r brute force at n reads, with the weight
-    gcd(c - 1, n) of each residue c, from one gcd_table(n).  Callers
-    guard n; the Menon sums and each B_r guard what they add."""
-
-    def __init__(self, n: int):
-        divs, idx = gcd_table(n)
-        self.units = np.flatnonzero(np.concatenate((idx[1:], idx[:1])) == 0) + 1
-        super().__init__(n, self.units)
-        self.weights = divs[idx[(np.arange(n) - 1) % n]]
-
-    def menon_sums(self) -> list[int]:
-        """menon_sum(n, a) for each unit a, in ascending order: each row
-        of the product table weighted by gcd(a k - 1, n); guarded by
-        len(units) n steps, the sum of menon_sum's n per unit."""
-        _check_loop_guard(len(self.units) * self.n, "menon_sum")
-        return self.weights[self.products].sum(axis=1).tolist()
-
-    def b_values(self):
-        """Yield B_1(n), B_2(n), ...: the chain's counts of the unit
-        tuples, residue c weighted by gcd(c - 1, n); each r first passes
-        the guard on its _convolution_steps, as b_bruteforce(n, r) does."""
-        size, chain = len(self.units), self.chain(itertools.repeat(None))
-        for r in itertools.count(1):
-            _check_loop_guard(_convolution_steps(size, r), "b_bruteforce")
-            yield int((next(chain) * self.weights).sum())
+def menon_sums(table: ProductTable) -> list[int]:
+    """menon_sum(n, a) at each unit a of a units table, ascending: each
+    row of its products weighted by gcd(c - 1, n); guarded by len(ks) n
+    steps, the sum of menon_sum's n per unit."""
+    _check_loop_guard(len(table.ks) * table.n, "menon_sum")
+    weights = table.gcds.take(np.arange(-1, table.n - 1), mode="wrap")
+    return weights[table.products].sum(axis=1).tolist()
 
 
 def menon_sum(n: int, a: int) -> int:

@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .arith import (FactoredInteger, ProductTable, _check_loop_guard,
-                    _convolution_steps, factorize, gcd_table)
+                    _convolution_steps, factorize)
 from .errors import DomainError, NumericalError
 
 # Unit roundoff of float64.
@@ -120,7 +120,7 @@ def igusa_direct(
     is summed into its class sums W_j[d] = sum of m^-s_j over m <= T with
     m = d (mod n), the classes are convolved under multiplication mod n
     (ProductTable's chain, in float64), and residue c is weighted by
-    gcd(c, n), read off gcd_table.  The loop guard checks _direct_steps.
+    gcd(c, n), the table's gcds.  The loop guard checks _direct_steps.
 
     The bound is the truncation tail, from gcd <= n on every omitted
     tuple,
@@ -142,9 +142,8 @@ def igusa_direct(
     ]) for sj in s]
     full = math.prod(hurwitz_zeta(sj) for sj in s)
     trunc = math.prod(math.fsum(row) for row in rows)
-    divs, idx = gcd_table(n)
-    gcds = divs[idx]
-    chain = ProductTable(n, np.arange(1, n + 1)).chain(rows)
+    table = ProductTable(n)
+    gcds, chain = table.gcds, table.chain(rows)
     # an overflow to inf is the NumericalError below, not a warning
     with np.errstate(over="ignore"):
         value = math.fsum(gcds * next(itertools.islice(chain, r - 1, None)))

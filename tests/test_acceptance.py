@@ -16,7 +16,7 @@ import pytest
 from conftest import poly_at
 
 from gcdzeta import analytic, dirichlet, gcdsum, igusa, multfun
-from gcdzeta.arith import factorize, prime_array
+from gcdzeta.arith import ProductTable, factorize, prime_array
 
 GAMMA = 0.5772156649015329
 SIX_OVER_PI2 = 6 / math.pi**2
@@ -73,9 +73,9 @@ def test_criterion_2_menon_identities():
     # n - 1 and one seeded unit
     rng = random.Random(2)
     for n in range(1, 501):
-        table, expected = gcdsum.UnitTable(n), gcdsum.b_closed(n, 1)
-        units = table.units.tolist()
-        if table.menon_sums() != [expected] * len(units):
+        table, expected = ProductTable(n, units=True), gcdsum.b_closed(n, 1)
+        units = table.ks.tolist()
+        if gcdsum.menon_sums(table) != [expected] * len(units):
             ok = False
         for a in (1, n - 1, rng.choice(units)):
             if gcdsum.menon_sum(n, a) != expected:

@@ -383,10 +383,10 @@ class TestVerify:
                     checked += 1
             return f"PASS {checked}/{checked}"
 
-        real = gcdsum.UnitTable.menon_sums
-        monkeypatch.setattr(gcdsum.UnitTable, "menon_sums", lambda self: [
-            v + wrong(self.n, x)
-            for x, v in zip(self.units.tolist(), real(self))
+        real = gcdsum.menon_sums
+        monkeypatch.setattr(gcdsum, "menon_sums", lambda table: [
+            v + wrong(table.n, x)
+            for x, v in zip(table.ks.tolist(), real(table))
         ])
         out = io.StringIO()
         with redirect_stdout(out):
@@ -399,16 +399,25 @@ class TestVerify:
     # the checks that passed before it
     @pytest.mark.parametrize("module, name, wrong, argv, line", [
         # the B_r that verify menon carries from r to r + 1
-        (gcdsum.UnitTable, "b_values",
-         lambda real: lambda self: (
-             v + ((self.n, r) == (6, 2)) for r, v in enumerate(real(self), 1)),
+        (arith.ProductTable, "totals",
+         lambda real: lambda self, shift, what: (
+             v + ((self.n, r, shift) == (6, 2, 1))
+             for r, v in enumerate(real(self, shift, what), 1)),
          ["menon", "--nmax", "10"],
          "FAIL after 28 checks at 6: B_2(6) brute != closed"),
         (gcdsum, "a_recursion",
          lambda real: lambda n, r: real(n, r) + ((n, r) == (5, 1)),
          ["a-threeway", "--nmax", "10"],
-         "FAIL after 14 checks at 5: "
+         "FAIL after 17 checks at 5: "
          "A_1(5): brute=9/5 local=9/5 recursion=14/5"),
+        # the A_r that verify a-threeway carries from r to r + 1
+        (arith.ProductTable, "totals",
+         lambda real: lambda self, shift, what: (
+             v + ((self.n, r, shift) == (5, 1, 0))
+             for r, v in enumerate(real(self, shift, what), 1)),
+         ["a-threeway", "--nmax", "10"],
+         "FAIL after 17 checks at 5: "
+         "A_1(5): brute=2 local=9/5 recursion=9/5"),
         # f_r wrong at a k <= r here; at a k > r, with a degree above r
         # and with a flipped sign after the mult case
         (dirichlet, "f_r_local",
@@ -453,6 +462,26 @@ class TestVerify:
         with redirect_stdout(out):
             code = main(["verify", *argv])
         assert (code, out.getvalue()) == (1, line + "\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["a-threeway", "--nmax", "30", "--rmax", "12"], "PASS 390/390"),
+        (["menon", "--nmax", "30"], "PASS 368/368"),
+    ])
+    def test_one_table_per_modulus(self, monkeypatch, argv, line):
+        # a-threeway carries A_r to A_(r+1) as menon carries B_r, so
+        # neither builds a table per (n, r)
+        built, real = [], arith.ProductTable.__init__
+
+        def counted(self, n, *args, **kwargs):
+            built.append(n)
+            real(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(arith.ProductTable, "__init__", counted)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", *argv]) == 0
+        assert out.getvalue() == line + "\n"
+        assert built == list(range(1, 31))
 
     @staticmethod
     def fraction_form(suite, nmax, rmax, wrong):
@@ -619,6 +648,7 @@ class TestVerify:
         # with more steps than the suite's count, so only the suite's
         # guard is left to read the lowered LOOP_GUARD
         monkeypatch.setattr(gcdsum, "_check_loop_guard", lambda *_: None)
+        monkeypatch.setattr(arith, "_check_loop_guard", lambda *_: None)
         monkeypatch.setattr(arith, "LOOP_GUARD", steps)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcdzeta.arith
 import gcdzeta.gcdsum
 from conftest import (
     a_eval_product,
@@ -23,7 +24,6 @@ from gcdzeta.arith import (LOOP_GUARD, ProductTable, factorize, prime_array,
                             primes_upto)
 from gcdzeta.errors import DomainError, ResourceError
 from gcdzeta.gcdsum import (
-    UnitTable,
     a_bruteforce,
     a_eval,
     a_local_numerator,
@@ -33,6 +33,7 @@ from gcdzeta.gcdsum import (
     b_bruteforce,
     b_closed,
     menon_sum,
+    menon_sums,
 )
 
 # The naive tuple loops are oracles for the aggregated brute force only.
@@ -82,15 +83,14 @@ def b_bruteforce_loop(n: int, r: int) -> int:
     return sum(cnt * math.gcd(c - 1, n) for c, cnt in enumerate(dist))
 
 
-def chain_counts(n: int, ks, r: int) -> np.ndarray:
-    """The ProductTable chain's counts of the r-fold products of ks mod
-    n; at r = 0 the empty product's, 1 at 1 mod n."""
+def chain_counts(table: ProductTable, r: int) -> np.ndarray:
+    """The table's chain counts of the r-fold products of its ks mod n;
+    at r = 0 the empty product's, 1 at 1 mod n."""
     if r == 0:
-        dist = np.zeros(n, dtype=np.int64)
-        dist[1 % n] = 1
+        dist = np.zeros(table.n, dtype=np.int64)
+        dist[1 % table.n] = 1
         return dist
-    chain = ProductTable(n, np.asarray(ks)).chain(repeat(None))
-    return next(islice(chain, r - 1, None))
+    return next(islice(table.chain(repeat(None)), r - 1, None))
 
 
 def float_chain_loop(n: int, ks, rows) -> list[list[float]]:
@@ -112,15 +112,17 @@ def float_chain_loop(n: int, ks, rows) -> list[list[float]]:
 
 def a_bruteforce_gcd(n: int, r: int) -> Fraction:
     """a_bruteforce as it was before arith.gcd_table, weights by np.gcd."""
-    dist = chain_counts(n, np.arange(1, n + 1), r)
+    dist = chain_counts(ProductTable(n), r)
     return Fraction(int((dist * gcd_row(n, 0, n)).sum()), n**r)
 
 
 def b_bruteforce_gcd(n: int, r: int) -> int:
     """b_bruteforce as it was before arith.gcd_table: units and weights
     gcd(c - 1, n) by np.gcd."""
-    units = np.flatnonzero(gcd_row(n, 1, n + 1) == 1) + 1
-    dist = chain_counts(n, units, r)
+    table = ProductTable(n, units=True)
+    assert table.ks.tolist() == (np.flatnonzero(gcd_row(n, 1, n + 1) == 1)
+                                 + 1).tolist()
+    dist = chain_counts(table, r)
     return int((dist * gcd_row(n, -1, n - 1)).sum())
 
 
@@ -191,6 +193,7 @@ class TestABruteforce:
         def no_table(n):
             raise AssertionError(f"gcd_table({n}) built before the guard")
 
+        monkeypatch.setattr(gcdzeta.arith, "gcd_table", no_table)
         monkeypatch.setattr(gcdzeta.gcdsum, "gcd_table", no_table)
         start = time.perf_counter()
         with pytest.raises(ResourceError):
@@ -399,40 +402,53 @@ class TestB:
             b_closed(4, 0)
 
 
-class TestUnitTable:
-    """The one table per modulus of verify menon against the single calls
-    it replaces."""
+class TestProductTable:
+    """The one table per modulus of verify menon and verify a-threeway
+    against the single calls it replaces."""
 
     def test_units_are_those_of_math_gcd(self):
+        # n = 1 included: its one unit is k = 1, residue 0
         for n in range(1, 301):
-            assert UnitTable(n).units.tolist() == [
+            assert ProductTable(n, units=True).ks.tolist() == [
                 a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+            assert ProductTable(n).ks.tolist() == list(range(1, n + 1))
 
     def test_menon_sums_equal_menon_sum(self):
         for n in range(1, 301):
-            table = UnitTable(n)
-            assert table.menon_sums() == [
-                menon_sum(n, a) for a in table.units.tolist()]
+            table = ProductTable(n, units=True)
+            assert menon_sums(table) == [
+                menon_sum(n, a) for a in table.ks.tolist()]
 
-    def test_carried_chain_equals_single_calls_across_the_int_switch(self):
+    def test_carried_b_totals_equal_single_calls_across_the_int_switch(self):
         # counts leave int64 once phi(n)^r n >= 2^63: at r = 10 for n = 59,
         # r = 11 for n = 41 and r = 12 for n = 31, among others
         switched = 0
         for n in range(1, 61):
-            table = UnitTable(n)
-            chain = list(islice(table.b_values(), 12))
-            switched += len(table.units) ** 12 * n >= 2**63
+            table = ProductTable(n, units=True)
+            chain = list(islice(table.totals(1, "b_bruteforce"), 12))
+            switched += len(table.ks) ** 12 * n >= 2**63
             assert chain == [b_bruteforce(n, r) for r in range(1, 13)]
             assert chain == [b_closed(n, r) for r in range(1, 13)]
         assert switched == 12
 
+    def test_carried_a_totals_equal_the_loops_across_the_int_switch(self):
+        # counts leave int64 once n^r n >= 2^63: by r = 12 for n >= 29
+        switched = 0
+        for n in range(1, 61):
+            totals = ProductTable(n).totals(0, "a_bruteforce")
+            chain = [Fraction(t, n**r) for r, t in enumerate(islice(totals, 12), 1)]
+            switched += n**13 >= 2**63
+            assert chain == [a_bruteforce_loop(n, r) for r in range(1, 13)]
+            assert chain == [a_eval(n, r) for r in range(1, 13)]
+        assert switched == 32
+
     def test_guards_run_as_in_the_single_calls(self):
         # 3163 is prime: 3162 3163 = 3162 + 3162^2 steps pass the guard
-        table = UnitTable(3163)
+        table = ProductTable(3163, units=True)
         with pytest.raises(ResourceError,
                            match="menon_sum needs 10001406 loop steps"):
-            table.menon_sums()
-        values = table.b_values()
+            menon_sums(table)
+        values = table.totals(1, "b_bruteforce")
         assert next(values) == b_closed(3163, 1)
         with pytest.raises(ResourceError,
                            match="b_bruteforce needs 10001406 loop steps"):
@@ -441,6 +457,15 @@ class TestUnitTable:
                            match="b_bruteforce needs 10001406 loop steps"):
             b_bruteforce(3163, 2)
         assert "products" not in vars(table)  # never built past a guard
+        # 3163 + 3163^2 steps, under a_bruteforce's name as in the call
+        values = ProductTable(3163).totals(0, "a_bruteforce")
+        assert Fraction(next(values), 3163) == a_eval(3163, 1)
+        with pytest.raises(ResourceError,
+                           match="a_bruteforce needs 10007732 loop steps"):
+            next(values)
+        with pytest.raises(ResourceError,
+                           match="a_bruteforce needs 10007732 loop steps"):
+            a_bruteforce(3163, 2)
 
 
 class TestMenonSum:
@@ -561,17 +586,16 @@ class TestFastPathsMatchTheLoops:
     def test_python_int_counts_past_int64(self):
         # int64 while (row support)^r n < 2^63: 3^39 < 2^63 < 3^40 and
         # 6^23 9 < 2^63 < 6^24 9, phi(9) = 6
-        all3 = np.arange(1, 4)
-        units9 = np.flatnonzero(np.gcd(np.arange(1, 10), 9) == 1) + 1
-        assert chain_counts(3, all3, 38).dtype == np.int64
-        assert chain_counts(3, all3, 39).dtype == object
-        assert chain_counts(9, units9, 23).dtype == np.int64
-        assert chain_counts(9, units9, 24).dtype == object
+        all3, units9 = ProductTable(3), ProductTable(9, units=True)
+        assert chain_counts(all3, 38).dtype == np.int64
+        assert chain_counts(all3, 39).dtype == object
+        assert chain_counts(units9, 23).dtype == np.int64
+        assert chain_counts(units9, 24).dtype == object
         for r in (38, 39, 60):
             assert a_bruteforce(3, r) == a_bruteforce_loop(3, r) == a_eval(3, r)
         for r in (23, 24, 40):
             assert b_bruteforce(9, r) == b_bruteforce_loop(9, r) == b_closed(9, r)
-        for counts in (chain_counts(3, all3, 60), chain_counts(9, units9, 40)):
+        for counts in (chain_counts(all3, 60), chain_counts(units9, 40)):
             assert all(type(c) is int for c in counts)
 
     def test_float_chain_equals_the_loop_bit_for_bit(self):
@@ -579,13 +603,13 @@ class TestFastPathsMatchTheLoops:
         # about a third are 0, which the chain skips and the loop adds
         rng = random.Random(27)
         for n in range(1, 31):
-            units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-            for ks in (list(range(1, n + 1)), units):
+            for table in (ProductTable(n), ProductTable(n, units=True)):
+                ks = table.ks.tolist()
                 rows = [np.array([
                     0.0 if rng.random() < 0.3
                     else rng.random() * 2.0 ** rng.randint(-40, 40)
                     for _ in ks]) for _ in range(3)]
-                chain = ProductTable(n, np.array(ks)).chain(rows)
+                chain = table.chain(rows)
                 loop = float_chain_loop(n, ks, rows)
                 for ours, theirs in zip(chain, loop, strict=True):
                     assert ([x.hex() for x in ours.tolist()]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gcdzeta.arith
 import gcdzeta.igusa
 from conftest import gcd_row
 from gcdzeta.errors import DomainError, NumericalError, ResourceError
@@ -300,7 +301,7 @@ class TestIgusaDirect:
         s, trunc = (2.0, 2.5, 3.0, 3.5), 10**4
         ours = igusa_direct(12, s, trunc)
         # the np.gcd weights igusa_direct read before arith.gcd_table
-        monkeypatch.setattr(gcdzeta.igusa, "gcd_table",
+        monkeypatch.setattr(gcdzeta.arith, "gcd_table",
                             lambda n: (gcd_row(n, 0, n), np.arange(n)))
         old = igusa_direct(12, s, trunc)
         assert [v.hex() for v in ours] == [v.hex() for v in old]
