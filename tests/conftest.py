@@ -9,7 +9,7 @@ import pytest
 from gcdzeta import analytic
 from gcdzeta.arith import FactoredInteger, divisors, factorize, prime_array
 from gcdzeta.gcdsum import a_local_sum
-from gcdzeta.multfun import eval_int, phi
+from gcdzeta.multfun import eval_int, phi, tau_k
 
 hypothesis.settings.register_profile(
     "gcdzeta", deadline=None, max_examples=100
@@ -128,6 +128,15 @@ def geometric_checkpoints_set(x_max: int, count: int) -> list[int]:
     cps = sorted(set(int(round(v)) for v in pts))
     cps[-1] = x_max
     return sorted(set(cps))
+
+
+def scan_local(kind: str, order: int):
+    """(p, k) -> f(p^k) in float64 for A_order or tau_order: the local
+    function a window table of either is built from."""
+    if kind == "A":
+        return analytic._a_local(order)
+    tau = tau_k(order)
+    return lambda p, k: float(tau(p, k))
 
 
 def value_table(local, x_max: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -9,10 +10,15 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
-from conftest import geometric_checkpoints_set, poly_at, value_table
+from conftest import (
+    geometric_checkpoints_set,
+    poly_at,
+    scan_local,
+    value_table,
+)
 from hypothesis import strategies as st
 
-from gcdzeta import analytic, arith, cli
+from gcdzeta import analytic, arith, cli, piltz
 from gcdzeta.analytic import (
     ExtremalSample,
     SummatoryReport,
@@ -32,8 +38,9 @@ from gcdzeta.gcdsum import a_eval
 SIX_OVER_PI2 = 6 / math.pi**2
 
 
-def brute_divisor_count_sum(x: int, k: int) -> int:
-    """Sum of tau_k(n) for n <= x by counting tuples over divisor lists."""
+def brute_divisor_counts(x: int, k: int) -> list[int]:
+    """tau_k(0..x) as Python ints (tau_k(0) = 0) by counting tuples over
+    divisor lists."""
     counts = [0] + [1] * x
     for _ in range(k - 1):
         nxt = [0] * (x + 1)
@@ -43,7 +50,39 @@ def brute_divisor_count_sum(x: int, k: int) -> int:
                 for m in range(d, x + 1, d):
                     nxt[m] += c
         counts = nxt
-    return sum(counts)
+    return counts
+
+
+def brute_divisor_count_sum(x: int, k: int) -> int:
+    """Sum of tau_k(n) for n <= x by counting tuples over divisor lists."""
+    return sum(brute_divisor_counts(x, k))
+
+
+def dirichlet_power_counts(x: int, k: int) -> list[int]:
+    """tau_k(0..x) as Python ints, the k-th Dirichlet power of 1 on the
+    whole range by binary powering: fast enough at k = 171."""
+
+    def times(f, g):
+        h = [0] * (x + 1)
+        for a in range(1, x + 1):
+            if f[a]:
+                for b in range(1, x // a + 1):
+                    h[a * b] += f[a] * g[b]
+        return h
+
+    one = [0] + [1] * x
+    power = one
+    for bit in bin(k)[3:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, one)
+    return power
+
+
+def checkpoint_sums(counts: list[int], cps: list[int]) -> list[int]:
+    """sum(counts[1..c]) for c in cps."""
+    prefix = list(itertools.accumulate(counts))
+    return [prefix[c] for c in cps]
 
 
 class TestSummatoryScan:
@@ -132,10 +171,10 @@ class TestSummatoryScan:
         ):
             edge = blocks * 75 + count
             monkeypatch.setattr(arith, "LOOP_GUARD", edge)
-            summatory_scan("tau", 2, x_max, checkpoint_count=count)
+            summatory_scan("A", 2, x_max, checkpoint_count=count)
             monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
             with pytest.raises(ResourceError, match=f"needs {edge} loop"):
-                summatory_scan("tau", 2, x_max, checkpoint_count=count)
+                summatory_scan("A", 2, x_max, checkpoint_count=count)
 
     def test_huge_checkpoint_count_refused_before_any_point(
         self, monkeypatch
@@ -480,7 +519,7 @@ class TestFastPathsAgainstReferences:
          ("tau", 4)],
     )
     def test_value_table_bit_identical(self, kind, param, x_max, primes_between):
-        got = value_table(analytic._scan_local(kind, param), x_max)
+        got = value_table(scan_local(kind, param), x_max)
         want = per_prime_value_table(kind, param, x_max, primes_between(0, x_max))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -493,7 +532,7 @@ class TestFastPathsAgainstReferences:
     def test_block_sums_bit_identical(self, kind, param, x_max):
         # each block's grid total is exact, and each checkpoint is the
         # correctly rounded sum of the table up to x: math.fsum's value
-        vals = value_table(analytic._scan_local(kind, param), x_max)
+        vals = value_table(scan_local(kind, param), x_max)
         cps = analytic._geometric_checkpoints(x_max, 40)
         bounds = list(zip([0] + cps, cps))
         if x_max == 10**6:
@@ -513,7 +552,7 @@ class TestFastPathsAgainstReferences:
         "x_max", [10, 317**2, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7]
     )
     def test_windows_cover_the_table_in_order(self, x_max):
-        plan = analytic._window_plan(analytic._scan_local("tau", 2), x_max,
+        plan = analytic._window_plan(scan_local("tau", 2), x_max,
                                      arith.prime_array(x_max))
         got = [(lo, window.size) for lo, window
                in analytic._value_windows(plan, x_max, 0, x_max + 1)]
@@ -536,7 +575,7 @@ class TestFastPathsAgainstReferences:
         monkeypatch.setattr(
             analytic, "_geometric_checkpoints", lambda x, count: cps
         )
-        table = value_table(analytic._scan_local(kind, param), x_max).tolist()
+        table = value_table(scan_local(kind, param), x_max).tolist()
         for report in scans_on_cpus(monkeypatch, kind, param, x_max):
             assert [x for x, _ in report.checkpoints] == cps
             assert float_bits([s for _, s in report.checkpoints]) == (
@@ -551,7 +590,7 @@ class TestFastPathsAgainstReferences:
         xs = [x for x, _ in reports[0].checkpoints]
         assert xs[-1] - xs[-2] > 2 * WINDOW
         carry, want = 0, []
-        plan = analytic._window_plan(analytic._scan_local("A", 2), 10**7,
+        plan = analytic._window_plan(scan_local("A", 2), 10**7,
                                      arith.prime_array(10**7))
         for lo, window in analytic._value_windows(plan, 10**7, 0, 10**7 + 1):
             for x in xs:
@@ -582,6 +621,158 @@ class TestFastPathsAgainstReferences:
         assert abs(value - exact) <= 1e-12 * exact
 
 
+def hyperbola_columns(k: int, cps: list[int]):
+    """_tau_column as divisor_sums sets it up: a function of (dtype, mod)."""
+    y = piltz._table_size(cps)
+    grid = piltz._floor_grid(cps, y, lambda terms: None)
+    chain = piltz._tau_chain(k)
+    shape_of, shapes = piltz._tau_shapes(y)
+    tables = {j: [math.prod(math.comb(e + j - 1, e) ** count
+                            for e, count in shape) for shape in shapes]
+              for j in chain}
+    return lambda dtype, mod: piltz._tau_column(
+        grid, shape_of, tables, chain, dtype, mod).tolist()
+
+
+def hyperbola_cost(k: int, cps: list[int]) -> tuple[int, int, int]:
+    """(table entries, grid terms, chain levels) of divisor_sums, counted
+    here by walking every checkpoint's floor grid."""
+    x = cps[-1]
+    y = min(x, max(math.isqrt(x), min(int(0.6 * sum(cps) ** (2 / 3)), 2**20)))
+    terms = sum(math.isqrt(c // m) for c in cps
+                for m in range(1, c // (y + 1) + 1))
+    levels = k.bit_length() - 1 + bin(k).count("1") - 1
+    return y + 1, terms, levels
+
+
+class TestTauHyperbola:
+    """tau_k scans: D_k(c) exactly, by the hyperbola on c's floor grid."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("x", [10, 11, 100, 999, 3000])
+    def test_every_checkpoint_equals_the_tuple_count(self, k, x):
+        report = summatory_scan("tau", k, x)
+        cps = [c for c, _ in report.checkpoints]
+        exact = checkpoint_sums(brute_divisor_counts(x, k), cps)
+        assert [s for _, s in report.checkpoints] == [float(d) for d in exact]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sums_are_the_window_tables_rounded_to_integers(self, k):
+        # the float table's entries sit near, not always on, the integers;
+        # its exact sum rounds to D_k at every checkpoint
+        x = 10**5
+        table = value_table(scan_local("tau", k), x)
+        assert np.abs(table - np.rint(table)).max() < 1e-9
+        report = summatory_scan("tau", k, x)
+        assert all(s.is_integer() for _, s in report.checkpoints)
+        assert [s for _, s in report.checkpoints] == [
+            float(round(math.fsum(table[1 : c + 1].tolist())))
+            for c, _ in report.checkpoints]
+
+    @pytest.mark.parametrize("k, x", [(40, 1000), (171, 400), (171, 8192)])
+    def test_each_arithmetic_against_python_ints(self, k, x):
+        cps = analytic._geometric_checkpoints(x, 40)
+        exact = checkpoint_sums(dirichlet_power_counts(x, k), cps)
+        if x <= 1000:
+            assert exact == checkpoint_sums(brute_divisor_counts(x, k), cps)
+        column = hyperbola_columns(k, cps)
+        assert column(np.uint64, None) == [d % 2**64 for d in exact]
+        p = piltz._RESIDUE_PRIME - 2  # 2^24 - 3 is prime
+        assert arith.is_prime(p)
+        assert column(np.uint64, p) == [d % p for d in exact]
+        for e, d in zip(column(np.float64, None), exact):
+            assert abs(e - d) <= 1e-12 * d
+        # past 2^64 the scan joins the uint64 run to runs mod primes
+        assert (max(exact) > 2**64) == (x == 8192)
+        report = summatory_scan("tau", k, x)
+        assert report.checkpoints == [(c, float(d))
+                                      for c, d in zip(cps, exact)]
+
+    def test_residues_off_the_estimate_are_refused(self, monkeypatch):
+        column = piltz._tau_column
+
+        def halved(grid, shape_of, tables, chain, dtype, mod):
+            out = column(grid, shape_of, tables, chain, dtype, mod)
+            return out / 2 if dtype is np.float64 else out
+
+        monkeypatch.setattr(piltz, "_tau_column", halved)
+        with pytest.raises(NumericalError, match="by residues but about"):
+            summatory_scan("tau", 40, 1000)
+
+    def test_chain_doubles_or_adds_one(self):
+        for k in (1, 2, 3, 7, 40, 171):
+            chain = piltz._tau_chain(k)
+            assert chain[0] == 1 and chain[-1] == k
+            assert all(b in (2 * a, a + 1) for a, b in zip(chain, chain[1:]))
+            assert len(chain) - 1 == hyperbola_cost(k, [10])[2]
+        assert len(piltz._tau_chain(171)) - 1 == 11
+
+    @pytest.mark.parametrize("k, x, count, columns", [
+        (3, 10**6, 40, 1),
+        # the bound on D_40(1000) passes 2^64 but the value, 7.6e10, does
+        # not: the float64 and the uint64 column
+        (40, 1000, 40, 2),
+        # D_171(8192), 1.0e20, takes one prime below 2^24 past those two
+        (171, 8192, 40, 3),
+    ])
+    def test_guard_at_the_cap_and_one_step_past(
+        self, monkeypatch, k, x, count, columns
+    ):
+        cps = analytic._geometric_checkpoints(x, count)
+        entries, terms, levels = hyperbola_cost(k, cps)
+        edge = (count + len(cps) * 60
+                + (levels * columns + 2)
+                * (entries // 16 + terms // 24 + 700))
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge)
+        summatory_scan("tau", k, x, count)
+        monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
+        with pytest.raises(ResourceError, match=f"needs {edge} loop steps"):
+            summatory_scan("tau", k, x, count)
+
+    def test_grid_past_its_byte_cap_is_refused_before_its_terms(
+        self, monkeypatch
+    ):
+        cps = analytic._geometric_checkpoints(10**6, 40)
+        terms = hyperbola_cost(3, cps)[1]
+        monkeypatch.setattr(piltz, "_GRID_TERMS", terms)
+        summatory_scan("tau", 3, 10**6)
+        monkeypatch.setattr(piltz, "_GRID_TERMS", terms - 1)
+        with pytest.raises(ResourceError, match=f"needs {terms} terms"):
+            summatory_scan("tau", 3, 10**6)
+
+    def test_past_1e8_refused_before_any_table(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built past the limit")
+
+        monkeypatch.setattr(piltz, "_tau_shapes", unreachable)
+        monkeypatch.setattr(analytic, "_geometric_checkpoints", unreachable)
+        with pytest.raises(ResourceError, match="tau scan limit 100000001"):
+            summatory_scan("tau", 2, 10**8 + 1)
+
+    def test_no_sieve_window_or_fork(self, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a tau scan reached the window machinery")
+
+        for module, name in ((arith, "prime_array"),
+                             (analytic, "prime_array"),
+                             (analytic, "_window_plan"),
+                             (analytic, "_value_windows"),
+                             (analytic, "_in_processes"), (os, "fork")):
+            monkeypatch.setattr(module, name, unreachable)
+        code = cli.main(["scan", "tau", "--k", "3", "--xmax", "1000000"])
+        assert code == 0
+        # D_3(10^6), the count of (a, b, c) with abc <= 10^6
+        assert capsys.readouterr().out.startswith(
+            "tau_3 scan to 1000000: S(1000000) = 106030594.0\n")
+
+    @pytest.mark.parametrize("k", [40, 171])
+    def test_large_orders_at_1e7_are_integers(self, k):
+        report = summatory_scan("tau", k, 10**7)
+        sums = [s for _, s in report.checkpoints]
+        assert all(s.is_integer() for s in sums)
+        assert sums == sorted(sums)
+
+
 class TestScanProcesses:
     """The scan's runs of windows, one per usable CPU: the first in this
     process, the rest in forked children."""
@@ -599,7 +790,7 @@ class TestScanProcesses:
         vals[bad_at] = bad
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(analytic, "_value_windows", windows_of(vals))
-        code = cli.main(["scan", "tau", "--k", "2", "--xmax", str(x_max)])
+        code = cli.main(["scan", "A", "--r", "2", "--xmax", str(x_max)])
         out, err = capfd.readouterr()
         assert code == 3
         assert out == ""
@@ -617,7 +808,7 @@ class TestScanProcesses:
             analytic.pickle, "dumps",
             lambda obj: dumps(obj) if os.getpid() == parent else os._exit(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        code = cli.main(["scan", "tau", "--k", "2", "--xmax",
+        code = cli.main(["scan", "A", "--r", "2", "--xmax",
                          str(3 * WINDOW + 7)])
         out, err = capfd.readouterr()
         assert code == 4
@@ -636,7 +827,7 @@ class TestScanProcesses:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.delattr(os, missing)
-        report = summatory_scan("tau", 2, 3 * WINDOW + 7, 5)
+        report = summatory_scan("A", 2, 3 * WINDOW + 7, 5)
         assert report.checkpoints[-1][0] == 3 * WINDOW + 7
 
 

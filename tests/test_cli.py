@@ -854,8 +854,8 @@ class TestScan:
                 "print(resource.getrusage("
                 "resource.RUSAGE_CHILDREN).ru_maxrss)"
             )
-            argv = [sys.executable, "-m", "gcdzeta", "scan", "tau", "--k",
-                    "3", "--xmax", str(xmax)]
+            argv = [sys.executable, "-m", "gcdzeta", "scan", "A", "--r",
+                    "2", "--xmax", str(xmax)]
             result = subprocess.run(
                 [sys.executable, "-c", code, *argv],
                 capture_output=True, text=True, check=True,
