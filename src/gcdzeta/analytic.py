@@ -4,23 +4,15 @@ The partial sums of both A_r and the Piltz divisor function tau_k behave
 like x times a polynomial in log x.  Only the leading coefficient has a
 closed form (an Euler product for A_r, 1/(k-1)! for tau_k); the lower
 coefficients here are fitted, never derived, and the reports keep the two
-provenances separate.
-
-A_r values, all >= 1 and so multiples of 2^-52, are sieved and summed
-one 2 MB window at a time, never all held: each block between
-checkpoints and window edges is summed exactly as a count of 2^-52
-(_grid_total).  The windows are split into one contiguous run per usable
-CPU, each run in its own process (forked, and so only where os.fork
-exists), and the runs' exact int totals are merged in window order.
-Each checkpoint rounds the merged total once, to math.fsum(A_r(1..x)),
-byte-identical on rerun and on any CPU count.
-
-tau_k scans sieve nothing to x and hold no value table: D_k(c), the sum
-of tau_k(n) over n <= c, comes exactly at each checkpoint c from the
-Dirichlet hyperbola on c's floor grid {c // m}, over a tau_j table up to
-about 2 x^(2/3), along a doubling chain of O(log k) convolutions
-(piltz.divisor_sums), in one process.  Each checkpoint reports float(D_k(c)),
-the correctly rounded exact integer.
+provenances separate.  A_r values, all >= 1 and so multiples of 2^-52,
+are sieved and summed one 2 MB window at a time, never all held: each
+block between checkpoints and window edges is summed exactly as a count
+of 2^-52 (_grid_total).  The windows are split into one contiguous run
+per usable CPU, each run in its own process (forked, and so only where
+os.fork exists), and the runs' exact int totals are merged in window
+order.  Each checkpoint rounds the merged total once, to
+math.fsum(A_r(1..x)), byte-identical on rerun and on any CPU count.
+tau_k scans report float(D_k(c)) of the exact D_k (piltz.py).
 """
 
 from __future__ import annotations
@@ -35,18 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import SIEVE_LIMIT, _check_loop_guard, prime_array, primes_in_range
+from .arith import _check_loop_guard, prime_array, primes_in_range
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
-from .piltz import divisor_sums
 
 _GRID_BITS = 52  # table entries are >= 1, so multiples of 2^-52
 # _grid_total splits entries into integer limbs of this many bits on that
 # grid and sums each limb in float64 over chunks of this many entries:
 # the chunk sums stay below 2^(36 + 16) = 2^52, inside float64's exact
-# integers.  A_r entries (r <= 3, x <= 1e7) lie below 2^19 (A_r <=
-# tau_(r+1), and tau_4 peaks at 470400), so a block takes two limbs.
-# _window_plan's large primes go in chunks of the same size.
+# integers.  A_r entries (r <= 3, x <= 1e7) lie below 2^19, so a block
+# takes two limbs.
 _LIMB_BITS = 36
 _CHUNK = 2**16
 # One block sum of 1 to 100 entries takes 18.5-19.5 us (2-vCPU x86-64,
@@ -55,8 +45,7 @@ _BLOCK_SUM_STEPS = 75
 # Building 1e5 to 3e6 checkpoints takes 64-168 ns a point: under a step.
 _POINT_STEPS = 1
 _WINDOW = 2**18  # _value_windows' window: 2 MB of float64, inside L2
-# A tau scan's checkpoint past the hyperbola (its fit row, residual, and
-# CSV and JSON rows) takes 13-15 us: about this many steps.
+# A tau checkpoint's fit row, residual and output rows take 13-15 us.
 _TAU_POINT_STEPS = 60
 # One pass of extremal_statistic's local sum over omega primes takes
 # 2.5-6.5 us (the most at r near 1e6, where the powers of 1 - 1/p turn
@@ -135,8 +124,7 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
             ratios.append((pk, loc / prev))
             prev, pk, k = loc, pk * p, k + 1
     big = primes[split:]
-    # in fixed chunks, so local's float temporaries stay a chunk long
-    loc = np.empty(big.size)
+    loc = np.empty(big.size)  # in chunks, so temporaries stay small
     for start in range(0, big.size, _CHUNK):
         loc[start : start + _CHUNK] = local(big[start : start + _CHUNK], 1)
     ms = np.arange(1, x_max // int(big[0]) + 1)
@@ -342,10 +330,9 @@ def summatory_scan(
     decades the main term is fitted (leading coefficient pinned to the
     closed form) and residuals are recorded; otherwise the fit fields are
     left empty and only the sums are reported.  The loop guard counts
-    _POINT_STEPS per checkpoint asked for and, for A_r, _BLOCK_SUM_STEPS
-    per block summed: one per distinct checkpoint and one more per
-    window; for tau_k, _TAU_POINT_STEPS per distinct checkpoint and the
-    hyperbola's steps (piltz.divisor_sums).
+    _POINT_STEPS per checkpoint asked for and _BLOCK_SUM_STEPS per block
+    summed: one per distinct checkpoint and one more per window (tau_k:
+    _TAU_POINT_STEPS per checkpoint, and piltz charges the rest).
     """
     if kind not in ("A", "tau"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -364,17 +351,12 @@ def summatory_scan(
         raise DomainError(
             f"checkpoint count must be >= 1, got {checkpoint_count}"
         )
-    distinct = min(checkpoint_count, x_max - max(10, x_max // 1000) + 1)
-    points = checkpoint_count * _POINT_STEPS
+    blocks = min(checkpoint_count, x_max - max(10, x_max // 1000) + 1)
     if kind == "A":
-        blocks = distinct + x_max // _WINDOW + 1  # a piece at a window's end
-        _check_loop_guard(points + blocks * _BLOCK_SUM_STEPS, "summatory_scan")
-    else:
-        if x_max > SIEVE_LIMIT:
-            raise ResourceError(
-                f"tau scan limit {x_max} exceeds guard {SIEVE_LIMIT}")
-        _check_loop_guard(points + distinct * _TAU_POINT_STEPS,
-                          "summatory_scan")
+        blocks += x_max // _WINDOW + 1  # and a piece at each window's end
+    steps = blocks * (_BLOCK_SUM_STEPS if kind == "A" else _TAU_POINT_STEPS)
+    steps += checkpoint_count * _POINT_STEPS
+    _check_loop_guard(steps, "summatory_scan")
 
     cps = _geometric_checkpoints(x_max, checkpoint_count)
     if kind == "A":
@@ -383,7 +365,9 @@ def summatory_scan(
         limit = max(100, min(x_max, 10**6))
         fixed, euler_tail = euler_leading_coefficient(r_or_k, limit, primes)
     else:
-        sums = divisor_sums(r_or_k, cps, points + len(cps) * _TAU_POINT_STEPS)
+        from .piltz import divisor_sums  # only tau scans compile it
+
+        sums = divisor_sums(r_or_k, cps, steps)
         checkpoints = [(c, float(s)) for c, s in zip(cps, sums)]
         fixed, euler_tail = 1.0 / math.factorial(degree), 0.0
 

@@ -621,22 +621,44 @@ class TestFastPathsAgainstReferences:
         assert abs(value - exact) <= 1e-12 * exact
 
 
-def hyperbola_columns(k: int, cps: list[int]):
-    """_tau_column as divisor_sums sets it up: a function of (dtype, mod)."""
+def hyperbola_table(cps: list[int]):
+    """(y, table, primes) as divisor_sums sets them up for cps: the
+    table's shapes of 0..y and every prime up to isqrt(x)."""
+    x = cps[-1]
     y = piltz._table_size(cps)
+    primes = [p for p in range(2, math.isqrt(x) + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    return y, piltz._shapes(piltz._codes(0, y + 1, primes)), primes
+
+
+def hyperbola_columns(k: int, cps: list[int]):
+    """_tau_column on every checkpoint's floor grid: a function of
+    (dtype, mod)."""
+    y, table, _ = hyperbola_table(cps)
     grid = piltz._floor_grid(cps, y, lambda terms: None)
     chain = piltz._tau_chain(k)
-    shape_of, shapes = piltz._tau_shapes(y)
-    tables = {j: [math.prod(math.comb(e + j - 1, e) ** count
-                            for e, count in shape) for shape in shapes]
-              for j in chain}
     return lambda dtype, mod: piltz._tau_column(
-        grid, shape_of, tables, chain, dtype, mod).tolist()
+        grid, table, chain, dtype, mod).tolist()
+
+
+def segment_columns(k: int, cps: list[int]):
+    """D_k at cps chained by _segment_sums from 0: a function of
+    (dtype, mod)."""
+    primes = hyperbola_table(cps)[2]
+    segments = list(zip([0] + cps[:-1], cps))
+
+    def column(dtype, mod):
+        (part,) = piltz._segment_sums(k, segments, primes, [(dtype, mod)])
+        sums = list(itertools.accumulate(part.tolist()))
+        return sums if dtype is np.float64 else [
+            s % (mod or 2**64) for s in sums]
+
+    return column
 
 
 def hyperbola_cost(k: int, cps: list[int]) -> tuple[int, int, int]:
-    """(table entries, grid terms, chain levels) of divisor_sums, counted
-    here by walking every checkpoint's floor grid."""
+    """(table entries, grid terms, chain levels) of the hyperbola on
+    every checkpoint, counted here by walking every floor grid."""
     x = cps[-1]
     y = min(x, max(math.isqrt(x), min(int(0.6 * sum(cps) ** (2 / 3)), 2**20)))
     terms = sum(math.isqrt(c // m) for c in cps
@@ -645,8 +667,15 @@ def hyperbola_cost(k: int, cps: list[int]) -> tuple[int, int, int]:
     return y + 1, terms, levels
 
 
+def grid_bounds(cps: list[int], y: int) -> list[int]:
+    """The plan's bound on each checkpoint's grid terms, 2 sqrt(c L) for
+    its L = c // (y + 1) pairs, rounded up."""
+    return [math.ceil(2 * math.sqrt(c * (c // (y + 1)))) for c in cps]
+
+
 class TestTauHyperbola:
-    """tau_k scans: D_k(c) exactly, by the hyperbola on c's floor grid."""
+    """tau_k scans: D_k(c) exactly, by the hyperbola on c's floor grid or
+    by a segment sum from the checkpoint before."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("x", [10, 11, 100, 999, 3000])
@@ -675,24 +704,35 @@ class TestTauHyperbola:
         exact = checkpoint_sums(dirichlet_power_counts(x, k), cps)
         if x <= 1000:
             assert exact == checkpoint_sums(brute_divisor_counts(x, k), cps)
-        column = hyperbola_columns(k, cps)
-        assert column(np.uint64, None) == [d % 2**64 for d in exact]
         p = piltz._RESIDUE_PRIME - 2  # 2^24 - 3 is prime
         assert arith.is_prime(p)
-        assert column(np.uint64, p) == [d % p for d in exact]
-        for e, d in zip(column(np.float64, None), exact):
-            assert abs(e - d) <= 1e-12 * d
-        # past 2^64 the scan joins the uint64 run to runs mod primes
+        for column in (hyperbola_columns(k, cps), segment_columns(k, cps)):
+            assert column(np.uint64, None) == [d % 2**64 for d in exact]
+            assert column(np.uint64, p) == [d % p for d in exact]
+            for e, d in zip(column(np.float64, None), exact):
+                assert abs(e - d) <= 1e-12 * d
+        # past 2^64 the scan joins the uint64 column to columns mod primes
         assert (max(exact) > 2**64) == (x == 8192)
         report = summatory_scan("tau", k, x)
         assert report.checkpoints == [(c, float(d))
                                       for c, d in zip(cps, exact)]
 
+    @pytest.mark.parametrize("k", [2, 3, 40])
+    @pytest.mark.parametrize("read", [False, True])
+    def test_every_checkpoint_by_either_path(self, monkeypatch, k, read):
+        x = 3000
+        monkeypatch.setattr(piltz, "_plan",
+                            lambda cps, *args: [read] * len(cps))
+        cps = analytic._geometric_checkpoints(x, 3000)
+        assert len(cps) > 1000
+        exact = checkpoint_sums(brute_divisor_counts(x, k), cps)
+        assert piltz.divisor_sums(k, cps, 0) == exact
+
     def test_residues_off_the_estimate_are_refused(self, monkeypatch):
         column = piltz._tau_column
 
-        def halved(grid, shape_of, tables, chain, dtype, mod):
-            out = column(grid, shape_of, tables, chain, dtype, mod)
+        def halved(grid, table, chain, dtype, mod):
+            out = column(grid, table, chain, dtype, mod)
             return out / 2 if dtype is np.float64 else out
 
         monkeypatch.setattr(piltz, "_tau_column", halved)
@@ -707,46 +747,94 @@ class TestTauHyperbola:
             assert len(chain) - 1 == hyperbola_cost(k, [10])[2]
         assert len(piltz._tau_chain(171)) - 1 == 11
 
-    @pytest.mark.parametrize("k, x, count, columns", [
-        (3, 10**6, 40, 1),
-        # the bound on D_40(1000) passes 2^64 but the value, 7.6e10, does
-        # not: the float64 and the uint64 column
-        (40, 1000, 40, 2),
-        # D_171(8192), 1.0e20, takes one prime below 2^24 past those two
-        (171, 8192, 40, 3),
+    @pytest.mark.parametrize("k, x, columns", [
+        (3, 10**6, 1),
+        # the uint64 column and one prime below 2^24
+        (171, 8192, 2),
     ])
-    def test_guard_at_the_cap_and_one_step_past(
-        self, monkeypatch, k, x, count, columns
+    def test_hyperbola_steps_recounted_on_every_grid(
+        self, monkeypatch, k, x, columns
     ):
-        cps = analytic._geometric_checkpoints(x, count)
+        cps = analytic._geometric_checkpoints(x, 40)
         entries, terms, levels = hyperbola_cost(k, cps)
-        edge = (count + len(cps) * 60
-                + (levels * columns + 2)
-                * (entries // 16 + terms // 24 + 700))
+        y, table, primes = hyperbola_table(cps)
+        assert y + 1 == entries
+        monkeypatch.setattr(piltz, "_plan",
+                            lambda cps, *args: [True] * len(cps))
+        _, steps = piltz._checkpoint_columns(
+            k, cps, y, lambda: table, primes, [(np.uint64, None)] * columns,
+            0)
+        assert steps == (levels * columns + 2) * (
+            entries // 16 + terms // 24 + 700)
+
+    @pytest.mark.parametrize("k, x, columns", [
+        (3, 10**6, 1),
+        (4, 10**5, 1),
+        (171, 10**5, 2),
+    ])
+    def test_plan_at_its_budget_and_one_step_past(self, k, x, columns):
+        cps = analytic._geometric_checkpoints(x, 40)
+        entries, _, levels = hyperbola_cost(k, cps)
+        y = entries - 1
+        every = piltz._plan(cps, y, levels, columns, 10**12)
+        assert any(every)
+        bound = sum(b for b, d in zip(grid_bounds(cps, y), every) if d)
+        edge = (levels * columns + 2) * (700 + entries // 16
+                                         + -(-bound // 24))
+        assert piltz._plan(cps, y, levels, columns, edge) == every
+        fewer = piltz._plan(cps, y, levels, columns, edge - 1)
+        assert sum(fewer) < sum(every)
+        assert all(e for d, e in zip(fewer, every) if d)
+
+    @pytest.mark.parametrize("k", [3, 40, 171])
+    def test_any_guard_the_scan_admits_gives_the_same_sums(
+        self, monkeypatch, k
+    ):
+        x = 8192
+        want = summatory_scan("tau", k, x).checkpoints
+        cps = [c for c, _ in want]
+        # the scan's own charge; the rest goes to the hyperbola
+        edge = 40 + len(cps) * 60
+        for guard in (edge, edge + 5000, edge + 50000, edge + 500000):
+            monkeypatch.setattr(arith, "LOOP_GUARD", guard)
+            assert summatory_scan("tau", k, x).checkpoints == want
+
+    @pytest.mark.parametrize("count", [40, 400])
+    def test_scan_guard_at_the_cap_and_one_step_past(
+        self, monkeypatch, count
+    ):
+        x = 10**6
+        cps = analytic._geometric_checkpoints(x, count)
+        want = summatory_scan("tau", 3, x, count).checkpoints
+        edge = count + len(cps) * 60
         monkeypatch.setattr(arith, "LOOP_GUARD", edge)
-        summatory_scan("tau", k, x, count)
+        assert summatory_scan("tau", 3, x, count).checkpoints == want
         monkeypatch.setattr(arith, "LOOP_GUARD", edge - 1)
         with pytest.raises(ResourceError, match=f"needs {edge} loop steps"):
-            summatory_scan("tau", k, x, count)
+            summatory_scan("tau", 3, x, count)
 
-    def test_grid_past_its_byte_cap_is_refused_before_its_terms(
-        self, monkeypatch
-    ):
-        cps = analytic._geometric_checkpoints(10**6, 40)
-        terms = hyperbola_cost(3, cps)[1]
-        monkeypatch.setattr(piltz, "_GRID_TERMS", terms)
-        summatory_scan("tau", 3, 10**6)
-        monkeypatch.setattr(piltz, "_GRID_TERMS", terms - 1)
-        with pytest.raises(ResourceError, match=f"needs {terms} terms"):
-            summatory_scan("tau", 3, 10**6)
+    def test_grid_past_its_byte_cap_is_chained(self, monkeypatch):
+        x = 10**6
+        cps = analytic._geometric_checkpoints(x, 40)
+        y = piltz._table_size(cps)
+        want = summatory_scan("tau", 3, x).checkpoints
+        every = piltz._plan(cps, y, 2, 1, 10**12)
+        bound = sum(b for b, d in zip(grid_bounds(cps, y), every) if d)
+        monkeypatch.setattr(piltz, "_GRID_TERMS", bound)
+        assert piltz._plan(cps, y, 2, 1, 10**12) == every
+        monkeypatch.setattr(piltz, "_GRID_TERMS", bound - 1)
+        assert sum(piltz._plan(cps, y, 2, 1, 10**12)) < sum(every)
+        assert summatory_scan("tau", 3, x).checkpoints == want
 
     def test_past_1e8_refused_before_any_table(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("built past the limit")
 
-        monkeypatch.setattr(piltz, "_tau_shapes", unreachable)
-        monkeypatch.setattr(analytic, "_geometric_checkpoints", unreachable)
-        with pytest.raises(ResourceError, match="tau scan limit 100000001"):
+        monkeypatch.setattr(piltz, "_codes", unreachable)
+        with pytest.raises(
+            ResourceError,
+            match="sieve limit 100000001 exceeds guard 100000000",
+        ):
             summatory_scan("tau", 2, 10**8 + 1)
 
     def test_no_sieve_window_or_fork(self, monkeypatch, capsys):
@@ -764,6 +852,20 @@ class TestTauHyperbola:
         # D_3(10^6), the count of (a, b, c) with abc <= 10^6
         assert capsys.readouterr().out.startswith(
             "tau_3 scan to 1000000: S(1000000) = 106030594.0\n")
+
+    @pytest.mark.parametrize("x, count, want", [
+        (10**8, 400, "S(100000000) = 18362473634.0"),
+        # the most checkpoints the sieved table's guard admitted at 1e7:
+        # count + 75 (count + x // 2^18 + 1) <= 1e7
+        (10**7, (10**7 - 75 * (10**7 // 2**18 + 1)) // 76,
+         "S(10000000) = 1421760251.0"),
+    ])
+    def test_dense_checkpoints_run(self, capsys, x, count, want):
+        code = cli.main(["scan", "tau", "--k", "3", "--xmax", str(x),
+                         "--checkpoints", str(count)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            f"tau_3 scan to {x}: {want}\n")
 
     @pytest.mark.parametrize("k", [40, 171])
     def test_large_orders_at_1e7_are_integers(self, k):

@@ -285,6 +285,13 @@ class TestExitCodes:
         assert result.stderr.startswith("resource guard: sieve limit")
         assert elapsed < 1.0
 
+    def test_tau_scan_beyond_its_limit_keeps_the_sieves_message(self):
+        result = run_cli("scan", "tau", "--k", "3", "--xmax", "100000001")
+        assert result.returncode == 4
+        assert not result.stdout
+        assert result.stderr == (
+            "resource guard: sieve limit 100000001 exceeds guard 100000000\n")
+
     def test_direct_overflow_prints_one_line(self):
         s = ",".join(["1.5"] * 2400)
         result = run_cli("igusa", "--n", "1", "--s", s, "--method", "direct",

@@ -19,10 +19,11 @@ def _aliases(tree: ast.Module, package: str, modules: set[str]) -> dict:
     """Names bound by imports of the package: name -> (module, attribute).
 
     A module itself is bound as (module, ""); the package's __init__ is
-    the module "__init__".
+    the module "__init__".  An import inside a function binds its names
+    for the whole module, as one at the top would.
     """
     out = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level:
                 base = node.module
@@ -133,7 +134,11 @@ def test_an_orphan_is_named(tmp_path):
         "TABLE = Table()\n"
     )
     (src / "cli.py").write_text(
-        "from . import core\n\ndef main():\n    return core.exported()\n"
+        "from . import core\n\ndef main():\n"
+        "    from .lazy import late\n\n    return core.exported() + late()\n"
+    )
+    (src / "lazy.py").write_text(
+        "def late():\n    return 4\n\ndef never():\n    return 5\n"
     )
     (scripts / "run.py").write_text(
         "from pkg import core\n\ncore.used_by_script()\n"
@@ -141,4 +146,5 @@ def test_an_orphan_is_named(tmp_path):
     assert unreachable_definitions(src, scripts, "pkg") == [
         "core._orphan_helper",
         "core.orphan",
+        "lazy.never",
     ]
