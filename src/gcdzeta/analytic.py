@@ -5,12 +5,13 @@ like x times a polynomial in log x.  Only the leading coefficient has a
 closed form (an Euler product for A_r, 1/(k-1)! for tau_k); the lower
 coefficients here are fitted, never derived, and the reports keep the two
 provenances separate.  A_r values, all >= 1 and so multiples of 2^-52,
-are sieved and summed one 2 MB window at a time, never all held: each
-block between checkpoints and window edges is summed exactly as a count
-of 2^-52 (_grid_total).  The windows are split into one contiguous run
-per usable CPU, each run in its own process (forked, and so only where
-os.fork exists), and the runs' exact int totals are merged in window
-order.  Each checkpoint rounds the merged total once, to
+are sieved and summed one 2 MB window at a time, never all held, from
+the primes up to x/2 (one above sqrt(x) is an entry the passes leave
+at 1): each block between checkpoints and window edges is summed
+exactly as a count of 2^-52 (_grid_total).  The windows are split into
+one contiguous run per usable CPU, each run in its own process (forked,
+and so only where os.fork exists), and the runs' exact int totals are
+merged in window order.  Each checkpoint rounds the merged total once, to
 math.fsum(A_r(1..x)), byte-identical on rerun and on any CPU count.
 tau_k scans report float(D_k(c)) of the exact D_k (piltz.py).
 """
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _check_loop_guard, prime_array, primes_in_range
+from .arith import (SIEVE_LIMIT, _check_loop_guard, prime_array,
+                    primes_in_range)
 from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
 
@@ -111,10 +113,11 @@ def _a_local(r: int):
 def _window_plan(local, x_max: int, primes: np.ndarray):
     """What every window of f(0..x_max) reads, from local(p, k) = f(p^k)
     (p an int or an int64 array of primes) and the ascending primes up
-    to x_max (any past it go unused): the small-prime ratios, the
-    large primes with local(p, 1), their cofactors ms and head =
-    f(0..ms[-1]).  head takes the ratios in window 0's order, so it is
-    bit-identical to window 0's entries there."""
+    to x_max // 2 (any past it go unused): local, the small-prime
+    ratios, the primes in (sqrt(x_max), x_max / 2] with local(p, 1),
+    their cofactors ms >= 2 and head = f(0..ms[-1]).  head takes the
+    ratios in window 0's order, so it is bit-identical to window 0's
+    entries there."""
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
     ratios = []
     for p in primes[:split].tolist():
@@ -123,34 +126,37 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
             loc = local(p, k)
             ratios.append((pk, loc / prev))
             prev, pk, k = loc, pk * p, k + 1
-    big = primes[split:]
+    big = primes[split : np.searchsorted(primes, x_max // 2, side="right")]
     loc = np.empty(big.size)  # in chunks, so temporaries stay small
     for start in range(0, big.size, _CHUNK):
         loc[start : start + _CHUNK] = local(big[start : start + _CHUNK], 1)
-    ms = np.arange(1, x_max // int(big[0]) + 1)
-    head = np.ones(ms.size + 1)
+    ms = np.arange(2, x_max // int(big[0]) + 1)
+    head = np.ones(ms[-1] + 1)
     head[0] = 0.0
     for pk, ratio in ratios:
         head[::pk] *= ratio
-    return ratios, big, loc, ms, head
+    return local, ratios, big, loc, ms, head
 
 
 def _value_windows(plan, x_max: int, start: int, stop: int):
     """Yield (lo, window) with window[i] = f(lo + i) (f(0) = 0), one final
     _WINDOW of 0..x_max at a time, all in one reused float64 buffer, for
     the windows with start <= lo < stop; plan is _window_plan's for f.
+    Every ratio local(p, k) / local(p, k-1) must be > 1, local(p, 0) = 1.
 
-    Each prime p <= sqrt(x_max) multiplies local(p, k) / local(p, k-1)
-    into the entries divisible by p^k, leaving local(p, v_p(n)) in each
-    n.  A larger prime p divides n at most once, and m = n / p <
-    sqrt(x_max) then has n's small-prime valuations, so f(n) =
-    f(m) local(p, 1), with f(m) read from head: scatters of a quarter
-    window each (small index arrays) write it without reading the entry.
+    Each prime p <= sqrt(x_max) multiplies that ratio into the entries
+    divisible by p^k, leaving local(p, v_p(n)) in each n, and any entry
+    it touches above 1.  So an entry still exactly 1.0 is n = 1 or a
+    prime above sqrt(x_max), and gets local(n, 1): the m = 1 case below.
+    A larger prime p divides n at most once, and m = n / p < sqrt(x_max)
+    then has n's small-prime valuations, so f(n) = f(m) local(p, 1);
+    for m >= 2, f(m) is read from head, by scatters of a quarter window
+    each (small index arrays) that write it without reading the entry.
     Each entry takes its factors in ascending prime order, so the values
     are bit-identical to a pass per prime, and a window depends on no
     other window.
     """
-    ratios, big, loc, ms, head = plan
+    local, ratios, big, loc, ms, head = plan
     buf = np.empty(min(_WINDOW, x_max + 1))
     for lo in range(start, stop, _WINDOW):
         window = buf[: min(_WINDOW, x_max + 1 - lo)]
@@ -158,6 +164,9 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
         window[0] = 1.0 if lo else 0.0  # f(0) = 0: from 1 it would overflow
         for pk, ratio in ratios:
             window[-lo % pk :: pk] *= ratio
+        # past n = 1, the entries no pass touched are the primes
+        at = np.flatnonzero(window == 1.0)[0 if lo else 1 :]
+        window[at] = local(at + lo, 1)
         # big[a[j]:b[j]] are the large primes p with begin <= ms[j] p < end
         b = np.searchsorted(big, (lo - 1) // ms, side="right")
         for begin in range(lo, lo + window.size, _WINDOW // 4):
@@ -209,7 +218,7 @@ def _grid_total(block: np.ndarray) -> int:
 def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
                      cps: list[int]) -> list[tuple[int, float]]:
     """[(x, math.fsum(f(1..x))) for x in cps], f given by local as in
-    _window_plan and primes its sieve through x_max.
+    _window_plan and primes its sieve through x_max // 2.
 
     The windows are split into one contiguous run per usable CPU, each
     run summed in its own process (_in_processes).  The runs' exact int
@@ -360,9 +369,12 @@ def summatory_scan(
 
     cps = _geometric_checkpoints(x_max, checkpoint_count)
     if kind == "A":
-        primes = prime_array(max(x_max, 100))  # the Euler product reads to 100
+        if x_max > SIEVE_LIMIT:  # the windows reach x_max, the sieve x / 2
+            raise ResourceError(
+                f"sieve limit {x_max} exceeds guard {SIEVE_LIMIT}")
+        limit = max(100, min(x_max, 10**6))  # the Euler product's primes
+        primes = prime_array(max(x_max // 2, limit))
         checkpoints = _checkpoint_sums(_a_local(r_or_k), x_max, primes, cps)
-        limit = max(100, min(x_max, 10**6))
         fixed, euler_tail = euler_leading_coefficient(r_or_k, limit, primes)
     else:
         from .piltz import divisor_sums  # only tau scans compile it
@@ -444,8 +456,9 @@ def fit_main_term(
     if fixed_leading is not None:
         target = target - fixed_leading * xs * logs**degree
 
-    scale = np.linalg.norm(design, axis=0)
-    cond = np.linalg.cond(design / scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is refused below
+        scale = np.linalg.norm(design, axis=0)
+        cond = np.linalg.cond(design / scale)
     if not np.isfinite(cond) or cond > 1e10:
         raise NumericalError(
             f"fit is ill-conditioned (cond={cond:.2e}); "

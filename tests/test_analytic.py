@@ -216,6 +216,33 @@ class TestSummatoryScan:
             value, bound = euler_leading_coefficient(1, limit, prime_array(limit))
             assert (report.fixed_leading, report.euler_tail_bound) == (value, bound)
 
+    @pytest.mark.parametrize("x_max, sieved", [
+        # max(x_max // 2, the Euler limit max(100, min(x_max, 10^6)))
+        (10, 100), (10**5, 10**5), (3 * 10**6, 1_500_000),
+    ])
+    def test_one_sieve_to_half_of_x_max(self, monkeypatch, x_max, sieved):
+        # the primes above x_max / 2 come from the windows, not the sieve
+        calls = []
+
+        def sieve(n):
+            calls.append(n)
+            return prime_array(n)
+
+        monkeypatch.setattr(analytic, "prime_array", sieve)
+        summatory_scan("A", 2, x_max)
+        assert calls == [sieved]
+
+    def test_past_the_sieve_limit_refused_before_any_sieve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sieved past the limit")
+
+        monkeypatch.setattr(analytic, "prime_array", unreachable)
+        with pytest.raises(
+            ResourceError,
+            match="^sieve limit 100000001 exceeds guard 100000000$",
+        ):
+            summatory_scan("A", 1, 10**8 + 1)
+
 
 class TestEulerLeadingCoefficient:
     def test_r1_telescopes_to_basel_value(self):
@@ -507,11 +534,13 @@ class TestExactSum:
 class TestFastPathsAgainstReferences:
     # 317 is prime: at 317^2 it is the largest prime on the small side of
     # sqrt(x), and at 317^2 - 1 the smallest on the large side; the rest
-    # put the table's end on, next to or past the pass windows' edges
+    # put the table's end on, next to or past the pass windows' edges;
+    # 131101 is the least prime above 2^17, so at 2 * 131101 the largest
+    # prime the plan keeps is x / 2, and x is just past window 0's end
     @pytest.mark.parametrize(
         "x_max",
         [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
-         3 * WINDOW + 7],
+         3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101],
     )
     @pytest.mark.parametrize(
         "kind, param",

@@ -285,6 +285,16 @@ class TestExitCodes:
         assert result.stderr.startswith("resource guard: sieve limit")
         assert elapsed < 1.0
 
+    def test_fit_overflow_prints_one_line(self):
+        # the design columns x log^170 x pass 1e308, so cond is inf: the
+        # refusal is the one line, with no numpy warning before it
+        result = run_cli("scan", "tau", "--k", "171", "--xmax", "100000",
+                         "--checkpoints", "400")
+        assert result.returncode == 3
+        assert result.stderr == (
+            "numerical error: fit is ill-conditioned (cond=inf); "
+            "use more or wider checkpoints\n")
+
     def test_tau_scan_beyond_its_limit_keeps_the_sieves_message(self):
         result = run_cli("scan", "tau", "--k", "3", "--xmax", "100000001")
         assert result.returncode == 4
