@@ -114,10 +114,8 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
     """What every window of f(0..x_max) reads, from local(p, k) = f(p^k)
     (p an int or an int64 array of primes) and the ascending primes up
     to x_max // 2 (any past it go unused): local, the small-prime
-    ratios, the primes in (sqrt(x_max), x_max / 2] with local(p, 1),
-    their cofactors ms >= 2 and head = f(0..ms[-1]).  head takes the
-    ratios in window 0's order, so it is bit-identical to window 0's
-    entries there."""
+    ratios, the primes in (sqrt(x_max), x_max / 2] with local(p, 1) and
+    their cofactors ms >= 2."""
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
     ratios = []
     for p in primes[:split].tolist():
@@ -131,11 +129,7 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
     for start in range(0, big.size, _CHUNK):
         loc[start : start + _CHUNK] = local(big[start : start + _CHUNK], 1)
     ms = np.arange(2, x_max // int(big[0]) + 1)
-    head = np.ones(ms[-1] + 1)
-    head[0] = 0.0
-    for pk, ratio in ratios:
-        head[::pk] *= ratio
-    return local, ratios, big, loc, ms, head
+    return local, ratios, big, loc, ms
 
 
 def _value_windows(plan, x_max: int, start: int, stop: int):
@@ -145,18 +139,19 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
     Every ratio local(p, k) / local(p, k-1) must be > 1, local(p, 0) = 1.
 
     Each prime p <= sqrt(x_max) multiplies that ratio into the entries
-    divisible by p^k, leaving local(p, v_p(n)) in each n, and any entry
-    it touches above 1.  So an entry still exactly 1.0 is n = 1 or a
-    prime above sqrt(x_max), and gets local(n, 1): the m = 1 case below.
-    A larger prime p divides n at most once, and m = n / p < sqrt(x_max)
-    then has n's small-prime valuations, so f(n) = f(m) local(p, 1);
-    for m >= 2, f(m) is read from head, by scatters of a quarter window
-    each (small index arrays) that write it without reading the entry.
-    Each entry takes its factors in ascending prime order, so the values
-    are bit-identical to a pass per prime, and a window depends on no
-    other window.
+    divisible by p^k, so after the passes the entry of n holds f of n's
+    sqrt(x_max)-smooth part, and any entry a pass touched is above 1.
+    So an entry still exactly 1.0 is n = 1 or a prime above sqrt(x_max),
+    and gets local(n, 1): the m = 1 case below.  A larger prime p
+    divides n at most once, and m = n / p < sqrt(x_max) is then n's
+    smooth part, already in the entry, so f(n) = f(m) local(p, 1) is one
+    multiply in place, by scatters of a quarter window each (small index
+    arrays).  No n <= x_max has two primes above sqrt(x_max), so no
+    index repeats within a scatter.  Each entry takes its factors in
+    ascending prime order, so the values are bit-identical to a pass per
+    prime, and a window depends on no other window.
     """
-    local, ratios, big, loc, ms, head = plan
+    local, ratios, big, loc, ms = plan
     buf = np.empty(min(_WINDOW, x_max + 1))
     for lo in range(start, stop, _WINDOW):
         window = buf[: min(_WINDOW, x_max + 1 - lo)]
@@ -174,7 +169,7 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
             a, b = b, np.searchsorted(big, (end - 1) // ms, side="right")
             m = np.repeat(ms, b - a)
             idx = np.repeat(b - np.cumsum(b - a), b - a) + np.arange(m.size)
-            window[m * big[idx] - lo] = head[m] * loc[idx]
+            window[m * big[idx] - lo] *= loc[idx]
         yield lo, window
 
 
@@ -605,7 +600,8 @@ def extremal_statistic(r: int, x: int) -> ExtremalSample:
     lo = int(x / math.log(x))
     ps = primes_in_range(lo, x)
     log_n = math.fsum(math.log(p) for p in ps)
-    local = a_local_sum(1.0 - 1.0 / np.array(ps, dtype=np.float64), 1, r)
+    ps = np.array(ps)  # frees the list's ints before the local sums
+    local = _a_local(r)(ps, 1)
     log_a = math.fsum(np.log(local).tolist())
     statistic = log_a * math.log(log_n) / log_n
     return ExtremalSample(

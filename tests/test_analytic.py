@@ -536,11 +536,13 @@ class TestFastPathsAgainstReferences:
     # sqrt(x), and at 317^2 - 1 the smallest on the large side; the rest
     # put the table's end on, next to or past the pass windows' edges;
     # 131101 is the least prime above 2^17, so at 2 * 131101 the largest
-    # prime the plan keeps is x / 2, and x is just past window 0's end
+    # prime the plan keeps is x / 2, and x is just past window 0's end;
+    # 10 to 25 are the smallest plans, whose only large primes are 5, 7
+    # and 11, so the scatter runs over ms = [2] or a few cofactors more
     @pytest.mark.parametrize(
         "x_max",
         [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
-         3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101],
+         3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101, 10, 11, 15, 24, 25],
     )
     @pytest.mark.parametrize(
         "kind, param",
