@@ -34,19 +34,22 @@ from .errors import DomainError, NumericalError, ResourceError
 from .gcdsum import a_local_sum
 
 _GRID_BITS = 52  # table entries are >= 1, so multiples of 2^-52
-# _grid_total splits entries into integer limbs of this many bits on that
+# _grid_total splits entries into integer limbs of at most 2^this on that
 # grid and sums each limb in float64 over chunks of this many entries:
-# the chunk sums stay below 2^(36 + 16) = 2^52, inside float64's exact
+# the chunk sums stay within 2^(36 + 16) = 2^52, inside float64's exact
 # integers.  A_r entries (r <= 3, x <= 1e7) lie below 2^19, so a block
 # takes two limbs.
 _LIMB_BITS = 36
 _CHUNK = 2**16
-# One block sum of 1 to 100 entries takes 18.5-19.5 us (2-vCPU x86-64,
-# Python 3.11, numpy 2.4): about this many loop-guard steps of 0.25 us.
+_ROUND = 1.5 * 2.0**52  # x + _ROUND - _ROUND rounds |x| <= 2^51 to an int
+# One block sum of 1 to 100 entries takes 7.9-9.5 us (2-vCPU x86-64,
+# Python 3.11, numpy 2.4); this many loop-guard steps of 0.25 us is the
+# 18.5-19.5 us first measured, kept so the guard's edges do not move.
 _BLOCK_SUM_STEPS = 75
 # Building 1e5 to 3e6 checkpoints takes 64-168 ns a point: under a step.
 _POINT_STEPS = 1
 _WINDOW = 2**18  # _value_windows' window: 2 MB of float64, inside L2
+_TABLE = 2**12  # p = 2's passes to this length, copied into each window
 # A tau checkpoint's fit row, residual and output rows take 13-15 us.
 _TAU_POINT_STEPS = 60
 # One pass of extremal_statistic's local sum over omega primes takes
@@ -113,7 +116,8 @@ def _a_local(r: int):
 def _window_plan(local, x_max: int, primes: np.ndarray):
     """What every window of f(0..x_max) reads, from local(p, k) = f(p^k)
     (p an int or an int64 array of primes) and the ascending primes up
-    to x_max // 2 (any past it go unused): local, the small-prime
+    to x_max // 2 (any past it go unused): local, p = 2's passes over
+    a table of min(_TABLE, x_max) rounded down to 2^j entries, the later
     ratios, the primes in (sqrt(x_max), x_max / 2] with local(p, 1) and
     their cofactors ms >= 2."""
     split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
@@ -124,12 +128,16 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
             loc = local(p, k)
             ratios.append((pk, loc / prev))
             prev, pk, k = loc, pk * p, k + 1
+    table = np.ones(min(_TABLE, 1 << (x_max.bit_length() - 1)))
+    passes = table.size.bit_length() - 1  # p = 2's to 2^passes = table.size
+    for pk, ratio in ratios[:passes]:
+        table[::pk] *= ratio
     big = primes[split : np.searchsorted(primes, x_max // 2, side="right")]
     loc = np.empty(big.size)  # in chunks, so temporaries stay small
     for start in range(0, big.size, _CHUNK):
         loc[start : start + _CHUNK] = local(big[start : start + _CHUNK], 1)
     ms = np.arange(2, x_max // int(big[0]) + 1)
-    return local, ratios, big, loc, ms
+    return local, table, ratios[passes:], big, loc, ms
 
 
 def _value_windows(plan, x_max: int, start: int, stop: int):
@@ -141,7 +149,10 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
     Each prime p <= sqrt(x_max) multiplies that ratio into the entries
     divisible by p^k, so after the passes the entry of n holds f of n's
     sqrt(x_max)-smooth part, and any entry a pass touched is above 1.
-    So an entry still exactly 1.0 is n = 1 or a prime above sqrt(x_max),
+    p = 2's first passes are the plan's table, whose length divides
+    _WINDOW: each window starts as copies of it.  A p^k not below the
+    window's length meets at most one entry: one scalar multiply.  So
+    an entry still exactly 1.0 is n = 1 or a prime above sqrt(x_max),
     and gets local(n, 1): the m = 1 case below.  A larger prime p
     divides n at most once, and m = n / p < sqrt(x_max) is then n's
     smooth part, already in the entry, so f(n) = f(m) local(p, 1) is one
@@ -151,25 +162,35 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
     ascending prime order, so the values are bit-identical to a pass per
     prime, and a window depends on no other window.
     """
-    local, ratios, big, loc, ms = plan
-    buf = np.empty(min(_WINDOW, x_max + 1))
+    local, table, ratios, big, loc, ms = plan
+    rows = np.empty((-(-min(_WINDOW, x_max + 1) // table.size), table.size))
     for lo in range(start, stop, _WINDOW):
-        window = buf[: min(_WINDOW, x_max + 1 - lo)]
-        window.fill(1.0)
-        window[0] = 1.0 if lo else 0.0  # f(0) = 0: from 1 it would overflow
+        size = min(_WINDOW, x_max + 1 - lo)
+        rows[...] = table
+        window = rows.reshape(-1)[:size]
+        if not lo:
+            window[0] = 0.0  # f(0) = 0: the passes would overflow it
         for pk, ratio in ratios:
-            window[-lo % pk :: pk] *= ratio
+            i = -lo % pk
+            if pk < size:
+                window[i::pk] *= ratio
+            elif i < size:
+                window[i] *= ratio
         # past n = 1, the entries no pass touched are the primes
         at = np.flatnonzero(window == 1.0)[0 if lo else 1 :]
         window[at] = local(at + lo, 1)
         # big[a[j]:b[j]] are the large primes p with begin <= ms[j] p < end
         b = np.searchsorted(big, (lo - 1) // ms, side="right")
-        for begin in range(lo, lo + window.size, _WINDOW // 4):
-            end = min(begin + _WINDOW // 4, lo + window.size)
+        for begin in range(lo, lo + size, _WINDOW // 4):
+            end = min(begin + _WINDOW // 4, lo + size)
             a, b = b, np.searchsorted(big, (end - 1) // ms, side="right")
-            m = np.repeat(ms, b - a)
-            idx = np.repeat(b - np.cumsum(b - a), b - a) + np.arange(m.size)
-            window[m * big[idx] - lo] *= loc[idx]
+            count = b - a
+            idx = np.repeat(b - np.cumsum(count), count)
+            idx += np.arange(idx.size)
+            at = np.repeat(ms, count)
+            at *= big[idx]
+            at -= lo
+            window[at] *= loc[idx]
         yield lo, window
 
 
@@ -178,10 +199,11 @@ def _grid_total(block: np.ndarray) -> int:
 
     Every entry is at least 1, so it is a multiple of 2^-52 (the ulp of
     1) and lies below 2^hi, hi the frexp exponent of the block maximum.
-    So splitting it from the top into _LIMB_BITS-bit integer limbs by
-    power-of-two scaling, floor and subtraction is exact.  Each limb is
-    summed exactly in float64 one _CHUNK at a time and the limb totals
-    are combined as Python ints.
+    So splitting it from the top into signed integer limbs of at most
+    2^_LIMB_BITS by power-of-two scaling, rounding by _ROUND and
+    subtraction is exact, up to the largest float.  Each limb is summed exactly in
+    float64 one _CHUNK at a time and the limb totals are combined as
+    Python ints.
     """
     lo_val = float(block.min())
     hi_val = float(block.max())
@@ -190,20 +212,22 @@ def _grid_total(block: np.ndarray) -> int:
             "exact block sum needs finite entries of at least 1, "
             f"got a range [{lo_val!r}, {hi_val!r}]"
         )
-    hi = math.frexp(hi_val)[1]
-    # the limbs above the lowest one, top first
+    # the limbs above the lowest one; the top one is in units of 2^top
     lo = -_GRID_BITS
-    shifts = range(lo + _LIMB_BITS * ((hi - lo - 1) // _LIMB_BITS), lo,
-                   -_LIMB_BITS)
-    totals = [0] * (len(shifts) + 1)
+    limbs = (math.frexp(hi_val)[1] - lo - 1) // _LIMB_BITS
+    top = lo + _LIMB_BITS * limbs
+    totals = [0] * (limbs + 1)
     for start in range(0, block.size, _CHUNK):
-        rest = block[start : start + _CHUNK]
-        for j, shift in enumerate(shifts):
-            limb = np.floor(np.ldexp(rest, -shift))
+        rest = block[start : start + _CHUNK] * 2.0**-top
+        for j in range(limbs):
+            if j:
+                rest *= 2.0**_LIMB_BITS
+            limb = rest + _ROUND
+            limb -= _ROUND
             totals[j] += int(limb.sum())
-            rest = rest - np.ldexp(limb, shift)
-        # what is left is below 2^(lo + _LIMB_BITS) and a multiple of 2^lo
-        totals[-1] += int(np.ldexp(rest, -lo).sum())
+            rest -= limb
+        # what is left lies in [-1/2, 1/2], a multiple of 2^-_LIMB_BITS
+        totals[-1] += int(rest.sum() * 2.0**_LIMB_BITS)
     total = 0
     for t in totals:
         total = (total << _LIMB_BITS) + t
@@ -219,7 +243,7 @@ def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
     run summed in its own process (_in_processes).  The runs' exact int
     sums are merged in window order and each checkpoint is rounded once,
     so the result does not depend on the split.  The plan's arrays are
-    freed when this returns, before the Euler product runs.
+    freed when this returns, before the fit runs.
     """
     plan = _window_plan(local, x_max, primes)
     windows = x_max // _WINDOW + 1
@@ -369,8 +393,8 @@ def summatory_scan(
                 f"sieve limit {x_max} exceeds guard {SIEVE_LIMIT}")
         limit = max(100, min(x_max, 10**6))  # the Euler product's primes
         primes = prime_array(max(x_max // 2, limit))
-        checkpoints = _checkpoint_sums(_a_local(r_or_k), x_max, primes, cps)
         fixed, euler_tail = euler_leading_coefficient(r_or_k, limit, primes)
+        checkpoints = _checkpoint_sums(_a_local(r_or_k), x_max, primes, cps)
     else:
         from .piltz import divisor_sums  # only tau scans compile it
 
@@ -498,7 +522,7 @@ def euler_leading_coefficient(
     u = 1.0 / primes[: np.searchsorted(primes, limit, side="right")]
     down = np.log1p(-u)
     up = np.log1p(r * u)
-    log_sum = math.fsum((r * down + up).tolist())
+    log_sum = math.fsum(memoryview(r * down + up))  # no list of floats
     # past r = 170, r! overflows a float and the value is far below 1e-308
     value = math.exp(log_sum) / math.factorial(r) if r <= 170 else 0.0
     if value < sys.float_info.min:
@@ -516,7 +540,7 @@ def euler_leading_coefficient(
     # and the division by r! (r! itself rounded) costs 2 eps.
     eps = 2.0**-53
     log_err = (
-        6 * eps * (math.fsum(up.tolist()) - r * math.fsum(down.tolist()))
+        6 * eps * (math.fsum(memoryview(up)) - r * math.fsum(memoryview(down)))
         + eps * abs(log_sum)
         + 4 * eps
     )

@@ -243,6 +243,21 @@ class TestSummatoryScan:
         ):
             summatory_scan("A", 1, 10**8 + 1)
 
+    def test_subnormal_leading_coefficient_refused_before_any_window(
+        self, monkeypatch, capsys
+    ):
+        # the Euler product is taken before the windows; at r = 125 it is
+        # below the least normal float (6.9e-306 over the primes to 100)
+        def unreachable(*args):
+            raise AssertionError("windows built before the refusal")
+
+        monkeypatch.setattr(analytic, "_value_windows", unreachable)
+        code = cli.main(["scan", "A", "--r", "125", "--xmax", "10000000"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical error: the leading coefficient of A_125 is below the "
+            "least normal float, 2.2250738585072014e-308\n")
+
 
 class TestEulerLeadingCoefficient:
     def test_r1_telescopes_to_basel_value(self):
@@ -398,6 +413,7 @@ def scans_on_cpus(monkeypatch, *args):
 
 CHUNK = analytic._CHUNK
 WINDOW = analytic._WINDOW
+TABLE = analytic._TABLE
 ULP_1 = 2.0**-52
 
 
@@ -465,6 +481,21 @@ class TestExactSum:
         got = total / 2**52
         assert float_bits([got]) == float_bits([math.fsum(block)])
         assert got == float(tie)
+
+    @given(
+        st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_entries_up_to_the_largest_float(self, length, seed):
+        # entries in [2^1000, max float]: a limb's rounding constant that
+        # overflowed there would make it inf or nan, not an error
+        rng = np.random.default_rng(seed)
+        block = np.ldexp(1.0 + rng.random(length),
+                         rng.integers(1000, 1024, length))
+        block[rng.integers(0, length, 3)] = sys.float_info.max
+        block[rng.integers(0, length)] = 2.0**1000
+        total = analytic._grid_total(block)
+        assert total == grid_units(block.tolist()) == frexp_units(block)
 
     @given(st.lists(st.floats(min_value=1.0, max_value=1e300),
                     min_size=1, max_size=40))
@@ -538,11 +569,15 @@ class TestFastPathsAgainstReferences:
     # 131101 is the least prime above 2^17, so at 2 * 131101 the largest
     # prime the plan keeps is x / 2, and x is just past window 0's end;
     # 10 to 25 are the smallest plans, whose only large primes are 5, 7
-    # and 11, so the scatter runs over ms = [2] or a few cofactors more
+    # and 11, so the scatter runs over ms = [2] or a few cofactors more;
+    # at TABLE - 1 p = 2's table is half as long, at TABLE + 1 the pass
+    # at 2^12 is the first after it; 2^19 and 3^12 are prime powers past
+    # a window's length, each one entry of window 2
     @pytest.mark.parametrize(
         "x_max",
         [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
-         3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101, 10, 11, 15, 24, 25],
+         3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101, 10, 11, 15, 24, 25,
+         TABLE - 1, TABLE, TABLE + 1, 2**19 - 1, 2**19, 3**12],
     )
     @pytest.mark.parametrize(
         "kind, param",
