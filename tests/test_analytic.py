@@ -570,9 +570,9 @@ class TestFastPathsAgainstReferences:
     # prime the plan keeps is x / 2, and x is just past window 0's end;
     # 10 to 25 are the smallest plans, whose only large primes are 5, 7
     # and 11, so the scatter runs over ms = [2] or a few cofactors more;
-    # at TABLE - 1 p = 2's table is half as long, at TABLE + 1 the pass
-    # at 2^12 is the first after it; 2^19 and 3^12 are prime powers past
-    # a window's length, each one entry of window 2
+    # at TABLE - 1 p = 2's table is half as long, at TABLE the window is
+    # one table and at TABLE + 1 one entry past it; 2^19 and 3^12 are
+    # prime powers past a window's length, each one entry of window 2
     @pytest.mark.parametrize(
         "x_max",
         [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
