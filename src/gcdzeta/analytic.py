@@ -199,10 +199,10 @@ def _grid_total(block: np.ndarray) -> int:
 
     Every entry is at least 1, so it is a multiple of 2^-52 (the ulp of
     1) and lies below 2^hi, hi the frexp exponent of the block maximum.
-    So splitting it from the top into signed integer limbs of at most
-    2^_LIMB_BITS by power-of-two scaling, rounding by _ROUND and
-    subtraction is exact, up to the largest float.  Each limb is summed exactly in
-    float64 one _CHUNK at a time and the limb totals are combined as
+    So scaling by powers of two, rounding by _ROUND and subtracting
+    split it exactly, from the top, into signed integer limbs of at most
+    2^_LIMB_BITS, up to the largest float.  Each limb is summed exactly
+    in float64 one _CHUNK at a time and the limb totals are combined as
     Python ints.
     """
     lo_val = float(block.min())

@@ -246,8 +246,10 @@ class TestSummatoryScan:
     def test_subnormal_leading_coefficient_refused_before_any_window(
         self, monkeypatch, capsys
     ):
-        # the Euler product is taken before the windows; at r = 125 it is
-        # below the least normal float (6.9e-306 over the primes to 100)
+        # the Euler product is taken before the windows; at r = 125 the full
+        # product (primes to 1e6) is below the least normal float, while over
+        # the primes to 100 alone it is 6.9e-306, still normal, which is why
+        # the full call, not a short one, comes before the windows
         def unreachable(*args):
             raise AssertionError("windows built before the refusal")
 
