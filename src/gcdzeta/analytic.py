@@ -6,13 +6,14 @@ closed form (an Euler product for A_r, 1/(k-1)! for tau_k); the lower
 coefficients here are fitted, never derived, and the reports keep the two
 provenances separate.  A_r values, all >= 1 and so multiples of 2^-52,
 are sieved and summed one 2 MB window at a time, never all held, from
-the primes up to x/2 (one above sqrt(x) is an entry the passes leave
-at 1): each block between checkpoints and window edges is summed
-exactly as a count of 2^-52 (_grid_total).  The windows are split into
-one contiguous run per usable CPU, each run in its own process (forked,
-and so only where os.fork exists), and the runs' exact int totals are
-merged in window order.  Each checkpoint rounds the merged total once, to
-math.fsum(A_r(1..x)), byte-identical on rerun and on any CPU count.
+the primes up to x/2 in 4 bytes each (one above x/2 is an entry the
+passes and scatters leave at 1): each block between checkpoints and
+window edges is summed exactly as a count of 2^-52 (_grid_total).  The
+windows are split into one contiguous run per usable CPU, each run in
+its own process (forked, and so only where os.fork exists), and the
+runs' exact int totals are merged in window order.  Each checkpoint
+rounds the merged total once, to math.fsum(A_r(1..x)), byte-identical
+on rerun and on any CPU count.
 tau_k scans report float(D_k(c)) of the exact D_k (piltz.py).
 """
 
@@ -50,6 +51,8 @@ _BLOCK_SUM_STEPS = 75
 _POINT_STEPS = 1
 _WINDOW = 2**18  # _value_windows' window: 2 MB of float64, inside L2
 _TABLE = 2**12  # p = 2's passes to this length, copied into each window
+# the large primes and the search keys: every n <= SIEVE_LIMIT fits
+_PRIME = np.int32 if SIEVE_LIMIT < 2**31 else np.int64
 # A tau checkpoint's fit row, residual and output rows take 13-15 us.
 _TAU_POINT_STEPS = 60
 # One pass of extremal_statistic's local sum over omega primes takes
@@ -115,12 +118,12 @@ def _a_local(r: int):
 
 def _window_plan(local, x_max: int, primes: np.ndarray):
     """What every window of f(0..x_max) reads, from local(p, k) = f(p^k)
-    (p an int or an int64 array of primes) and the ascending primes up
-    to x_max // 2 (any past it go unused): local, p = 2's passes over
-    a table of min(_TABLE, x_max) rounded down to 2^j entries, the later
-    ratios, the primes in (sqrt(x_max), x_max / 2] with local(p, 1) and
-    their cofactors ms >= 2."""
-    split = int(np.searchsorted(primes, math.isqrt(x_max), side="right"))
+    (p an int or an int array of primes) and the ascending primes up to
+    x_max // 2 as _PRIME: local, p = 2's passes over a table of
+    min(_TABLE, x_max) rounded down to 2^j entries, the later ratios, and
+    big, a view of the primes in (sqrt(x_max), x_max / 2], with loc =
+    local(big, 1)."""
+    split = int(np.searchsorted(primes, math.isqrt(x_max), "right"))
     ratios = []
     for p in primes[:split].tolist():
         pk, k, prev = p, 1, 1.0
@@ -132,12 +135,11 @@ def _window_plan(local, x_max: int, primes: np.ndarray):
     passes = table.size.bit_length() - 1  # p = 2's to 2^passes = table.size
     for pk, ratio in ratios[:passes]:
         table[::pk] *= ratio
-    big = primes[split : np.searchsorted(primes, x_max // 2, side="right")]
+    big = primes[split:]
     loc = np.empty(big.size)  # in chunks, so temporaries stay small
     for start in range(0, big.size, _CHUNK):
         loc[start : start + _CHUNK] = local(big[start : start + _CHUNK], 1)
-    ms = np.arange(2, x_max // int(big[0]) + 1)
-    return local, table, ratios[passes:], big, loc, ms
+    return local, table, ratios[passes:], big, loc
 
 
 def _value_windows(plan, x_max: int, start: int, stop: int):
@@ -151,18 +153,18 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
     sqrt(x_max)-smooth part, and any entry a pass touched is above 1.
     p = 2's first passes are the plan's table, whose length divides
     _WINDOW: each window starts as copies of it.  A p^k not below the
-    window's length meets at most one entry: one scalar multiply.  So
-    an entry still exactly 1.0 is n = 1 or a prime above sqrt(x_max),
-    and gets local(n, 1): the m = 1 case below.  A larger prime p
-    divides n at most once, and m = n / p < sqrt(x_max) is then n's
-    smooth part, already in the entry, so f(n) = f(m) local(p, 1) is one
-    multiply in place, by scatters of a quarter window each (small index
-    arrays).  No n <= x_max has two primes above sqrt(x_max), so no
-    index repeats within a scatter.  Each entry takes its factors in
-    ascending prime order, so the values are bit-identical to a pass per
-    prime, and a window depends on no other window.
+    window's length meets at most one entry: one scalar multiply.  A
+    larger prime p divides n at most once, and m = n / p < sqrt(x_max)
+    is then n's smooth part, already in the entry (1 at m = 1), so
+    f(n) = f(m) local(p, 1) is one multiply in place, by scatters of a
+    quarter window each over the m up to the window's end / big[0].  No
+    n <= x_max has two primes above sqrt(x_max), so no index repeats
+    within a scatter.  Then an entry above x_max // 2 still exactly 1.0
+    is a prime past the plan's and gets local(n, 1).  Each entry takes
+    its factors in ascending prime order, so the values are
+    bit-identical to a pass per prime, and a window depends on no other.
     """
-    local, table, ratios, big, loc, ms = plan
+    local, table, ratios, big, loc = plan
     rows = np.empty((-(-min(_WINDOW, x_max + 1) // table.size), table.size))
     for lo in range(start, stop, _WINDOW):
         size = min(_WINDOW, x_max + 1 - lo)
@@ -173,17 +175,16 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
         for pk, ratio in ratios:
             i = -lo % pk
             if pk < size:
-                window[i::pk] *= ratio
+                view = window[i::pk]  # no write-back through the slice
+                view *= ratio
             elif i < size:
                 window[i] *= ratio
-        # past n = 1, the entries no pass touched are the primes
-        at = np.flatnonzero(window == 1.0)[0 if lo else 1 :]
-        window[at] = local(at + lo, 1)
-        # big[a[j]:b[j]] are the large primes p with begin <= ms[j] p < end
-        b = np.searchsorted(big, (lo - 1) // ms, side="right")
-        for begin in range(lo, lo + size, _WINDOW // 4):
-            end = min(begin + _WINDOW // 4, lo + size)
-            a, b = b, np.searchsorted(big, (end - 1) // ms, side="right")
+        ms = np.arange(1, (lo + size - 1) // int(big[0]) + 1)
+        ends = np.append(np.arange(lo, lo + size, _WINDOW // 4), lo + size)
+        # big[:cuts[j, i]] are the large primes p with ms[i] p < ends[j]
+        keys = (ends[:, None] - 1) // ms
+        cuts = np.searchsorted(big, keys.astype(_PRIME), "right")
+        for a, b in zip(cuts, cuts[1:]):
             count = b - a
             idx = np.repeat(b - np.cumsum(count), count)
             idx += np.arange(idx.size)
@@ -191,6 +192,10 @@ def _value_windows(plan, x_max: int, start: int, stop: int):
             at *= big[idx]
             at -= lo
             window[at] *= loc[idx]
+        # above x_max // 2, the entries left at 1.0 are the primes
+        top = max(x_max // 2 + 1 - lo, 0)
+        at = np.flatnonzero(window[top:] == 1.0) + top
+        window[at] = local(at + lo, 1)
         yield lo, window
 
 
@@ -236,8 +241,8 @@ def _grid_total(block: np.ndarray) -> int:
 
 def _checkpoint_sums(local, x_max: int, primes: np.ndarray,
                      cps: list[int]) -> list[tuple[int, float]]:
-    """[(x, math.fsum(f(1..x))) for x in cps], f given by local as in
-    _window_plan and primes its sieve through x_max // 2.
+    """[(x, math.fsum(f(1..x))) for x in cps], local and primes as
+    _window_plan takes them.
 
     The windows are split into one contiguous run per usable CPU, each
     run summed in its own process (_in_processes).  The runs' exact int
@@ -394,6 +399,9 @@ def summatory_scan(
         limit = max(100, min(x_max, 10**6))  # the Euler product's primes
         primes = prime_array(max(x_max // 2, limit))
         fixed, euler_tail = euler_leading_coefficient(r_or_k, limit, primes)
+        # the windows read the primes to x / 2; this frees the int64 list
+        primes = primes[: np.searchsorted(primes, x_max // 2, "right")]
+        primes = primes.astype(_PRIME)
         checkpoints = _checkpoint_sums(_a_local(r_or_k), x_max, primes, cps)
     else:
         from .piltz import divisor_sums  # only tau scans compile it
@@ -402,15 +410,8 @@ def summatory_scan(
         checkpoints = [(c, float(s)) for c, s in zip(cps, sums)]
         fixed, euler_tail = 1.0 / math.factorial(degree), 0.0
 
-    report = SummatoryReport(
-        kind=kind,
-        r_or_k=r_or_k,
-        x_max=x_max,
-        checkpoints=checkpoints,
-        degree=degree,
-        fixed_leading=fixed,
-        euler_tail_bound=euler_tail,
-    )
+    report = SummatoryReport(kind, r_or_k, x_max, checkpoints, degree, fixed,
+                             euler_tail)
     xs = [x for x, _ in checkpoints]
     wide_enough = len(checkpoints) >= degree + 2 and xs[-1] >= 100 * xs[0]
     if wide_enough:
@@ -471,7 +472,7 @@ def fit_main_term(
     if n_free == 0:
         return [fixed_leading]
     design = np.column_stack([xs * logs**j for j in range(n_free)])
-    target = sums.copy()
+    target = sums
     if fixed_leading is not None:
         target = target - fixed_leading * xs * logs**degree
 
@@ -483,12 +484,10 @@ def fit_main_term(
             f"fit is ill-conditioned (cond={cond:.2e}); "
             "use more or wider checkpoints"
         )
-    coef, *_ = np.linalg.lstsq(design / scale, target, rcond=None)
-    coef = coef / scale
-    out = list(coef)
+    coef = np.linalg.lstsq(design / scale, target, rcond=None)[0] / scale
     if fixed_leading is not None:
-        out.append(fixed_leading)
-    return [float(c) for c in out]
+        coef = np.append(coef, fixed_leading)
+    return [float(c) for c in coef]
 
 
 def euler_leading_coefficient(
@@ -519,7 +518,7 @@ def euler_leading_coefficient(
         raise DomainError(f"r must be >= 1, got {r}")
     if limit < 100:
         raise DomainError(f"prime limit must be >= 100, got {limit}")
-    u = 1.0 / primes[: np.searchsorted(primes, limit, side="right")]
+    u = 1.0 / primes[: np.searchsorted(primes, limit, "right")]
     down = np.log1p(-u)
     up = np.log1p(r * u)
     log_sum = math.fsum(memoryview(r * down + up))  # no list of floats
@@ -568,8 +567,7 @@ def residual_exponent_estimate(report: SummatoryReport) -> float:
         raise NumericalError("not enough residuals with |R| >= 1")
     lx = np.log([x for x, _ in usable])
     ly = np.log([v for _, v in usable])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    return float(np.polyfit(lx, ly, 1)[0])
 
 
 def omega_bound_exponents(r: int) -> tuple[float, float, float]:
@@ -623,15 +621,9 @@ def extremal_statistic(r: int, x: int) -> ExtremalSample:
                       "extremal_statistic")
     lo = int(x / math.log(x))
     ps = primes_in_range(lo, x)
-    log_n = math.fsum(math.log(p) for p in ps)
+    log_n = math.fsum(map(math.log, ps))
     ps = np.array(ps)  # frees the list's ints before the local sums
     local = _a_local(r)(ps, 1)
-    log_a = math.fsum(np.log(local).tolist())
+    log_a = math.fsum(memoryview(np.log(local)))  # no list of floats
     statistic = log_a * math.log(log_n) / log_n
-    return ExtremalSample(
-        x=x,
-        log_n_x=log_n,
-        omega_n_x=len(ps),
-        log_a_r=log_a,
-        statistic=statistic,
-    )
+    return ExtremalSample(x, log_n, len(ps), log_a, statistic)

@@ -139,11 +139,17 @@ def scan_local(kind: str, order: int):
     return lambda p, k: float(tau(p, k))
 
 
+def window_primes(x_max: int) -> np.ndarray:
+    """The primes up to x_max // 2 in the dtype summatory_scan hands
+    analytic._window_plan."""
+    return prime_array(x_max // 2).astype(analytic._PRIME)
+
+
 def value_table(local, x_max: int) -> np.ndarray:
     """f(0..x_max) as one array: copies of analytic._value_windows'
     windows, which reuse one buffer, joined in order, from a plan on a
     new sieve as analytic._checkpoint_sums builds it."""
-    plan = analytic._window_plan(local, x_max, prime_array(x_max))
+    plan = analytic._window_plan(local, x_max, window_primes(x_max))
     windows = analytic._value_windows(plan, x_max, 0, x_max + 1)
     return np.concatenate([window.copy() for _, window in windows])
 

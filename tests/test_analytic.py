@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from conftest import (
     poly_at,
     scan_local,
     value_table,
+    window_primes,
 )
 from hypothesis import strategies as st
 
@@ -231,6 +233,31 @@ class TestSummatoryScan:
         monkeypatch.setattr(analytic, "prime_array", sieve)
         summatory_scan("A", 2, x_max)
         assert calls == [sieved]
+
+    def test_windows_hold_int32_primes_and_no_int64_list(self, monkeypatch):
+        # the traced peak is the plan's 4 bytes a large prime and 8 for its
+        # local value, the window buffer and one scatter piece (four 8-byte
+        # arrays of a quarter window: index, positions and two gathers),
+        # with 256 KB to spare; an int64 list of the primes to 1e6 kept
+        # through the windows would add 628 KB
+        plans, value_windows = [], analytic._value_windows
+
+        def spy(plan, *args):
+            plans.append(plan)
+            return value_windows(plan, *args)
+
+        monkeypatch.setattr(analytic, "_value_windows", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            summatory_scan("A", 2, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (plan,) = plans
+        big = plan[3]
+        assert big.dtype == np.int32 and big[-1] == 499979
+        assert peak < 12 * big.size + 2 * 8 * WINDOW + 2**18
 
     def test_past_the_sieve_limit_refused_before_any_sieve(self, monkeypatch):
         def unreachable(*args):
@@ -571,15 +598,21 @@ class TestFastPathsAgainstReferences:
     # 131101 is the least prime above 2^17, so at 2 * 131101 the largest
     # prime the plan keeps is x / 2, and x is just past window 0's end;
     # 10 to 25 are the smallest plans, whose only large primes are 5, 7
-    # and 11, so the scatter runs over ms = [2] or a few cofactors more;
+    # and 11, so the scatter runs over ms = [1, 2] or a few cofactors more;
     # at TABLE - 1 p = 2's table is half as long, at TABLE the window is
     # one table and at TABLE + 1 one entry past it; 2^19 and 3^12 are
-    # prime powers past a window's length, each one entry of window 2
+    # prime powers past a window's length, each one entry of window 2;
+    # from 2^19 - 1 to 2^19 + 2, x // 2, where the scatter's m = 1 row
+    # ends and the test for entries still 1.0 begins, steps across the
+    # edge of windows 0 and 1; 262139 and 262147, the primes on either
+    # side of that edge, are x // 2 at 2 * 262139 and 2 * 262147 + 1, so
+    # the row ends on a prime
     @pytest.mark.parametrize(
         "x_max",
         [10**5, 317**2, 317**2 - 1, WINDOW - 1, WINDOW, WINDOW + 1,
          3 * WINDOW + 7, 2 * 131101 - 1, 2 * 131101, 10, 11, 15, 24, 25,
-         TABLE - 1, TABLE, TABLE + 1, 2**19 - 1, 2**19, 3**12],
+         TABLE - 1, TABLE, TABLE + 1, 2**19 - 1, 2**19, 2**19 + 1,
+         2**19 + 2, 2 * 262139, 2 * 262147 + 1, 3**12],
     )
     @pytest.mark.parametrize(
         "kind, param",
@@ -621,7 +654,7 @@ class TestFastPathsAgainstReferences:
     )
     def test_windows_cover_the_table_in_order(self, x_max):
         plan = analytic._window_plan(scan_local("tau", 2), x_max,
-                                     arith.prime_array(x_max))
+                                     window_primes(x_max))
         got = [(lo, window.size) for lo, window
                in analytic._value_windows(plan, x_max, 0, x_max + 1)]
         assert got == [(lo, min(WINDOW, x_max + 1 - lo))
@@ -659,7 +692,7 @@ class TestFastPathsAgainstReferences:
         assert xs[-1] - xs[-2] > 2 * WINDOW
         carry, want = 0, []
         plan = analytic._window_plan(scan_local("A", 2), 10**7,
-                                     arith.prime_array(10**7))
+                                     window_primes(10**7))
         for lo, window in analytic._value_windows(plan, 10**7, 0, 10**7 + 1):
             for x in xs:
                 if lo <= x < lo + window.size:
